@@ -13,7 +13,7 @@ from .bootstrap import (
     nbb_resample,
     resample,
 )
-from .lstm import LstmModel, LstmParams, LstmState, TrainConfig, fit, predict_series
+from .lstm import LstmModel, TrainConfig, fit, predict_series
 from .pipeline import (
     ConfidenceBand,
     MethodComparison,
@@ -41,8 +41,6 @@ __all__ = [
     "ConfidenceBand",
     "LogReturnSeries",
     "LstmModel",
-    "LstmParams",
-    "LstmState",
     "MethodComparison",
     "PipelineConfig",
     "PipelineResult",

@@ -115,12 +115,17 @@ def length_penalty(n: int, l: int, t: float) -> float:
     return math.log(n) / n**t * l
 
 
-def objective(x, l: int, cfg: SelectorConfig) -> float:
-    """Distance over ``cfg.reps`` fresh replicates at length ``l``, plus the penalty."""
-    x = np.asarray(x, dtype=np.float64)
+def _distance_and_penalty(x: np.ndarray, l: int, cfg: SelectorConfig) -> tuple[float, float]:
+    """The two objective terms at length ``l`` over ``cfg.reps`` fresh replicates."""
     plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
     reps = batch_resample(x, plan, cfg.reps)
-    return distance(x, reps, l) + length_penalty(x.size, l, cfg.t)
+    return distance(x, reps, l), length_penalty(x.size, l, cfg.t)
+
+
+def objective(x, l: int, cfg: SelectorConfig) -> float:
+    """Distance over ``cfg.reps`` fresh replicates at length ``l``, plus the penalty."""
+    dist, pen = _distance_and_penalty(np.asarray(x, dtype=np.float64), l, cfg)
+    return dist + pen
 
 
 def select_block_length(
@@ -140,10 +145,7 @@ def select_block_length(
     dists = np.empty(len(lengths))
     pens = np.empty(len(lengths))
     for j, l in enumerate(lengths):
-        plan = BlockPlan(method=cfg.method, block_len=int(l), locality=cfg.locality, seed=cfg.seed)
-        reps = batch_resample(values, plan, cfg.reps)
-        dists[j] = distance(values, reps, int(l))
-        pens[j] = length_penalty(n, int(l), cfg.t)
+        dists[j], pens[j] = _distance_and_penalty(values, int(l), cfg)
     objs = dists + pens
     curve = SelectorCurve(lengths=lengths, distances=dists, penalties=pens, objectives=objs)
     l_opt = int(lengths[int(np.argmin(objs))])

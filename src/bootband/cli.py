@@ -57,7 +57,10 @@ def _bool_from(text: str) -> bool:
 
 
 # name -> (converter, default, help); None default means "resolved at runtime"
-# (seed: random; jobs: cpu count; lmax: min(50, n // 4)).
+# (seed: random; jobs: cpu count; lmax: min(50, n // 4)).  _REQUIRED marks a
+# flag the command line must give; its converter may be a list of choices.
+_REQUIRED = object()
+
 _COMMON_OPTS = {
     "column": (str, "Close", "CSV column with the closing price"),
     "output_dir": (str, ".", "directory for artifacts"),
@@ -84,12 +87,46 @@ _TRAIN_OPTS = {
     "scale_window": (int, 200, "segment length for window min-max scaling"),
 }
 
+_METHOD_OPT = {"method": (METHOD_CHOICES, _REQUIRED, None)}
+
+# one table per subcommand: it drives both the parser and the config resolver
+_RESAMPLE_OPTS = {
+    **_COMMON_OPTS, **_METHOD_OPT,
+    "block_len": (int, _REQUIRED, "block length l"),
+    "locality": (float, 0.1, "LBB locality fraction B"),
+    "count": (int, 1, "number of pseudo-series"),
+    "space": (str, "log-return", "'log-return' (reverse-transformed to prices) or 'price'"),
+}
+
+_SELECT_BLOCK_OPTS = {
+    **_COMMON_OPTS, **_METHOD_OPT, **_SELECTOR_OPTS,
+    "reps": (int, 100, "bootstrap replicates per candidate length"),
+    "train_len": (int, None, "restrict to the first train-len prices (default: whole series)"),
+}
+
+_TRAIN_CMD_OPTS = {**_COMMON_OPTS, **_TRAIN_OPTS}
+
+_COMPARE_OPTS = {
+    **_COMMON_OPTS, **_SELECTOR_OPTS, **_TRAIN_OPTS,
+    "reps": (int, 1000, "bootstrap replicates M"),
+    "alpha": (float, 0.05, "miscoverage level (0.05 gives a 95 percent band)"),
+    "selector_reps": (int, 100, "replicates per candidate in block-length selection"),
+    "allow_failures": (int, 0, "tolerated diverged replicates before aborting"),
+    "dump_replicates": (bool, False, "also write the M x T replicate prediction matrix"),
+}
+
+_BAND_OPTS = {**_COMMON_OPTS, **_METHOD_OPT, **_COMPARE_OPTS}
+
 
 def _add_opts(parser: argparse.ArgumentParser, opts: dict) -> None:
     for name, (conv, default, help_) in opts.items():
         flag = "--" + name.replace("_", "-")
         suffix = "" if default is None else f" (default: {default})"
-        if conv is bool:
+        if default is _REQUIRED:
+            choices = conv if isinstance(conv, list) else None
+            parser.add_argument(flag, required=True, type=None if choices else conv,
+                                choices=choices, help=help_)
+        elif conv is bool:
             parser.add_argument(flag, action="store_const", const=True, default=None,
                                 help=help_ + (" (default: off)" if default is False else ""))
         else:
@@ -118,7 +155,7 @@ class _Resolver:
         self.opts = opts
         self.file_values = _read_config_file(args.config) if args.config else {}
         for key in self.file_values:
-            if key not in opts and key not in ("seed", "jobs"):
+            if key not in opts:
                 raise UsageError(f"unknown config key {key!r}")
         self.resolved: dict = {}
 
@@ -208,19 +245,6 @@ def _pipeline_config(res: _Resolver, n: int, method: str, seed: int) -> Pipeline
     )
 
 
-def _band_report(result, alpha: float, seed: int) -> dict:
-    return {
-        "method": result.band.method.value,
-        "l_opt": result.block_len,
-        "reps": result.band.reps,
-        "seed": seed,
-        "alpha": alpha,
-        "comparing_factor": result.band.comparing_factor,
-        "coverage": result.coverage,
-        "failed_replicates": list(result.failed_ids),
-    }
-
-
 def _write_replicate_matrix(path: Path, result) -> None:
     """M x T audit dump: one row per replicate, one column per test date."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -231,13 +255,7 @@ def _write_replicate_matrix(path: Path, result) -> None:
 
 
 def cmd_resample(args: argparse.Namespace) -> int:
-    res = _Resolver(args, {**_COMMON_OPTS, **{
-        "method": (str, None, "bootstrap method"),
-        "block_len": (int, None, "block length l"),
-        "locality": (float, 0.1, "LBB locality fraction B"),
-        "count": (int, 1, "number of pseudo-series to draw"),
-        "space": (str, "log-return", "resample in 'log-return' space (reverse-transformed to prices) or raw 'price' space"),
-    }})
+    res = _Resolver(args, _RESAMPLE_OPTS)
     seed = _resolve_seed(res)
     out = _out_dir(res)
     method = args.method
@@ -279,11 +297,7 @@ def cmd_resample(args: argparse.Namespace) -> int:
 
 
 def cmd_select_block(args: argparse.Namespace) -> int:
-    res = _Resolver(args, {**_COMMON_OPTS, **_SELECTOR_OPTS, **{
-        "method": (str, None, "bootstrap method"),
-        "reps": (int, 100, "bootstrap replicates per candidate length"),
-        "train_len": (int, None, "restrict to the first train-len prices (default: whole series)"),
-    }})
+    res = _Resolver(args, _SELECT_BLOCK_OPTS)
     seed = _resolve_seed(res)
     out = _out_dir(res)
     prices = load_csv(args.input, res.get("column"))
@@ -315,7 +329,7 @@ def cmd_select_block(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    res = _Resolver(args, {**_COMMON_OPTS, **_TRAIN_OPTS})
+    res = _Resolver(args, _TRAIN_CMD_OPTS)
     seed = _resolve_seed(res)
     out = _out_dir(res)
     prices = load_csv(args.input, res.get("column"))
@@ -373,18 +387,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BAND_OPTS = {
-    **_COMMON_OPTS, **_SELECTOR_OPTS, **_TRAIN_OPTS,
-    "reps": (int, 1000, "bootstrap replicates M"),
-    "alpha": (float, 0.05, "miscoverage level (0.05 gives a 95 percent band)"),
-    "selector_reps": (int, 100, "replicates per candidate in block-length selection"),
-    "allow_failures": (int, 0, "tolerated diverged replicates before aborting"),
-    "dump_replicates": (bool, False, "also write the M x T replicate prediction matrix"),
-}
-
-
 def cmd_band(args: argparse.Namespace) -> int:
-    res = _Resolver(args, {**_BAND_OPTS, "method": (str, None, "bootstrap method")})
+    res = _Resolver(args, _BAND_OPTS)
     seed = _resolve_seed(res)
     jobs = _resolve_jobs(res)
     out = _out_dir(res)
@@ -400,9 +404,10 @@ def cmd_band(args: argparse.Namespace) -> int:
     with manifest.stage("write"):
         result.band.to_csv(out / "band.csv", actual=result.actual)
         result.curve.to_csv(out / "selector_curve.csv")
-        report = _band_report(result, cfg.alpha, seed)
-        report["runtime_seconds"] = manifest.timings.get("pipeline")
-        _write_json(out / "report.json", report)
+        _write_json(out / "report.json", {
+            **result.report(seed), "alpha": cfg.alpha,
+            "runtime_seconds": manifest.timings.get("pipeline"),
+        })
         if res.get("dump_replicates"):
             _write_replicate_matrix(out / "replicates.csv", result)
     res.resolved["method"] = args.method
@@ -412,7 +417,7 @@ def cmd_band(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    res = _Resolver(args, dict(_BAND_OPTS))
+    res = _Resolver(args, _COMPARE_OPTS)
     seed = _resolve_seed(res)
     jobs = _resolve_jobs(res)
     out = _out_dir(res)
@@ -450,45 +455,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bootband {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, func, opts, help_ in (
+        ("resample", cmd_resample, _RESAMPLE_OPTS, "draw block-bootstrap pseudo-series"),
+        ("select-block", cmd_select_block, _SELECT_BLOCK_OPTS,
+         "choose the block length by the penalized objective"),
+        ("train", cmd_train, _TRAIN_CMD_OPTS, "train a single LSTM on the training split"),
+        ("band", cmd_band, _BAND_OPTS, "full bootstrap confidence band for one method"),
+        ("compare", cmd_compare, _COMPARE_OPTS,
+         "rank all three bootstrap methods by comparing factor"),
+    ):
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--input", required=True, help="dated CSV of prices")
         p.add_argument("--config", default=None, help="key = value config file")
-        _add_opts(p, _COMMON_OPTS)
-
-    p = sub.add_parser("resample", help="draw block-bootstrap pseudo-series")
-    common(p)
-    p.add_argument("--method", required=True, choices=METHOD_CHOICES)
-    p.add_argument("--block-len", required=True, type=int, help="block length l")
-    _add_opts(p, {
-        "locality": (float, 0.1, "LBB locality fraction B"),
-        "count": (int, 1, "number of pseudo-series"),
-        "space": (str, "log-return", "'log-return' (reverse-transformed to prices) or 'price'"),
-    })
-    p.set_defaults(func=cmd_resample)
-
-    p = sub.add_parser("select-block", help="choose the block length by the penalized objective")
-    common(p)
-    p.add_argument("--method", required=True, choices=METHOD_CHOICES)
-    _add_opts(p, {**_SELECTOR_OPTS,
-                  "reps": (int, 100, "bootstrap replicates per candidate length"),
-                  "train_len": (int, None, "restrict to the first train-len prices (default: whole series)")})
-    p.set_defaults(func=cmd_select_block)
-
-    p = sub.add_parser("train", help="train a single LSTM on the training split")
-    common(p)
-    _add_opts(p, _TRAIN_OPTS)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("band", help="full bootstrap confidence band for one method")
-    common(p)
-    p.add_argument("--method", required=True, choices=METHOD_CHOICES)
-    _add_opts(p, {k: v for k, v in _BAND_OPTS.items() if k not in _COMMON_OPTS})
-    p.set_defaults(func=cmd_band)
-
-    p = sub.add_parser("compare", help="rank all three bootstrap methods by comparing factor")
-    common(p)
-    _add_opts(p, {k: v for k, v in _BAND_OPTS.items() if k not in _COMMON_OPTS})
-    p.set_defaults(func=cmd_compare)
+        _add_opts(p, opts)
+        p.set_defaults(func=func)
 
     return parser
 

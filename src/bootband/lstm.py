@@ -7,6 +7,14 @@ logistic sigmoid, candidate cell state through tanh, new cell state
 computed analytically by backpropagation through time (the test suite checks
 them against central finite differences).
 
+All weights live in one float64 vector ``theta``.  :func:`param_views` cuts
+it into the input kernel ``W (4H,)``, the recurrent matrix ``U (H, 4H)``, the
+bias ``b (4H,)`` and the dense head ``dense_w (H,)``, ``dense_b ()``.  The
+four gates sit side by side in the order f, i, o, c, so column block ``k`` of
+``U`` is gate ``k``'s recurrent matrix transposed and one step costs one
+``h @ U`` matmul.  Gradients and Adam moments are vectors of the same layout.
+``model.json`` stores the per-gate named fields of :data:`PARAM_NAMES`.
+
 During training an inverted-dropout mask is applied to the final hidden
 state only, and an L2 penalty is applied to the input kernels and dense
 weights (not the recurrent matrices or biases).  All arithmetic is float64.
@@ -15,6 +23,7 @@ weights (not the recurrent matrices or biases).  All arithmetic is float64.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -23,14 +32,13 @@ import numpy as np
 from ._rng import substream
 from .errors import DivergenceError, ValidationError
 
+# model.json field names; u_<gate> is that gate's (H, H) recurrent matrix
 PARAM_NAMES = (
     "w_f", "w_i", "w_o", "w_c",
     "u_f", "u_i", "u_o", "u_c",
     "b_f", "b_i", "b_o", "b_c",
     "dense_w", "dense_b",
 )
-# weights the "kernel regularizer" (L2) applies to
-KERNEL_NAMES = ("w_f", "w_i", "w_o", "w_c", "dense_w")
 
 MODEL_FORMAT = "bootband-lstm"
 MODEL_FORMAT_VERSION = 1
@@ -61,262 +69,220 @@ class TrainConfig:
             raise ValidationError("l2_coeff must be >= 0")
 
 
-@dataclass
-class LstmParams:
-    """All weights: per-gate input kernels w_*, recurrent matrices u_*, biases b_*,
-    plus the dense head (dense_w, dense_b).  Input size is fixed at 1, so the
-    kernels are stored as (hidden,) vectors."""
-
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-    u_f: np.ndarray
-    u_i: np.ndarray
-    u_o: np.ndarray
-    u_c: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_f.shape[0]
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, np.ndarray]) -> "LstmParams":
-        return cls(**{name: np.asarray(d[name], dtype=np.float64) for name in PARAM_NAMES})
+def param_count(hidden_size: int) -> int:
+    """Length of ``theta``: W, U, b, dense_w and dense_b."""
+    return 4 * hidden_size * hidden_size + 9 * hidden_size + 1
 
 
-@dataclass(frozen=True)
-class LstmState:
-    """Hidden and cell vectors carried between steps."""
+def param_views(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views ``(W, U, b, dense_w, dense_b)`` into a flat parameter vector."""
+    # param_count(H) = P  <=>  16 P + 65 = (8 H + 9) ** 2
+    hidden = (math.isqrt(16 * theta.size + 65) - 9) // 8
+    if hidden < 1 or param_count(hidden) != theta.size:
+        raise ValidationError(f"{theta.size} is not an LSTM parameter count")
+    g = 4 * hidden
+    u_end = g + hidden * g
+    return (
+        theta[:g],
+        theta[g:u_end].reshape(hidden, g),
+        theta[u_end : u_end + g],
+        theta[u_end + g : -1],
+        theta[-1:].reshape(()),
+    )
 
-    h: np.ndarray
-    c: np.ndarray
 
-    @classmethod
-    def zeros(cls, hidden_size: int) -> "LstmState":
-        return cls(h=np.zeros(hidden_size), c=np.zeros(hidden_size))
+def _named_views(theta: np.ndarray) -> dict[str, np.ndarray]:
+    """Writable views of ``theta`` under the model.json field names."""
+    W, U, b, dense_w, dense_b = param_views(theta)
+    hidden = dense_w.size
+    named = {"dense_w": dense_w, "dense_b": dense_b}
+    for k, gate in enumerate("fioc"):
+        cols = slice(k * hidden, (k + 1) * hidden)
+        named[f"w_{gate}"], named[f"u_{gate}"], named[f"b_{gate}"] = W[cols], U[:, cols].T, b[cols]
+    return {name: named[name] for name in PARAM_NAMES}
 
 
-def init_params(hidden_size: int, rng: np.random.Generator) -> LstmParams:
+def init_params(hidden_size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform(+-1/sqrt(hidden)) matrices, zero biases, forget-gate bias +1."""
     bound = 1.0 / np.sqrt(hidden_size)
-
-    def u(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    params = LstmParams(
-        w_f=u(hidden_size), w_i=u(hidden_size), w_o=u(hidden_size), w_c=u(hidden_size),
-        u_f=u(hidden_size, hidden_size), u_i=u(hidden_size, hidden_size),
-        u_o=u(hidden_size, hidden_size), u_c=u(hidden_size, hidden_size),
-        b_f=np.ones(hidden_size), b_i=np.zeros(hidden_size),
-        b_o=np.zeros(hidden_size), b_c=np.zeros(hidden_size),
-        dense_w=u(hidden_size), dense_b=np.zeros(()),
-    )
-    return params
+    theta = np.zeros(param_count(hidden_size))
+    named = _named_views(theta)
+    # draw order w_f..w_c, u_f..u_c, dense_w fixes every seeded model
+    for name in (*PARAM_NAMES[:8], "dense_w"):
+        named[name][...] = rng.uniform(-bound, bound, size=named[name].shape)
+    named["b_f"][...] = 1.0
+    return theta
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
-
-
-def cell_step(params: LstmParams, state: LstmState, x_t: float) -> tuple[LstmState, dict]:
-    """One LSTM cell update for a single scalar input.
-
-    Returns the new state and the gate activations needed for backprop.
-    """
-    h_prev, c_prev = state.h, state.c
-    f = _sigmoid(params.w_f * x_t + params.u_f @ h_prev + params.b_f)
-    i = _sigmoid(params.w_i * x_t + params.u_i @ h_prev + params.b_i)
-    o = _sigmoid(params.w_o * x_t + params.u_o @ h_prev + params.b_o)
-    c_tilde = np.tanh(params.w_c * x_t + params.u_c @ h_prev + params.b_c)
-    c = i * c_tilde + f * c_prev
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = {
-        "x": x_t, "h_prev": h_prev, "c_prev": c_prev,
-        "f": f, "i": i, "o": o, "c_tilde": c_tilde, "c": c, "tanh_c": tanh_c,
-    }
-    return LstmState(h=h, c=c), cache
+def kernel_mask(hidden_size: int) -> np.ndarray:
+    """True on the entries the L2 penalty applies to: W and dense_w."""
+    mask = np.zeros(param_count(hidden_size), dtype=bool)
+    W, _, _, dense_w, _ = param_views(mask)
+    W[:] = dense_w[:] = True
+    return mask
 
 
 @dataclass
 class ForwardCache:
-    """Per-step activations of a batched forward pass, for backprop."""
+    """Activations of a batched forward pass, for backprop.
 
-    steps: list[dict]
-    h_final: np.ndarray
+    ``h[t]`` and ``c[t]`` are the states after ``t`` steps (``h[0]`` is zero);
+    ``gates[t]`` holds step ``t``'s activated f, i, o and c_tilde side by side.
+    """
+
+    windows: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+    gates: np.ndarray
+    tanh_c: np.ndarray
     masks: np.ndarray | None
     h_dropped: np.ndarray
     preds: np.ndarray
 
 
 def _forward_pass(
-    params: LstmParams, windows: np.ndarray, masks: np.ndarray | None
+    theta: np.ndarray, windows: np.ndarray, masks: np.ndarray | None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Unroll the cell over a (batch, lookback) window matrix from zero state."""
-    windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-    batch, _ = windows.shape
-    hidden = params.hidden_size
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    steps = []
-    for t in range(windows.shape[1]):
-        x_t = windows[:, t]
-        f = _sigmoid(x_t[:, None] * params.w_f + h @ params.u_f.T + params.b_f)
-        i = _sigmoid(x_t[:, None] * params.w_i + h @ params.u_i.T + params.b_i)
-        o = _sigmoid(x_t[:, None] * params.w_o + h @ params.u_o.T + params.b_o)
-        c_tilde = np.tanh(x_t[:, None] * params.w_c + h @ params.u_c.T + params.b_c)
-        c_new = i * c_tilde + f * c
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        steps.append(
-            {"x": x_t, "h_prev": h, "c_prev": c,
-             "f": f, "i": i, "o": o, "c_tilde": c_tilde, "tanh_c": tanh_c}
-        )
-        h, c = h_new, c_new
-    h_dropped = h if masks is None else h * masks
-    preds = h_dropped @ params.dense_w + params.dense_b
-    cache = ForwardCache(steps=steps, h_final=h, masks=masks, h_dropped=h_dropped, preds=preds)
+    W, U, b, dense_w, dense_b = param_views(theta)
+    windows = np.asarray(windows, dtype=np.float64)
+    batch, lookback = windows.shape
+    hidden = dense_w.size
+    s = 3 * hidden  # the sigmoid gates f, i, o precede the tanh candidate
+    h = np.zeros((lookback + 1, batch, hidden))
+    c = np.zeros((lookback + 1, batch, hidden))
+    gates = np.empty((lookback, batch, 4 * hidden))
+    tanh_c = np.empty((lookback, batch, hidden))
+    for t in range(lookback):
+        # in place: the epoch-end pass runs every window as one batch, and
+        # each (batch, 4H) temporary adds to the peak memory of a fit
+        a = h[t] @ U
+        a += windows[:, t, None] * W
+        a += b
+        g = gates[t]
+        # logistic sigmoid as 0.5 * tanh(a / 2) + 0.5, which cannot overflow
+        sig = np.multiply(a[:, :s], 0.5, out=g[:, :s])
+        np.tanh(sig, out=sig)
+        sig *= 0.5
+        sig += 0.5
+        np.tanh(a[:, s:], out=g[:, s:])
+        c[t + 1] = g[:, hidden : 2 * hidden] * g[:, s:] + g[:, :hidden] * c[t]
+        tanh_c[t] = np.tanh(c[t + 1])
+        h[t + 1] = g[:, 2 * hidden : s] * tanh_c[t]
+    h_dropped = h[lookback] if masks is None else h[lookback] * masks
+    preds = h_dropped @ dense_w + dense_b
+    cache = ForwardCache(
+        windows=windows, h=h, c=c, gates=gates, tanh_c=tanh_c,
+        masks=masks, h_dropped=h_dropped, preds=preds,
+    )
     return preds, cache
 
 
-def forward(
-    params: LstmParams, window, dropout_mask: np.ndarray | None = None
+def _loss(
+    theta: np.ndarray,
+    windows: np.ndarray,
+    targets: np.ndarray,
+    masks: np.ndarray | None,
+    l2_coeff: float,
+    kernel: np.ndarray,
 ) -> tuple[float, ForwardCache]:
-    """Predict the next value from one lookback window (mask only during training)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 1:
-        raise ValidationError("forward expects a single 1-d window")
-    masks = None if dropout_mask is None else np.atleast_2d(dropout_mask)
-    preds, cache = _forward_pass(params, window[None, :], masks)
-    return float(preds[0]), cache
+    """Batch loss and the forward cache its gradient needs."""
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
+    if targets.size == 0:
+        raise ValidationError("empty batch")
+    preds, cache = _forward_pass(theta, windows, masks)
+    value = float(np.mean((preds - targets) ** 2))
+    if l2_coeff:
+        value += l2_coeff * float(np.sum(theta[kernel] ** 2))
+    return value, cache
 
 
 def loss(
-    params: LstmParams,
+    theta: np.ndarray,
     windows: np.ndarray,
     targets: np.ndarray,
     l2_coeff: float = 0.0,
     masks: np.ndarray | None = None,
 ) -> float:
     """Mean squared error plus the kernel L2 penalty."""
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
-    if targets.size == 0:
-        raise ValidationError("empty batch")
-    preds, _ = _forward_pass(params, windows, masks)
-    value = float(np.mean((preds - targets) ** 2))
-    if l2_coeff:
-        value += l2_coeff * sum(float(np.sum(getattr(params, k) ** 2)) for k in KERNEL_NAMES)
-    return value
+    kernel = kernel_mask(param_views(theta)[3].size)
+    return _loss(theta, windows, targets, masks, l2_coeff, kernel)[0]
 
 
 def backward(
-    params: LstmParams,
-    windows: np.ndarray,
+    theta: np.ndarray,
     targets: np.ndarray,
     cache: ForwardCache,
-    l2_coeff: float = 0.0,
-) -> dict[str, np.ndarray]:
-    """Exact gradients of :func:`loss` for every parameter, via BPTT."""
+    l2_coeff: float,
+    kernel: np.ndarray,
+) -> np.ndarray:
+    """Exact gradient of :func:`loss` with respect to ``theta``, via BPTT."""
+    _, U, _, dense_w, _ = param_views(theta)
+    grad = np.zeros_like(theta)
+    gW, gU, gb, gdense_w, gdense_b = param_views(grad)
     targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     batch = targets.size
-    grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
+    hidden = dense_w.size
+    s = 3 * hidden
 
     dpred = 2.0 * (cache.preds - targets) / batch
-    grads["dense_w"] = cache.h_dropped.T @ dpred
-    grads["dense_b"] = np.asarray(dpred.sum())
-    dh = dpred[:, None] * params.dense_w
+    gdense_w[:] = cache.h_dropped.T @ dpred
+    gdense_b[...] = dpred.sum()
+    dh = dpred[:, None] * dense_w
     if cache.masks is not None:
         dh = dh * cache.masks
-    dc_carry = np.zeros((batch, params.hidden_size))
+    dc_carry = np.zeros((batch, hidden))
+    da = np.empty((batch, 4 * hidden))
 
-    for step in reversed(cache.steps):
-        f, i, o = step["f"], step["i"], step["o"]
-        c_tilde, tanh_c = step["c_tilde"], step["tanh_c"]
+    for t in reversed(range(cache.gates.shape[0])):
+        g = cache.gates[t]
+        f, i, o, c_tilde = g[:, :hidden], g[:, hidden : 2 * hidden], g[:, 2 * hidden : s], g[:, s:]
+        tanh_c = cache.tanh_c[t]
         do = dh * tanh_c
         dc = dh * o * (1.0 - tanh_c**2) + dc_carry
-        da_f = dc * step["c_prev"] * f * (1.0 - f)
-        da_i = dc * c_tilde * i * (1.0 - i)
-        da_o = do * o * (1.0 - o)
-        da_c = dc * i * (1.0 - c_tilde**2)
-        x_col = step["x"][:, None]
-        for gate, da in (("f", da_f), ("i", da_i), ("o", da_o), ("c", da_c)):
-            grads[f"w_{gate}"] += (da * x_col).sum(axis=0)
-            grads[f"u_{gate}"] += da.T @ step["h_prev"]
-            grads[f"b_{gate}"] += da.sum(axis=0)
-        dh = (
-            da_f @ params.u_f + da_i @ params.u_i + da_o @ params.u_o + da_c @ params.u_c
-        )
+        da[:, :hidden] = dc * cache.c[t] * f * (1.0 - f)
+        da[:, hidden : 2 * hidden] = dc * c_tilde * i * (1.0 - i)
+        da[:, 2 * hidden : s] = do * o * (1.0 - o)
+        da[:, s:] = dc * i * (1.0 - c_tilde**2)
+        gW += cache.windows[:, t] @ da
+        gU += cache.h[t].T @ da
+        gb += da.sum(axis=0)
+        dh = da @ U.T
         dc_carry = dc * f
 
     if l2_coeff:
-        for name in KERNEL_NAMES:
-            grads[name] = grads[name] + 2.0 * l2_coeff * getattr(params, name)
-    return grads
-
-
-@dataclass
-class AdamState:
-    """First and second moment accumulators, keyed like the parameters."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-
-    @classmethod
-    def zeros(cls, params: LstmParams) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(a) for k, a in params.as_dict().items()},
-            v={k: np.zeros_like(a) for k, a in params.as_dict().items()},
-        )
+        grad[kernel] += 2.0 * l2_coeff * theta[kernel]
+    return grad
 
 
 def adam_step(
-    params: LstmParams,
-    grads: dict[str, np.ndarray],
-    opt_state: AdamState,
+    theta: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
     step_index: int,
     *,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[LstmParams, AdamState]:
-    """Bias-corrected Adam update; ``step_index`` is 1-based."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bias-corrected Adam update; returns the new (theta, m, v).  ``step_index`` is 1-based."""
     if step_index < 1:
         raise ValidationError("step_index is 1-based")
-    new_p, new_m, new_v = {}, {}, {}
-    for name, p in params.as_dict().items():
-        g = grads[name]
-        m = beta1 * opt_state.m[name] + (1.0 - beta1) * g
-        v = beta2 * opt_state.v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**step_index)
-        v_hat = v / (1.0 - beta2**step_index)
-        new_p[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name], new_v[name] = m, v
-    return LstmParams.from_dict(new_p), AdamState(m=new_m, v=new_v)
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**step_index)
+    v_hat = v / (1.0 - beta2**step_index)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
 @dataclass
 class LstmModel:
-    """A trained network: weights, the config that produced them, optimizer state."""
+    """A trained network: the flat weights and the config that produced them."""
 
-    params: LstmParams
+    theta: np.ndarray
     cfg: TrainConfig
-    opt_state: AdamState
 
 
 def make_windows(series: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndarray]:
@@ -335,8 +301,10 @@ def fit(series, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     windows, targets = make_windows(series, cfg.lookback)
     n_pairs = targets.size
     rng = substream(cfg.seed, 0)
-    params = init_params(cfg.hidden_size, rng)
-    opt_state = AdamState.zeros(params)
+    theta = init_params(cfg.hidden_size, rng)
+    kernel = kernel_mask(cfg.hidden_size)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     step = 0
     rmse_trace: list[float] = []
     for epoch in range(cfg.epochs):
@@ -348,25 +316,20 @@ def fit(series, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
             if cfg.dropout_rate > 0:
                 keep = rng.random((idx.size, cfg.hidden_size)) >= cfg.dropout_rate
                 masks = keep / (1.0 - cfg.dropout_rate)
-            preds, cache = _forward_pass(params, w, masks)
-            batch_loss = float(np.mean((preds - y) ** 2))
-            if cfg.l2_coeff:
-                batch_loss += cfg.l2_coeff * sum(
-                    float(np.sum(getattr(params, k) ** 2)) for k in KERNEL_NAMES
-                )
+            batch_loss, cache = _loss(theta, w, y, masks, cfg.l2_coeff, kernel)
             if not np.isfinite(batch_loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {b}", epoch=epoch, batch=b
                 )
-            grads = backward(params, w, y, cache, cfg.l2_coeff)
+            grad = backward(theta, y, cache, cfg.l2_coeff, kernel)
             step += 1
-            params, opt_state = adam_step(
-                params, grads, opt_state, step,
+            theta, m, v = adam_step(
+                theta, grad, m, v, step,
                 lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
             )
-        epoch_preds, _ = _forward_pass(params, windows, None)
+        epoch_preds = _forward_pass(theta, windows, None)[0]  # drop the cache at once
         rmse_trace.append(float(np.sqrt(np.mean((epoch_preds - targets) ** 2))))
-    return LstmModel(params=params, cfg=cfg, opt_state=opt_state), rmse_trace
+    return LstmModel(theta=theta, cfg=cfg), rmse_trace
 
 
 def predict_series(model: LstmModel, context, positions) -> np.ndarray:
@@ -385,7 +348,7 @@ def predict_series(model: LstmModel, context, positions) -> np.ndarray:
             f"positions must lie in [{lookback}, {context.size}] to have full history"
         )
     windows = np.stack([context[p - lookback : p] for p in positions])
-    preds, _ = _forward_pass(model.params, windows, None)
+    preds, _ = _forward_pass(model.theta, windows, None)
     return preds
 
 
@@ -397,7 +360,7 @@ def save_model(model: LstmModel, path: str | Path) -> None:
         "config": asdict(model.cfg),
         "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in model.params.as_dict().items()
+            for name, arr in _named_views(model.theta).items()
         },
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
@@ -407,11 +370,12 @@ def load_model(path: str | Path) -> LstmModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValidationError(f"{path}: not a version-{MODEL_FORMAT_VERSION} {MODEL_FORMAT} file")
-    params = LstmParams.from_dict(
-        {
-            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in doc["params"].items()
-        }
-    )
     cfg = TrainConfig(**doc["config"])
-    return LstmModel(params=params, cfg=cfg, opt_state=AdamState.zeros(params))
+    theta = np.zeros(param_count(cfg.hidden_size))
+    for name, view in _named_views(theta).items():
+        entry = doc["params"][name]
+        data = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        if data.shape != view.shape:
+            raise ValidationError(f"{path}: field {name} has shape {data.shape}, expected {view.shape}")
+        view[...] = data
+    return LstmModel(theta=theta, cfg=cfg)

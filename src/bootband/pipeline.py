@@ -128,6 +128,18 @@ class PipelineResult:
     actual: np.ndarray
     coverage: float                  # fraction of actuals inside [lower, upper]
 
+    def report(self, seed: int | None = None) -> dict:
+        """Machine-readable summary row of this method's run."""
+        return {
+            "method": self.band.method.value,
+            "l_opt": self.block_len,
+            "reps": self.band.reps,
+            "seed": seed,
+            "comparing_factor": self.band.comparing_factor,
+            "coverage": self.coverage,
+            "failed_replicates": list(self.failed_ids),
+        }
+
 
 class _StageClock:
     """No-op unless a dict is supplied; then records seconds per stage name."""
@@ -309,21 +321,7 @@ class MethodComparison:
 
     def report(self, seed: int | None = None) -> list[dict]:
         """Machine-readable summary rows, best method first."""
-        rows = []
-        for method in self.ranking:
-            res = self.results[method]
-            rows.append(
-                {
-                    "method": method.value,
-                    "l_opt": res.block_len,
-                    "reps": res.band.reps,
-                    "seed": seed,
-                    "comparing_factor": res.band.comparing_factor,
-                    "coverage": res.coverage,
-                    "failed_replicates": list(res.failed_ids),
-                }
-            )
-        return rows
+        return [self.results[method].report(seed) for method in self.ranking]
 
 
 def compare_methods(

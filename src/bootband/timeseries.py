@@ -220,11 +220,6 @@ class WindowScale:
         object.__setattr__(self, "mins", _freeze(self.mins))
         object.__setattr__(self, "maxs", _freeze(self.maxs))
 
-    def segment_of(self, position: int) -> int:
-        if not 0 <= position < self.n:
-            raise ValidationError(f"position {position} outside [0, {self.n})")
-        return position // self.window_len
-
     def denormalize(self, scaled: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Map scaled values at the given original positions back to raw units."""
         positions = np.asarray(positions, dtype=np.intp)

@@ -24,7 +24,7 @@ from bootband.bootstrap import (
     resample,
 )
 from bootband.cli import main
-from bootband.lstm import LstmParams, _forward_pass, backward, init_params, loss
+from bootband.lstm import _forward_pass, backward, init_params, kernel_mask, loss
 from bootband.pipeline import PipelineConfig, compare_methods, percentile_band
 from bootband.timeseries import PriceSeries, SplitSpec
 from bootband.lstm import TrainConfig
@@ -64,33 +64,28 @@ def test_criterion_2_gradient_suite():
         hidden = int(rng_master.integers(1, 5))
         lookback = int(rng_master.integers(1, 4))
         batch = int(rng_master.integers(1, 5))
-        params = init_params(hidden, rng_master)
+        theta = init_params(hidden, rng_master)
         windows = rng_master.uniform(-1, 1, (batch, lookback))
         targets = rng_master.uniform(-1, 1, batch)
         l2 = float(rng_master.choice([0.0, 1e-4, 1e-2]))
         masks = None
         if rng_master.random() < 0.5:
             masks = (rng_master.random((batch, hidden)) >= 0.2) / 0.8
-        _, cache = _forward_pass(params, windows, masks)
-        analytic = backward(params, windows, targets, cache, l2)
+        _, cache = _forward_pass(theta, windows, masks)
+        analytic = backward(theta, targets, cache, l2, kernel_mask(hidden))
 
         step = 1e-5
-        for name, arr in params.as_dict().items():
-            a_grad = np.atleast_1d(analytic[name]).ravel()
-            for j in range(arr.size):
-                def perturbed(delta):
-                    d = {k: v.copy() for k, v in params.as_dict().items()}
-                    if arr.ndim:
-                        d[name].reshape(-1)[j] += delta
-                    else:
-                        d[name] = d[name] + delta
-                    return loss(LstmParams.from_dict(d), windows, targets, l2, masks)
+        for j in range(theta.size):
+            def perturbed(delta):
+                shifted = theta.copy()
+                shifted[j] += delta
+                return loss(shifted, windows, targets, l2, masks)
 
-                numeric = (perturbed(step) - perturbed(-step)) / (2 * step)
-                assert abs(a_grad[j] - numeric) <= 1e-4 * max(abs(a_grad[j]), abs(numeric)) + 1e-7, (
-                    f"instance {instances}, {name}[{j}]: analytic {a_grad[j]} vs numeric {numeric}"
-                )
-                checked += 1
+            numeric = (perturbed(step) - perturbed(-step)) / (2 * step)
+            assert abs(analytic[j] - numeric) <= 1e-4 * max(abs(analytic[j]), abs(numeric)) + 1e-7, (
+                f"instance {instances}, theta[{j}]: analytic {analytic[j]} vs numeric {numeric}"
+            )
+            checked += 1
         instances += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30, f"gradient suite took {elapsed:.1f}s"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,164 +9,163 @@ from hypothesis import strategies as st
 from bootband._rng import substream
 from bootband.errors import DivergenceError, ValidationError
 from bootband.lstm import (
-    AdamState,
-    LstmParams,
-    LstmState,
     TrainConfig,
     adam_step,
     backward,
-    cell_step,
     fit,
-    forward,
     init_params,
+    kernel_mask,
     load_model,
     loss,
     make_windows,
+    param_count,
+    param_views,
     predict_series,
     save_model,
     _forward_pass,
 )
 
 
-def zero_params(hidden):
-    shapes = {}
-    for g in "fioc":
-        shapes[f"w_{g}"] = np.zeros(hidden)
-        shapes[f"u_{g}"] = np.zeros((hidden, hidden))
-        shapes[f"b_{g}"] = np.zeros(hidden)
-    shapes["dense_w"] = np.zeros(hidden)
-    shapes["dense_b"] = np.zeros(())
-    return LstmParams.from_dict(shapes)
+def zero_params(hidden, dense_b=0.0):
+    theta = np.zeros(param_count(hidden))
+    param_views(theta)[4][...] = dense_b
+    return theta
 
 
 def random_params(hidden, seed):
     return init_params(hidden, substream(seed, 0))
 
 
-def numeric_gradients(params, windows, targets, l2, masks, step=1e-5):
-    """Central finite differences of the loss, component by component."""
-    grads = {}
-    for name, arr in params.as_dict().items():
-        g = np.zeros_like(arr)
-        flat_g = g.reshape(-1) if g.ndim else None
-        size = arr.size
-        for j in range(size):
-            def perturbed(delta):
-                d = {k: a.copy() for k, a in params.as_dict().items()}
-                if arr.ndim:
-                    d[name].reshape(-1)[j] += delta
-                else:
-                    d[name] = d[name] + delta
-                return loss(LstmParams.from_dict(d), windows, targets, l2, masks)
+def gate_slices(cache, t):
+    """Activated (f, i, o, c_tilde) of step ``t`` from a forward cache."""
+    return tuple(np.split(cache.gates[t], 4, axis=1))
 
-            val = (perturbed(step) - perturbed(-step)) / (2 * step)
-            if arr.ndim:
-                flat_g[j] = val
-            else:
-                g = np.asarray(val)
-        grads[name] = g
+
+def numeric_gradients(theta, windows, targets, l2, masks, step=1e-5):
+    """Central finite differences of the loss, one parameter entry at a time."""
+    grads = np.zeros_like(theta)
+    for j in range(theta.size):
+        def perturbed(delta):
+            shifted = theta.copy()
+            shifted[j] += delta
+            return loss(shifted, windows, targets, l2, masks)
+
+        grads[j] = (perturbed(step) - perturbed(-step)) / (2 * step)
     return grads
 
 
+def assert_gates_open_and_h_bounded(cache):
+    for t in range(cache.gates.shape[0]):
+        for gate in gate_slices(cache, t)[:3]:
+            assert np.all((gate > 0) & (gate < 1))
+    assert np.all(np.abs(cache.h) <= 1.0)
+
+
 class TestCellStep:
+    """Single-cell behaviour, read off the batched forward pass at lookback 1 and 4."""
+
     def test_zero_params_half_gates(self):
-        params = zero_params(3)
-        state, cache = cell_step(params, LstmState.zeros(3), 0.7)
-        assert np.array_equal(cache["f"], np.full(3, 0.5))
-        assert np.array_equal(cache["i"], np.full(3, 0.5))
-        assert np.array_equal(cache["o"], np.full(3, 0.5))
-        assert np.array_equal(cache["c_tilde"], np.zeros(3))
-        assert np.array_equal(state.c, np.zeros(3))
-        assert np.array_equal(state.h, np.zeros(3))
+        for lookback in (1, 4):
+            _, cache = _forward_pass(zero_params(3), np.full((2, lookback), 0.7), None)
+            for t in range(lookback):
+                f, i, o, c_tilde = gate_slices(cache, t)
+                assert np.array_equal(f, np.full((2, 3), 0.5))
+                assert np.array_equal(i, np.full((2, 3), 0.5))
+                assert np.array_equal(o, np.full((2, 3), 0.5))
+                assert np.array_equal(c_tilde, np.zeros((2, 3)))
+            assert np.array_equal(cache.c, np.zeros((lookback + 1, 2, 3)))
+            assert np.array_equal(cache.h, np.zeros((lookback + 1, 2, 3)))
 
     def test_zero_params_carries_half_cell(self):
-        params = zero_params(2)
-        v = np.array([0.8, -0.4])
-        state, _ = cell_step(params, LstmState(h=np.zeros(2), c=v), 1.3)
-        assert np.allclose(state.c, 0.5 * v, atol=1e-15)
-        assert np.allclose(state.h, 0.5 * np.tanh(0.5 * v), atol=1e-15)
+        # only the candidate's input kernel is nonzero, so the first input
+        # loads tanh(x0) / 2 into the cell; after it every gate is 1/2 and the
+        # zero inputs add nothing, so the cell halves at each of the 1 or 4
+        # carrying steps
+        theta = zero_params(2)
+        param_views(theta)[0][6:] = 1.0
+        x0 = np.array([0.8, -0.4])
+        v = 0.5 * np.tanh(x0)[:, None] * np.ones(2)
+        for carries in (1, 4):
+            windows = np.zeros((2, carries + 1))
+            windows[:, 0] = x0
+            _, cache = _forward_pass(theta, windows, None)
+            assert np.allclose(cache.c[1], v, rtol=0, atol=1e-15)
+            for t in range(1, carries + 1):
+                assert np.allclose(cache.c[t + 1], 0.5 * cache.c[t], rtol=0, atol=1e-15)
+                assert np.allclose(
+                    cache.h[t + 1], 0.5 * np.tanh(0.5 * cache.c[t]), rtol=0, atol=1e-15
+                )
+            assert np.allclose(cache.c[-1], 0.5**carries * v, rtol=0, atol=1e-15)
 
     def test_scalar_chain_all_ones(self):
         # hidden=1, every weight 1, biases 0, x=1, zero state: evaluate the
         # gate equations with plain math calls as the oracle
-        d = {f"w_{g}": np.ones(1) for g in "fioc"}
-        d.update({f"u_{g}": np.ones((1, 1)) for g in "fioc"})
-        d.update({f"b_{g}": np.zeros(1) for g in "fioc"})
-        d["dense_w"] = np.ones(1)
-        d["dense_b"] = np.zeros(())
-        params = LstmParams.from_dict(d)
-        state, cache = cell_step(params, LstmState.zeros(1), 1.0)
-        sig1 = 1.0 / (1.0 + math.exp(-1.0))
-        c = sig1 * math.tanh(1.0)
-        h = sig1 * math.tanh(c)
-        assert cache["f"][0] == pytest.approx(sig1, abs=1e-15)
-        assert state.c[0] == pytest.approx(c, abs=1e-15)
-        assert state.h[0] == pytest.approx(h, abs=1e-15)
+        theta = np.ones(param_count(1))
+        _, _, b, _, dense_b = param_views(theta)
+        b[:] = 0.0
+        dense_b[...] = 0.0
+
+        def sig(a):
+            return 1.0 / (1.0 + math.exp(-a))
+
+        for lookback in (1, 4):
+            _, cache = _forward_pass(theta, np.ones((1, lookback)), None)
+            h = c = 0.0
+            for t in range(lookback):
+                a = 1.0 + h
+                c = sig(a) * math.tanh(a) + sig(a) * c
+                h = sig(a) * math.tanh(c)
+                f, _, _, _ = gate_slices(cache, t)
+                assert f[0, 0] == pytest.approx(sig(a), abs=1e-15)
+                assert cache.c[t + 1, 0, 0] == pytest.approx(c, abs=1e-15)
+                assert cache.h[t + 1, 0, 0] == pytest.approx(h, abs=1e-15)
 
     def test_gate_ranges_and_h_bound(self):
-        params = random_params(4, seed=5)
-        state = LstmState.zeros(4)
-        rng = substream(6, 0)
-        for x in rng.uniform(-3, 3, size=20):
-            state, cache = cell_step(params, state, float(x))
-            for g in ("f", "i", "o"):
-                assert np.all((cache[g] > 0) & (cache[g] < 1))
-            assert np.all(np.abs(state.h) <= 1.0)
+        theta = random_params(4, seed=5)
+        for lookback in (1, 4):
+            windows = substream(6, 0).uniform(-3, 3, size=(20, lookback))
+            _, cache = _forward_pass(theta, windows, None)
+            assert_gates_open_and_h_bounded(cache)
 
 
 class TestForward:
     def test_zero_params_predicts_bias(self):
-        params = zero_params(3)
-        d = params.as_dict()
-        d["dense_b"] = np.asarray(0.37)
-        params = LstmParams.from_dict(d)
-        pred, _ = forward(params, np.array([0.1, 0.5, 0.9]))
-        assert pred == 0.37
+        pred, _ = _forward_pass(zero_params(3, dense_b=0.37), np.array([[0.1, 0.5, 0.9]]), None)
+        assert pred[0] == 0.37
 
     def test_all_ones_mask_is_identity(self):
-        params = random_params(5, seed=1)
-        window = np.linspace(0, 1, 4)
-        plain, _ = forward(params, window)
-        masked, _ = forward(params, window, dropout_mask=np.ones(5))
-        assert plain == masked
+        theta = random_params(5, seed=1)
+        windows = np.linspace(0, 1, 4)[None, :]
+        plain, _ = _forward_pass(theta, windows, None)
+        masked, _ = _forward_pass(theta, windows, np.ones((1, 5)))
+        assert np.array_equal(plain, masked)
 
     def test_inference_deterministic(self):
-        params = random_params(4, seed=2)
-        window = np.array([0.2, 0.4, 0.6])
-        assert forward(params, window)[0] == forward(params, window)[0]
-
-    def test_window_must_be_1d(self):
-        with pytest.raises(ValidationError):
-            forward(random_params(2, 0), np.ones((2, 3)))
+        theta = random_params(4, seed=2)
+        windows = np.array([[0.2, 0.4, 0.6]])
+        assert np.array_equal(_forward_pass(theta, windows, None)[0], _forward_pass(theta, windows, None)[0])
 
 
 class TestLoss:
     def test_exact_predictions_zero_loss(self):
-        params = zero_params(2)
-        d = params.as_dict()
-        d["dense_b"] = np.asarray(0.6)
-        params = LstmParams.from_dict(d)
         windows = np.zeros((4, 3))
         targets = np.full(4, 0.6)
-        assert loss(params, windows, targets, 0.0) == 0.0
+        assert loss(zero_params(2, dense_b=0.6), windows, targets, 0.0) == 0.0
 
     def test_constant_predictor_loss(self):
-        params = zero_params(2)
         targets = np.full(3, 0.5)
-        assert loss(params, np.zeros((3, 2)), targets, 0.0) == pytest.approx(0.25, abs=1e-15)
+        assert loss(zero_params(2), np.zeros((3, 2)), targets, 0.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_matches_naive_scalar_evaluation(self):
-        # hidden=1: replay the equations with plain floats
-        d = {
-            "w_f": np.array([0.3]), "w_i": np.array([-0.2]), "w_o": np.array([0.5]),
-            "w_c": np.array([0.1]),
-            "u_f": np.array([[0.4]]), "u_i": np.array([[0.6]]), "u_o": np.array([[-0.3]]),
-            "u_c": np.array([[0.2]]),
-            "b_f": np.array([0.05]), "b_i": np.array([-0.1]), "b_o": np.array([0.2]),
-            "b_c": np.array([0.0]),
-            "dense_w": np.array([1.5]), "dense_b": np.asarray(0.25),
-        }
-        params = LstmParams.from_dict(d)
+        # hidden=1: the gate blocks are single columns in the order f, i, o, c;
+        # replay the equations with plain floats
+        theta = np.empty(param_count(1))
+        W, U, b, dense_w, dense_b = param_views(theta)
+        W[:] = [0.3, -0.2, 0.5, 0.1]
+        U[:] = [[0.4, 0.6, -0.3, 0.2]]
+        b[:] = [0.05, -0.1, 0.2, 0.0]
+        dense_w[:] = [1.5]
+        dense_b[...] = 0.25
         window = [0.3, 0.7]
         target = 0.4
         l2 = 1e-3
@@ -184,18 +184,18 @@ class TestLoss:
         pred = 1.5 * h + 0.25
         expected = (pred - target) ** 2
         expected += l2 * (0.3**2 + (-0.2) ** 2 + 0.5**2 + 0.1**2 + 1.5**2)
-        got = loss(params, np.array([window]), np.array([target]), l2)
+        got = loss(theta, np.array([window]), np.array([target]), l2)
         assert got == pytest.approx(expected, abs=1e-14)
 
 
 class TestBackward:
     def test_dense_bias_gradient_single_sample(self):
-        params = random_params(3, seed=9)
+        theta = random_params(3, seed=9)
         window = np.array([[0.2, 0.8]])
         target = np.array([0.5])
-        preds, cache = _forward_pass(params, window, None)
-        grads = backward(params, window, target, cache, 0.0)
-        assert float(grads["dense_b"]) == pytest.approx(2 * (preds[0] - 0.5), abs=1e-15)
+        preds, cache = _forward_pass(theta, window, None)
+        grad = backward(theta, target, cache, 0.0, kernel_mask(3))
+        assert float(param_views(grad)[4]) == pytest.approx(2 * (preds[0] - 0.5), abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_finite_difference_check(self, seed):
@@ -203,66 +203,59 @@ class TestBackward:
         hidden = int(rng.integers(1, 5))
         lookback = int(rng.integers(1, 4))
         batch = int(rng.integers(1, 5))
-        params = init_params(hidden, rng)
+        theta = init_params(hidden, rng)
         windows = rng.random((batch, lookback))
         targets = rng.random(batch)
         l2 = float(rng.choice([0.0, 1e-3]))
         masks = None
         if rng.random() < 0.5:
             masks = (rng.random((batch, hidden)) >= 0.2) / 0.8
-        _, cache = _forward_pass(params, windows, masks)
-        analytic = backward(params, windows, targets, cache, l2)
-        numeric = numeric_gradients(params, windows, targets, l2, masks)
-        for name in analytic:
-            assert np.allclose(analytic[name], numeric[name], rtol=1e-4, atol=1e-7), name
+        _, cache = _forward_pass(theta, windows, masks)
+        analytic = backward(theta, targets, cache, l2, kernel_mask(hidden))
+        numeric = numeric_gradients(theta, windows, targets, l2, masks)
+        assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
     def test_l2_shifts_kernel_gradients_exactly(self):
-        params = random_params(3, seed=4)
+        theta = random_params(3, seed=4)
+        kernel = kernel_mask(3)
         windows = substream(4, 2).random((5, 3))
         targets = substream(4, 3).random(5)
-        _, cache = _forward_pass(params, windows, None)
-        g0 = backward(params, windows, targets, cache, 0.0)
-        g1 = backward(params, windows, targets, cache, 0.01)
-        for name in ("w_f", "w_i", "w_o", "w_c", "dense_w"):
-            # difference is the penalty derivative, up to one rounding of g + penalty
-            assert np.allclose(
-                g1[name] - g0[name], 2 * 0.01 * getattr(params, name), rtol=1e-12, atol=1e-15
-            )
-        for name in ("u_f", "b_f", "dense_b"):
-            assert np.array_equal(g1[name], g0[name])
+        _, cache = _forward_pass(theta, windows, None)
+        g0 = backward(theta, targets, cache, 0.0, kernel)
+        g1 = backward(theta, targets, cache, 0.01, kernel)
+        # the kernel is W and dense_w: 4 * 3 + 3 entries
+        assert kernel.sum() == 15
+        # difference is the penalty derivative, up to one rounding of g + penalty
+        assert np.allclose(g1[kernel] - g0[kernel], 2 * 0.01 * theta[kernel], rtol=1e-12, atol=1e-15)
+        assert np.array_equal(g1[~kernel], g0[~kernel])
 
 
 class TestAdam:
     def test_first_step_closed_form(self):
         # t=1: m_hat = g, v_hat = g**2, update = -lr * g / (|g| + eps)
-        params = zero_params(2)
+        theta = zero_params(2)
         g = 0.25
-        grads = {k: np.full_like(a, g) for k, a in params.as_dict().items()}
-        new_p, _ = adam_step(params, grads, AdamState.zeros(params), 1, lr=2e-3)
+        zeros = np.zeros_like(theta)
+        new_theta, _, _ = adam_step(theta, np.full_like(theta, g), zeros, zeros, 1, lr=2e-3)
         expected = -2e-3 * g / (abs(g) + 1e-8)
-        for name, a in new_p.as_dict().items():
-            assert np.allclose(a, expected, rtol=0, atol=1e-18), name
+        assert np.allclose(new_theta, expected, rtol=0, atol=1e-18)
 
     def test_zero_gradient_keeps_params_decays_moments(self):
-        params = random_params(2, seed=8)
-        grads = {k: np.ones_like(a) for k, a in params.as_dict().items()}
-        state = AdamState.zeros(params)
-        p1, state = adam_step(params, grads, state, 1)
-        zero_grads = {k: np.zeros_like(a) for k, a in params.as_dict().items()}
-        p2, state2 = adam_step(p1, zero_grads, state, 2)
-        assert all(np.array_equal(a, b) for a, b in zip(p1.as_dict().values(), p2.as_dict().values())) is False
+        theta = random_params(2, seed=8)
+        zeros = np.zeros_like(theta)
+        p1, m1, v1 = adam_step(theta, np.ones_like(theta), zeros, zeros, 1)
+        p2, m2, _ = adam_step(p1, zeros, m1, v1, 2)
+        assert not np.array_equal(p1, p2)
         # moments shrink toward zero under zero gradients
-        assert np.all(np.abs(state2.m["w_f"]) < np.abs(state.m["w_f"]))
+        assert np.all(np.abs(m2) < np.abs(m1))
 
     def test_constant_gradient_update_approaches_lr(self):
-        params = zero_params(1)
-        g = 0.7
-        grads = {k: np.full_like(a, g) for k, a in params.as_dict().items()}
-        state = AdamState.zeros(params)
-        p = params
+        p = zero_params(1)
+        grad = np.full_like(p, 0.7)
+        m = v = np.zeros_like(p)
         for t in range(1, 2001):
-            p_next, state = adam_step(p, grads, state, t, lr=1e-3)
-            delta = float(p_next.dense_b - p.dense_b)
+            p_next, m, v = adam_step(p, grad, m, v, t, lr=1e-3)
+            delta = float(p_next[-1] - p[-1])
             p = p_next
         assert abs(delta) == pytest.approx(1e-3, rel=1e-4)
 
@@ -282,8 +275,7 @@ class TestFit:
         m1, t1 = fit(series, cfg)
         m2, t2 = fit(series, cfg)
         assert t1 == t2
-        for a, b in zip(m1.params.as_dict().values(), m2.params.as_dict().values()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(m1.theta, m2.theta)
 
     def test_divergence_aborts_with_location(self):
         # Adam's normalized steps keep updates ~lr, so the rate must be large
@@ -318,9 +310,7 @@ class TestPredict:
     def test_zero_params_predict_bias(self):
         cfg = TrainConfig(lookback=3, epochs=1, hidden_size=2, seed=0)
         model, _ = fit(np.linspace(0, 1, 30), cfg)
-        d = zero_params(2).as_dict()
-        d["dense_b"] = np.asarray(1.25)
-        model.params = LstmParams.from_dict(d)
+        model.theta = zero_params(2, dense_b=1.25)
         preds = predict_series(model, np.linspace(0, 1, 30), [5, 10, 15])
         assert np.array_equal(preds, np.full(3, 1.25))
 
@@ -330,7 +320,9 @@ class TestPredict:
         model, _ = fit(context[:40], cfg)
         positions = np.arange(40, 50)
         preds = predict_series(model, context, positions)
-        replay = np.array([forward(model.params, context[p - 4 : p])[0] for p in positions])
+        replay = np.array(
+            [_forward_pass(model.theta, context[None, p - 4 : p], None)[0][0] for p in positions]
+        )
         assert np.allclose(preds, replay, rtol=0, atol=1e-15)
 
     def test_insufficient_history(self):
@@ -340,6 +332,54 @@ class TestPredict:
             predict_series(model, np.linspace(0, 1, 30), [3])
 
 
+# A version-1 model.json written by hand: hidden 2, lookback 3.  The u_*
+# matrices are asymmetric so that a transposed recurrent block changes the
+# prediction (with hidden 1 it could not).
+V1_PARAMS = {
+    "w_f": [0.3, -0.5], "w_i": [0.2, 0.4], "w_o": [-0.1, 0.6], "w_c": [0.7, -0.3],
+    "u_f": [[0.1, 0.5], [-0.4, 0.2]], "u_i": [[0.3, -0.6], [0.05, 0.25]],
+    "u_o": [[-0.2, 0.45], [0.35, -0.15]], "u_c": [[0.6, -0.1], [0.2, 0.4]],
+    "b_f": [0.1, -0.2], "b_i": [0.0, 0.3], "b_o": [-0.1, 0.05], "b_c": [0.2, -0.25],
+    "dense_w": [1.2, -0.7], "dense_b": 0.15,
+}
+
+
+def v1_document():
+    params = {}
+    for name, value in V1_PARAMS.items():
+        arr = np.asarray(value, dtype=np.float64)
+        params[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    config = {
+        "lookback": 3, "batch_size": 15, "epochs": 19, "dropout_rate": 0.2, "l2_coeff": 1e-4,
+        "hidden_size": 2, "learning_rate": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+        "seed": 0,
+    }
+    return {"format": "bootband-lstm", "version": 1, "config": config, "params": params}
+
+
+def scalar_v1_prediction(window):
+    """The gate equations in plain floats, with u_g @ h as in the named layout."""
+    p = V1_PARAMS
+
+    def sig(a):
+        return 1.0 / (1.0 + math.exp(-a))
+
+    def pre(gate, x, h, j):
+        u = p[f"u_{gate}"][j]
+        return p[f"w_{gate}"][j] * x + u[0] * h[0] + u[1] * h[1] + p[f"b_{gate}"][j]
+
+    h, c = [0.0, 0.0], [0.0, 0.0]
+    for x in window:
+        new_h, new_c = [], []
+        for j in range(2):
+            f, i, o = (sig(pre(g, x, h, j)) for g in "fio")
+            c_j = i * math.tanh(pre("c", x, h, j)) + f * c[j]
+            new_c.append(c_j)
+            new_h.append(o * math.tanh(c_j))
+        h, c = new_h, new_c
+    return p["dense_w"][0] * h[0] + p["dense_w"][1] * h[1] + p["dense_b"]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         cfg = TrainConfig(lookback=4, epochs=2, hidden_size=5, seed=13)
@@ -347,12 +387,22 @@ class TestSerialization:
         model, _ = fit(series, cfg)
         save_model(model, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
-        for a, b in zip(model.params.as_dict().values(), loaded.params.as_dict().values()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(model.theta, loaded.theta)
         assert loaded.cfg == cfg
         # loaded model predicts identically
         pos = np.arange(10, 20)
         assert np.array_equal(predict_series(model, series, pos), predict_series(loaded, series, pos))
+
+    def test_reads_and_writes_v1_named_fields(self, tmp_path):
+        doc = v1_document()
+        (tmp_path / "v1.json").write_text(json.dumps(doc))
+        model = load_model(tmp_path / "v1.json")
+        context = np.array([0.1, 0.9, 0.4, 0.6, 0.2, 0.8])
+        positions = np.arange(3, 7)
+        expected = [scalar_v1_prediction(context[p - 3 : p]) for p in positions]
+        assert np.allclose(predict_series(model, context, positions), expected, rtol=0, atol=1e-14)
+        save_model(model, tmp_path / "again.json")
+        assert json.loads((tmp_path / "again.json").read_text()) == doc
 
     def test_rejects_wrong_format(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"format": "other", "version": 1}')
@@ -373,10 +423,7 @@ class TestWindows:
 @given(st.integers(0, 2**31), st.floats(-2, 2))
 @settings(max_examples=80)
 def test_state_bounds_property(seed, x):
-    params = random_params(3, seed=seed % 1000)
-    state = LstmState.zeros(3)
-    for _ in range(4):
-        state, cache = cell_step(params, state, x)
-        assert np.all(np.abs(state.h) <= 1.0)
-        for g in ("f", "i", "o"):
-            assert np.all((cache[g] > 0) & (cache[g] < 1))
+    theta = random_params(3, seed=seed % 1000)
+    for lookback in (1, 4):
+        _, cache = _forward_pass(theta, np.full((1, lookback), x), None)
+        assert_gates_open_and_h_bounded(cache)
