@@ -20,14 +20,12 @@ from .pipeline import (
     PipelineConfig,
     PipelineResult,
     compare_methods,
-    comparing_factor,
     percentile_band,
     run,
 )
 from .timeseries import (
     LogReturnSeries,
     PriceSeries,
-    SplitSpec,
     WindowScale,
     from_log_returns,
     load_csv,
@@ -48,12 +46,10 @@ __all__ = [
     "PseudoSeries",
     "SelectorConfig",
     "SelectorCurve",
-    "SplitSpec",
     "TrainConfig",
     "WindowScale",
     "batch_resample",
     "compare_methods",
-    "comparing_factor",
     "fit",
     "from_log_returns",
     "lbb_resample",

@@ -58,11 +58,9 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class PseudoSeries:
-    """A resampled series, the plan that produced it, and the drawn block starts."""
+    """A resampled series and the drawn block starts."""
 
     values: np.ndarray
-    plan: BlockPlan
-    source_len: int
     starts: tuple[int, ...]
 
     def __post_init__(self):
@@ -99,7 +97,7 @@ def nbb_resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
         starts.append(start)
         covered += min(l, n - start)
     idx = np.concatenate([np.arange(s, min(s + l, n)) for s in starts])[:n]
-    return PseudoSeries(values=x[idx], plan=plan, source_len=n, starts=tuple(starts))
+    return PseudoSeries(values=x[idx], starts=tuple(starts))
 
 
 def mbb_resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
@@ -113,7 +111,7 @@ def mbb_resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
     rng = substream(plan.seed, stream)
     drawn = rng.integers(0, n_blocks, size=k)
     idx = (drawn[:, None] + np.arange(l)).ravel()[:n]
-    return PseudoSeries(values=x[idx], plan=plan, source_len=n, starts=tuple(int(s) for s in drawn))
+    return PseudoSeries(values=x[idx], starts=tuple(int(s) for s in drawn))
 
 
 def lbb_start_windows(n: int, l: int, halo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,9 +143,7 @@ def lbb_resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
     rng = substream(plan.seed, stream)
     starts = rng.integers(lo, hi + 1)
     idx = (starts[:, None] + np.arange(l)).ravel()[:n]
-    return PseudoSeries(
-        values=x[idx], plan=plan, source_len=n, starts=tuple(int(s) for s in starts)
-    )
+    return PseudoSeries(values=x[idx], starts=tuple(int(s) for s in starts))
 
 
 _RESAMPLERS = {

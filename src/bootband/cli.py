@@ -2,7 +2,9 @@
 
 Every subcommand reads a dated CSV, writes UTF-8 CSV/JSON artifacts into
 ``--output-dir``, and drops a ``manifest.json`` recording the fully resolved
-configuration, the input hash, and per-stage timings.  Configuration
+configuration, the input hash, and per-stage timings (the command's own
+stages, timed with :func:`bootband.manifest.timed`, plus the pipeline's;
+``compare`` names those ``<method>:<stage>``).  Configuration
 precedence is CLI flags > ``--config`` file (``key = value`` lines, ``#``
 comments) > built-in defaults.  All randomness derives from the single
 ``--seed``; when omitted a random seed is chosen, printed, and recorded.
@@ -30,9 +32,9 @@ from .errors import (
     ValidationError,
 )
 from .lstm import TrainConfig, fit, predict_series, save_model
-from .manifest import RunManifest, sha256_of
+from .manifest import RunManifest, sha256_of, timed
 from .pipeline import PipelineConfig, compare_methods, run
-from .timeseries import SplitSpec, from_log_returns, load_csv, to_log_returns, window_minmax_scale
+from .timeseries import from_log_returns, load_csv, to_log_returns, window_minmax_scale
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +59,7 @@ def _bool_from(text: str) -> bool:
 
 
 # name -> (converter, default, help); None default means "resolved at runtime"
-# (seed: random; jobs: cpu count; lmax: min(50, n // 4)).  _REQUIRED marks a
+# (seed: random; jobs: usable CPUs; lmax: min(50, n // 4)).  _REQUIRED marks a
 # flag the command line must give; its converter may be a list of choices.
 _REQUIRED = object()
 
@@ -183,10 +185,13 @@ def _resolve_seed(res: _Resolver) -> int:
 def _resolve_jobs(res: _Resolver) -> int:
     jobs = res.get("jobs")
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        # the CPUs this process may run on, which respects affinity masks
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
-    res.resolved["jobs"] = jobs
     return jobs
 
 
@@ -210,14 +215,10 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _pipeline_config(res: _Resolver, n: int, method: str, seed: int) -> PipelineConfig:
+def _pipeline_config(res: _Resolver, method: str, seed: int) -> PipelineConfig:
     """Assemble the pipeline config; sub-seeds derive from the master seed."""
-    train_len = res.get("train_len")
-    if not 0 < train_len < n:
-        raise ValidationError(f"--train-len {train_len} must lie in (0, {n}) for this input")
     return PipelineConfig(
-        split=SplitSpec(train_len=train_len, test_len=n - train_len),
-        method=BootstrapMethod(method),
+        train_len=res.get("train_len"),
         reps=res.get("reps"),
         alpha=res.get("alpha"),
         selector=SelectorConfig(
@@ -258,7 +259,8 @@ def cmd_resample(args: argparse.Namespace) -> int:
     res = _Resolver(args, _RESAMPLE_OPTS)
     seed = _resolve_seed(res)
     out = _out_dir(res)
-    method = args.method
+    method = res.get("method")
+    block_len = res.get("block_len")
     space = res.get("space")
     if space not in ("log-return", "price"):
         raise UsageError("--space must be 'log-return' or 'price'")
@@ -269,28 +271,27 @@ def cmd_resample(args: argparse.Namespace) -> int:
         input_sha256=sha256_of(args.input), seed=seed,
     )
     locality = res.get("locality") if method == "lbb" else None
-    plan = BlockPlan(method=BootstrapMethod(method), block_len=args.block_len,
+    plan = BlockPlan(method=BootstrapMethod(method), block_len=block_len,
                      locality=locality, seed=seed)
-    with manifest.stage("resample"):
+    with timed(manifest.timings, "resample"):
         if space == "log-return":
-            returns = to_log_returns(prices)
+            returns = to_log_returns(prices.values)
             draws = batch_resample(returns.values, plan, res.get("count"))
             paths = [from_log_returns(d.values, returns.anchor_price) for d in draws]
         else:
             draws = batch_resample(prices.values, plan, res.get("count"))
             paths = [d.values for d in draws]
 
-    with manifest.stage("write"):
+    with timed(manifest.timings, "write"):
         with open(out / "pseudo_series.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t"] + [f"rep_{k}" for k in range(len(paths))])
             for t in range(len(paths[0])):
                 w.writerow([t] + [repr(float(p[t])) for p in paths])
         _write_json(out / "starts.json", {
-            "method": method, "block_len": args.block_len, "space": space,
+            "method": method, "block_len": block_len, "space": space,
             "starts": [list(d.starts) for d in draws],
         })
-    res.resolved.update({"method": method, "block_len": args.block_len})
     manifest.config = _identity_config(res)
     manifest.write(out / "manifest.json")
     return EXIT_OK
@@ -304,25 +305,24 @@ def cmd_select_block(args: argparse.Namespace) -> int:
     train_len = res.get("train_len")
     if train_len is not None and not 1 < train_len <= len(prices):
         raise ValidationError(f"--train-len {train_len} must lie in (1, {len(prices)}]")
-    values = prices.values if train_len is None else prices.values[:train_len]
-    returns = np.diff(np.log(values))
+    method = res.get("method")
+    returns = to_log_returns(prices.values[:train_len])
 
     cfg = SelectorConfig(
-        method=BootstrapMethod(args.method), reps=res.get("reps"), l_min=res.get("lmin"),
+        method=BootstrapMethod(method), reps=res.get("reps"), l_min=res.get("lmin"),
         l_max=res.get("lmax"), t=res.get("t"), locality=res.get("locality"), seed=seed,
     )
     manifest = RunManifest(
         command="select-block", config={}, input_path=str(args.input),
         input_sha256=sha256_of(args.input), seed=seed,
     )
-    with manifest.stage("select"):
+    with timed(manifest.timings, "select"):
         l_opt, curve = select_block_length(returns, cfg)
     curve.to_csv(out / "selector_curve.csv")
     _write_json(out / "selection.json", {
-        "method": args.method, "l_opt": l_opt, "reps": cfg.reps, "t": cfg.t, "seed": seed,
-        "n_returns": int(returns.size),
+        "method": method, "l_opt": l_opt, "reps": cfg.reps, "t": cfg.t, "seed": seed,
+        "n_returns": len(returns),
     })
-    res.resolved["method"] = args.method
     manifest.config = _identity_config(res)
     manifest.write(out / "manifest.json")
     return EXIT_OK
@@ -348,11 +348,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         input_sha256=sha256_of(args.input), seed=seed,
     )
     scale_window = res.get("scale_window")
-    with manifest.stage("scale"):
+    with timed(manifest.timings, "scale"):
         scaled, scale = window_minmax_scale(prices.values, scale_window)
-    with manifest.stage("fit"):
+    with timed(manifest.timings, "fit"):
         model, rmse_trace = fit(scaled[:train_len], cfg)
-    with manifest.stage("predict"):
+    with timed(manifest.timings, "predict"):
         test_pos = np.arange(train_len, n)
         train_pos = np.arange(cfg.lookback, train_len)
         test_scaled = predict_series(model, scaled, test_pos)
@@ -393,15 +393,16 @@ def cmd_band(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(res)
     out = _out_dir(res)
     prices = load_csv(args.input, res.get("column"))
-    cfg = _pipeline_config(res, len(prices), args.method, seed)
+    cfg = _pipeline_config(res, res.get("method"), seed)
 
     manifest = RunManifest(
         command="band", config={}, input_path=str(args.input),
         input_sha256=sha256_of(args.input), seed=seed, jobs=jobs,
     )
-    with manifest.stage("pipeline"):
-        result = run(prices, cfg, jobs=jobs, timings=manifest.timings)
-    with manifest.stage("write"):
+    with timed(manifest.timings, "pipeline"):
+        result = run(prices, cfg, jobs=jobs)
+    manifest.timings.update(result.timings)
+    with timed(manifest.timings, "write"):
         result.band.to_csv(out / "band.csv", actual=result.actual)
         result.curve.to_csv(out / "selector_curve.csv")
         _write_json(out / "report.json", {
@@ -410,7 +411,6 @@ def cmd_band(args: argparse.Namespace) -> int:
         })
         if res.get("dump_replicates"):
             _write_replicate_matrix(out / "replicates.csv", result)
-    res.resolved["method"] = args.method
     manifest.config = _identity_config(res)
     manifest.write(out / "manifest.json")
     return EXIT_OK
@@ -422,15 +422,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(res)
     out = _out_dir(res)
     prices = load_csv(args.input, res.get("column"))
-    cfg = _pipeline_config(res, len(prices), "lbb", seed)
+    cfg = _pipeline_config(res, "lbb", seed)
 
     manifest = RunManifest(
         command="compare", config={}, input_path=str(args.input),
         input_sha256=sha256_of(args.input), seed=seed, jobs=jobs,
     )
-    with manifest.stage("compare"):
-        comparison = compare_methods(prices, cfg, jobs=jobs, timings=manifest.timings)
-    with manifest.stage("write"):
+    with timed(manifest.timings, "compare"):
+        comparison = compare_methods(prices, cfg, jobs=jobs)
+    for method, result in comparison.results.items():
+        for stage, seconds in result.timings.items():
+            manifest.timings[f"{method.value}:{stage}"] = seconds
+    with timed(manifest.timings, "write"):
         for method, result in comparison.results.items():
             result.band.to_csv(out / f"band_{method.value}.csv", actual=result.actual)
             result.curve.to_csv(out / f"selector_curve_{method.value}.csv")

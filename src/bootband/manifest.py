@@ -2,7 +2,9 @@
 
 The ``config`` block (plus the input file) fully determines the outputs;
 the ``execution`` block holds volatile facts (timings, job count, creation
-time) that vary run to run without affecting any artifact.
+time) that vary run to run without affecting any artifact.  :func:`timed`
+is the one stage timer: the pipeline and the CLI both record wall-clock
+seconds per stage with it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+
+
+@contextmanager
+def timed(sink: dict, name: str):
+    """Record the wall-clock seconds of the ``with`` body as ``sink[name]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        sink[name] = time.perf_counter() - t0
 
 
 def sha256_of(path: str | Path) -> str:
@@ -36,15 +48,6 @@ class RunManifest:
     tool_version: str = __version__
     timings: dict = field(default_factory=dict)
     jobs: int = 1
-
-    @contextmanager
-    def stage(self, name: str):
-        """Record wall-clock seconds for a named stage."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timings[name] = time.perf_counter() - t0
 
     def write(self, path: str | Path) -> None:
         doc = {

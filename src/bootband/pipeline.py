@@ -1,12 +1,14 @@
 """End-to-end construction of bootstrap confidence bands for LSTM forecasts.
 
+The first ``train_len`` prices train; every later price is a test timestep.
 The procedure, per method:
 
 1. transform the training prices to log-returns;
 2. pick the block length that minimizes the penalized selector objective
-   on those returns;
-3. draw ``reps`` bootstrap pseudo-return series and reverse-transform each
-   (anchored at the first training price) into a positive pseudo price path;
+   on those returns, for the method named by ``selector.method``;
+3. draw ``reps`` pseudo-return series with that same method and length, and
+   reverse-transform each (anchored at the first training price) into a
+   positive pseudo price path;
 4. per replicate: window-scale the pseudo path, train one LSTM on it, then
    predict every test timestep one-step-ahead against the *actual* scaled
    history and de-normalize with the actual series' scale records;
@@ -17,14 +19,16 @@ The procedure, per method:
 
 Replicates are independent given their derived seeds, so they can be trained
 in parallel; results are assembled in replicate order regardless of
-scheduling, keeping runs bit-reproducible for any ``jobs`` value.
+scheduling, keeping runs bit-reproducible for any ``jobs`` value.  Each run
+returns the wall-clock seconds of its five stages, timed with
+:func:`bootband.manifest.timed`.
 """
 
 from __future__ import annotations
 
 import csv
-import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -42,22 +46,24 @@ from .errors import (
     ValidationError,
 )
 from .lstm import TrainConfig, fit, predict_series
+from .manifest import timed
 from .timeseries import (
-    LogReturnSeries,
     PriceSeries,
-    SplitSpec,
     _freeze,
     from_log_returns,
+    to_log_returns,
     window_minmax_scale,
 )
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Full configuration of one band construction run."""
+    """Full configuration of one band construction run.
 
-    split: SplitSpec
-    method: BootstrapMethod = BootstrapMethod.LBB
+    The test horizon is every price after the first ``train_len``.
+    """
+
+    train_len: int
     reps: int = 1000
     alpha: float = 0.05
     selector: SelectorConfig = SelectorConfig()
@@ -67,7 +73,8 @@ class PipelineConfig:
     allow_failures: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "method", BootstrapMethod(self.method))
+        if self.train_len < 1:
+            raise ValidationError("train_len must be >= 1")
         if not 0 < self.alpha < 1:
             raise ValidationError("alpha must lie in (0, 1)")
         if self.reps < 2:
@@ -76,6 +83,11 @@ class PipelineConfig:
             raise ValidationError("scale_window must be >= 1")
         if self.allow_failures < 0:
             raise ValidationError("allow_failures must be >= 0")
+
+    @property
+    def method(self) -> BootstrapMethod:
+        """The bootstrap method: the block length is selected for it and resampled with it."""
+        return self.selector.method
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,6 @@ class ConfidenceBand:
     lower: np.ndarray
     point: np.ndarray
     upper: np.ndarray
-    comparing_factor: float
     method: BootstrapMethod
     block_len: int
     reps: int
@@ -99,8 +110,10 @@ class ConfidenceBand:
         if np.any(self.lower > self.point) or np.any(self.point > self.upper):
             raise ValidationError("band must satisfy lower <= point <= upper")
 
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
+    @property
+    def comparing_factor(self) -> float:
+        """Sum of the band width over all test timesteps."""
+        return float(np.sum(self.upper - self.lower))
 
     def to_csv(self, path: str | Path, actual: np.ndarray) -> None:
         """Write ``date,lower,median,upper,actual`` rows at full float precision."""
@@ -121,38 +134,24 @@ class PipelineResult:
 
     band: ConfidenceBand
     curve: SelectorCurve
-    block_len: int
     predictions: np.ndarray          # (successful replicates, test_len), price units
     replicate_ids: tuple[int, ...]   # sub-stream index of each prediction row
     failed_ids: tuple[int, ...]
     actual: np.ndarray
     coverage: float                  # fraction of actuals inside [lower, upper]
+    timings: dict                    # stage name -> wall-clock seconds
 
     def report(self, seed: int | None = None) -> dict:
         """Machine-readable summary row of this method's run."""
         return {
             "method": self.band.method.value,
-            "l_opt": self.block_len,
+            "l_opt": self.band.block_len,
             "reps": self.band.reps,
             "seed": seed,
             "comparing_factor": self.band.comparing_factor,
             "coverage": self.coverage,
             "failed_replicates": list(self.failed_ids),
         }
-
-
-class _StageClock:
-    """No-op unless a dict is supplied; then records seconds per stage name."""
-
-    def __init__(self, sink: dict | None):
-        self.sink = sink
-        self._last = time.perf_counter()
-
-    def mark(self, stage: str) -> None:
-        now = time.perf_counter()
-        if self.sink is not None:
-            self.sink[stage] = self.sink.get(stage, 0.0) + (now - self._last)
-        self._last = now
 
 
 def _interp_quantile(sorted_samples: np.ndarray, q: float) -> np.ndarray:
@@ -186,11 +185,6 @@ def percentile_band(samples: np.ndarray, alpha: float) -> tuple[np.ndarray, np.n
     )
 
 
-def comparing_factor(band: ConfidenceBand) -> float:
-    """Sum of the band width over all test timesteps."""
-    return float(np.sum(band.upper - band.lower))
-
-
 def _replicate_task(args):
     """Train one replicate and predict the test horizon in price units.
 
@@ -207,108 +201,101 @@ def _replicate_task(args):
         return idx, None, str(exc)
 
 
-def run(
-    prices: PriceSeries,
-    cfg: PipelineConfig,
-    jobs: int = 1,
-    timings: dict | None = None,
-) -> PipelineResult:
-    """Execute the full band construction for one bootstrap method.
-
-    ``timings``, when given, collects wall-clock seconds per stage.
-    """
-    clock = _StageClock(timings)
-    cfg.split.check(len(prices))
-    train_len = cfg.split.train_len
+def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResult:
+    """Execute the full band construction for the bootstrap method ``cfg.method``."""
+    train_len = cfg.train_len
+    if train_len >= len(prices):
+        raise ValidationError(
+            f"training length {train_len} leaves no test timestep in {len(prices)} prices"
+        )
     if train_len <= cfg.train.lookback + 1:
         raise ValidationError(
             f"training length {train_len} must exceed lookback + 1 = {cfg.train.lookback + 1}"
         )
-    train_prices = prices.values[:train_len]
     actual_test = prices.values[train_len:]
     positions = np.arange(train_len, len(prices))
+    timings: dict = {}
 
-    try:
-        returns = LogReturnSeries(
-            values=np.diff(np.log(train_prices)), anchor_price=float(train_prices[0])
-        )
-    except BootbandError as exc:
-        raise PipelineError("log-returns", str(exc)) from exc
+    with timed(timings, "log-returns"):
+        try:
+            returns = to_log_returns(prices.values[:train_len])
+        except BootbandError as exc:
+            raise PipelineError("log-returns", str(exc)) from exc
 
-    clock.mark("log-returns")
+    with timed(timings, "block-length-selection"):
+        try:
+            l_opt, curve = select_block_length(returns, cfg.selector)
+        except BootbandError as exc:
+            raise PipelineError("block-length-selection", str(exc)) from exc
 
-    try:
-        l_opt, curve = select_block_length(returns, cfg.selector)
-    except BootbandError as exc:
-        raise PipelineError("block-length-selection", str(exc)) from exc
-    clock.mark("block-length-selection")
+    with timed(timings, "bootstrap"):
+        try:
+            plan = BlockPlan(
+                method=cfg.method, block_len=l_opt, locality=cfg.selector.locality, seed=cfg.seed
+            )
+            pseudo_returns = batch_resample(returns.values, plan, cfg.reps)
+            pseudo_paths = [
+                from_log_returns(ps.values, returns.anchor_price) for ps in pseudo_returns
+            ]
+        except BootbandError as exc:
+            raise PipelineError("bootstrap", str(exc)) from exc
 
-    try:
-        plan = BlockPlan(
-            method=cfg.method, block_len=l_opt, locality=cfg.selector.locality, seed=cfg.seed
-        )
-        pseudo_returns = batch_resample(returns.values, plan, cfg.reps)
-        pseudo_paths = [
-            from_log_returns(ps.values, returns.anchor_price) for ps in pseudo_returns
+    with timed(timings, "train-predict"):
+        scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
+        tasks = [
+            (
+                m,
+                pseudo_paths[m],
+                scaled_actual,
+                scale_actual,
+                replace(cfg.train, seed=derive_seed(cfg.train.seed, m)),
+                cfg.scale_window,
+                positions,
+            )
+            for m in range(cfg.reps)
         ]
-    except BootbandError as exc:
-        raise PipelineError("bootstrap", str(exc)) from exc
-    clock.mark("bootstrap")
+        if jobs > 1:
+            chunksize = max(1, cfg.reps // (4 * jobs))
+            try:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    outcomes = list(pool.map(_replicate_task, tasks, chunksize=chunksize))
+            except BrokenProcessPool as exc:
+                raise PipelineError("train", f"a worker process died: {exc}") from exc
+        else:
+            outcomes = [_replicate_task(t) for t in tasks]
 
-    scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
-    tasks = [
-        (
-            m,
-            pseudo_paths[m],
-            scaled_actual,
-            scale_actual,
-            replace(cfg.train, seed=derive_seed(cfg.train.seed, m)),
-            cfg.scale_window,
-            positions,
+        succeeded = [(idx, preds) for idx, preds, err in outcomes if err is None]
+        failed = tuple(idx for idx, _, err in outcomes if err is not None)
+        if len(failed) > cfg.allow_failures:
+            raise ReplicateFailureError(failed, cfg.allow_failures)
+        if len(succeeded) < 2:
+            raise PipelineError("train", f"only {len(succeeded)} replicate(s) trained; need >= 2")
+        predictions = np.vstack([preds for _, preds in succeeded])
+
+    with timed(timings, "quantile-band"):
+        try:
+            lower, median, upper = percentile_band(predictions, cfg.alpha)
+        except BootbandError as exc:
+            raise PipelineError("percentile-band", str(exc)) from exc
+        band = ConfidenceBand(
+            timestamps=prices.timestamps[train_len:],
+            lower=lower,
+            point=median,
+            upper=upper,
+            method=cfg.method,
+            block_len=l_opt,
+            reps=len(succeeded),
         )
-        for m in range(cfg.reps)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_replicate_task, tasks, chunksize=max(1, cfg.reps // (4 * jobs))))
-    else:
-        outcomes = [_replicate_task(t) for t in tasks]
-
-    succeeded = [(idx, preds) for idx, preds, err in outcomes if err is None]
-    failed = tuple(idx for idx, _, err in outcomes if err is not None)
-    if len(failed) > cfg.allow_failures:
-        raise ReplicateFailureError(failed, cfg.allow_failures)
-    if len(succeeded) < 2:
-        raise PipelineError("train", f"only {len(succeeded)} replicate(s) trained; need >= 2")
-    predictions = np.vstack([preds for _, preds in succeeded])
-    clock.mark("train-predict")
-
-    try:
-        lower, median, upper = percentile_band(predictions, cfg.alpha)
-    except BootbandError as exc:
-        raise PipelineError("percentile-band", str(exc)) from exc
-
-    band = ConfidenceBand(
-        timestamps=prices.timestamps[train_len:],
-        lower=lower,
-        point=median,
-        upper=upper,
-        comparing_factor=float(np.sum(upper - lower)),
-        method=cfg.method,
-        block_len=l_opt,
-        reps=len(succeeded),
-    )
-    coverage = float(np.mean((actual_test >= lower) & (actual_test <= upper)))
-    clock.mark("quantile-band")
+        coverage = float(np.mean((actual_test >= lower) & (actual_test <= upper)))
     return PipelineResult(
         band=band,
         curve=curve,
-        block_len=l_opt,
         predictions=predictions,
         replicate_ids=tuple(idx for idx, _ in succeeded),
         failed_ids=failed,
         actual=actual_test,
         coverage=coverage,
+        timings=timings,
     )
 
 
@@ -324,24 +311,16 @@ class MethodComparison:
         return [self.results[method].report(seed) for method in self.ranking]
 
 
-def compare_methods(
-    prices: PriceSeries,
-    cfg: PipelineConfig,
-    jobs: int = 1,
-    timings: dict | None = None,
-) -> MethodComparison:
+def compare_methods(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> MethodComparison:
     """Run the pipeline once per bootstrap method and rank by comparing factor.
 
-    Each method re-selects its own block length.  Ties rank by method name.
+    Each method re-selects its own block length, so ``cfg.selector.method``
+    is not used.  Ties rank by method name.
     """
-    results = {}
-    for method in (BootstrapMethod.NBB, BootstrapMethod.MBB, BootstrapMethod.LBB):
-        method_cfg = replace(cfg, method=method, selector=replace(cfg.selector, method=method))
-        method_timings: dict | None = {} if timings is not None else None
-        results[method] = run(prices, method_cfg, jobs=jobs, timings=method_timings)
-        if timings is not None:
-            for stage, secs in method_timings.items():
-                timings[f"{method.value}:{stage}"] = secs
+    results = {
+        method: run(prices, replace(cfg, selector=replace(cfg.selector, method=method)), jobs=jobs)
+        for method in (BootstrapMethod.NBB, BootstrapMethod.MBB, BootstrapMethod.LBB)
+    }
     ranking = tuple(
         sorted(results, key=lambda m: (results[m].band.comparing_factor, m.value))
     )

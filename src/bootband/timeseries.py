@@ -87,40 +87,6 @@ class LogReturnSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "value"])
-            for i, v in enumerate(self.values):
-                w.writerow([i, repr(float(v))])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"anchor_price": self.anchor_price, "values": [float(v) for v in self.values]}
-        )
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Lengths of the chronological train/test partition."""
-
-    train_len: int
-    test_len: int
-
-    def __post_init__(self):
-        if self.train_len < 1 or self.test_len < 1:
-            raise ValidationError("train_len and test_len must be positive")
-
-    @property
-    def total(self) -> int:
-        return self.train_len + self.test_len
-
-    def check(self, series_len: int) -> None:
-        if self.total != series_len:
-            raise ValidationError(
-                f"split {self.train_len}+{self.test_len} != series length {series_len}"
-            )
-
 
 def load_csv(path: str | Path, column: str) -> PriceSeries:
     """Load one numeric column of a dated CSV as a :class:`PriceSeries`.
@@ -178,10 +144,9 @@ def load_csv(path: str | Path, column: str) -> PriceSeries:
     )
 
 
-def to_log_returns(p: PriceSeries) -> LogReturnSeries:
+def to_log_returns(prices: np.ndarray) -> LogReturnSeries:
     """ln(p[t+1] / p[t]) for consecutive prices; anchored at the first price."""
-    logs = np.log(p.values)
-    return LogReturnSeries(values=np.diff(logs), anchor_price=float(p.values[0]))
+    return LogReturnSeries(values=np.diff(np.log(prices)), anchor_price=float(prices[0]))
 
 
 def from_log_returns(r: LogReturnSeries | np.ndarray, anchor_price: float | None = None) -> np.ndarray:

@@ -26,7 +26,7 @@ from bootband.bootstrap import (
 from bootband.cli import main
 from bootband.lstm import _forward_pass, backward, init_params, kernel_mask, loss
 from bootband.pipeline import PipelineConfig, compare_methods, percentile_band
-from bootband.timeseries import PriceSeries, SplitSpec
+from bootband.timeseries import PriceSeries
 from bootband.lstm import TrainConfig
 from conftest import ar1_series, gbm_prices, strip_volatile, write_price_csv
 
@@ -239,8 +239,7 @@ def test_criterion_7_end_to_end_smoke(tmp_path):
 
 def _smoke_pipeline_config(method: str, seed: int) -> PipelineConfig:
     return PipelineConfig(
-        split=SplitSpec(200, 100),
-        method=BootstrapMethod(method),
+        train_len=200,
         reps=20,
         alpha=0.05,
         selector=SelectorConfig(method=BootstrapMethod(method), reps=50, l_max=12, seed=seed + 1),

@@ -1,10 +1,13 @@
 import csv
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bootband.pipeline as pl
 from bootband.cli import main
 from conftest import gbm_prices, strip_volatile, write_price_csv
 
@@ -30,6 +33,10 @@ def fast_flags(out, extra=()):
 @pytest.fixture
 def csv90(tmp_path):
     return str(write_price_csv(tmp_path / "prices.csv", gbm_prices(90, seed=17)))
+
+
+PIPELINE_STAGES = ("log-returns", "block-length-selection", "bootstrap", "train-predict",
+                   "quantile-band")
 
 
 def read_json(path):
@@ -141,6 +148,8 @@ class TestBand:
             rep_rows = list(csv.reader(fh))
         assert len(rep_rows) == 4  # header + 3 replicates
         assert len(rep_rows[0]) == 31  # "replicate" + 30 dates
+        timings = read_json(out / "manifest.json")["execution"]["timings_seconds"]
+        assert set(timings) == {"pipeline", "write", *PIPELINE_STAGES}
 
     def test_factor_recomputable_from_band_file(self, csv90, tmp_path):
         out = tmp_path / "out"
@@ -164,6 +173,32 @@ class TestBand:
                      *fast_flags(tmp_path / "o", ["--learning-rate", "1e200"])])
         assert code == 5
 
+    def test_broken_worker_pool_exit_code(self, csv90, tmp_path, monkeypatch, capsys):
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(pl, "ProcessPoolExecutor", BrokenPool)
+        code = main(["band", "--input", csv90, "--method", "mbb", "--jobs", "2",
+                     *fast_flags(tmp_path / "o")])
+        assert code == 5
+        assert "error[train]" in capsys.readouterr().err
+
+    def test_default_jobs_are_the_usable_cpus(self, csv90, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out = tmp_path / "out"
+        assert main(["band", "--input", csv90, "--method", "nbb", *fast_flags(out)]) == 0
+        assert read_json(out / "manifest.json")["execution"]["jobs"] == 1
+
 
 class TestCompare:
     def test_ranked_report_and_bands(self, csv90, tmp_path):
@@ -178,6 +213,10 @@ class TestCompare:
         for m in ("nbb", "mbb", "lbb"):
             assert (out / f"band_{m}.csv").exists()
             assert (out / f"selector_curve_{m}.csv").exists()
+        timings = read_json(out / "manifest.json")["execution"]["timings_seconds"]
+        assert set(timings) == {"compare", "write"} | {
+            f"{m}:{stage}" for m in ("nbb", "mbb", "lbb") for stage in PIPELINE_STAGES
+        }
 
 
 class TestConfigPrecedence:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bootband.pipeline as pl
-from bootband.blocklen import SelectorConfig
+from bootband.blocklen import SelectorConfig, select_block_length
 from bootband.bootstrap import BootstrapMethod
 from bootband.errors import PipelineError, ReplicateFailureError, ValidationError
 from bootband.lstm import TrainConfig
@@ -15,11 +15,10 @@ from bootband.pipeline import (
     ConfidenceBand,
     PipelineConfig,
     compare_methods,
-    comparing_factor,
     percentile_band,
     run,
 )
-from bootband.timeseries import PriceSeries, SplitSpec
+from bootband.timeseries import PriceSeries
 from conftest import gbm_prices
 
 
@@ -32,17 +31,19 @@ def brute_force_quantile(column, q):
     return values[lo] + (h - lo) * (values[hi] - values[lo])
 
 
-def small_cfg(train_len, test_len, method="mbb", reps=4, seed=11, **train_kw):
-    train_defaults = dict(lookback=4, batch_size=10, epochs=2, hidden_size=4,
-                          dropout_rate=0.2, seed=101)
-    train_defaults.update(train_kw)
+def small_train(**train_kw):
+    defaults = dict(lookback=4, batch_size=10, epochs=2, hidden_size=4, dropout_rate=0.2,
+                    seed=101)
+    return TrainConfig(**{**defaults, **train_kw})
+
+
+def small_cfg(train_len, method="mbb", reps=4, seed=11, **train_kw):
     return PipelineConfig(
-        split=SplitSpec(train_len, test_len),
-        method=BootstrapMethod(method),
+        train_len=train_len,
         reps=reps,
         alpha=0.05,
         selector=SelectorConfig(method=BootstrapMethod(method), reps=8, l_max=6, seed=77),
-        train=TrainConfig(**train_defaults),
+        train=small_train(**train_kw),
         seed=seed,
         scale_window=40,
     )
@@ -117,24 +118,23 @@ class TestComparingFactor:
         return ConfidenceBand(
             timestamps=tuple(date(2021, 1, 1) + timedelta(days=k) for k in range(len(lower))),
             lower=lower, point=mid, upper=upper,
-            comparing_factor=float(np.sum(upper - lower)),
             method=BootstrapMethod.MBB, block_len=2, reps=2,
         )
 
     def test_zero_width(self):
         band = self.make_band([1.0, 2.0], [1.0, 2.0])
-        assert comparing_factor(band) == 0.0
+        assert band.comparing_factor == 0.0
 
     def test_direct_sum(self):
         band = self.make_band([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        assert comparing_factor(band) == 6.0
+        assert band.comparing_factor == 6.0
 
     def test_identical_replicates_zero_width(self):
         # degenerate prediction matrix: both rows equal -> zero-width band
         preds = np.tile(np.linspace(10, 12, 5), (2, 1))
         lower, median, upper = percentile_band(preds, 0.05)
         band = self.make_band(lower, upper)
-        assert comparing_factor(band) == 0.0
+        assert band.comparing_factor == 0.0
         assert np.array_equal(lower, median)
 
     def test_band_ordering_enforced(self):
@@ -142,14 +142,14 @@ class TestComparingFactor:
             ConfidenceBand(
                 timestamps=(date(2021, 1, 1),),
                 lower=np.array([2.0]), point=np.array([1.0]), upper=np.array([3.0]),
-                comparing_factor=1.0, method=BootstrapMethod.MBB, block_len=1, reps=2,
+                method=BootstrapMethod.MBB, block_len=1, reps=2,
             )
 
 
 class TestRun:
     def test_smoke_band_is_ordered_and_deterministic(self):
         prices = price_series(gbm_prices(120, seed=3))
-        cfg = small_cfg(80, 40)
+        cfg = small_cfg(80)
         result = run(prices, cfg)
         band = result.band
         assert len(band.lower) == 40
@@ -165,7 +165,7 @@ class TestRun:
 
     def test_jobs_do_not_change_results(self):
         prices = price_series(gbm_prices(100, seed=6))
-        cfg = small_cfg(70, 30, reps=3)
+        cfg = small_cfg(70, reps=3)
         seq = run(prices, cfg, jobs=1)
         par = run(prices, cfg, jobs=2)
         assert np.array_equal(seq.predictions, par.predictions)
@@ -174,29 +174,54 @@ class TestRun:
 
     def test_quantile_sandwich_against_replicates(self):
         prices = price_series(gbm_prices(110, seed=9))
-        result = run(prices, small_cfg(75, 35, reps=5))
+        result = run(prices, small_cfg(75, reps=5))
         assert np.all(result.band.lower >= result.predictions.min(axis=0))
         assert np.all(result.band.upper <= result.predictions.max(axis=0))
 
-    def test_split_must_match(self):
+    def test_train_len_must_leave_a_test_segment(self):
         prices = price_series(gbm_prices(100, seed=2))
-        with pytest.raises(ValidationError):
-            run(prices, small_cfg(80, 40))
+        for train_len in (100, 101):
+            with pytest.raises(ValidationError):
+                run(prices, small_cfg(train_len))
 
     def test_training_shorter_than_lookback_rejected(self):
+        # lookback 4: a training length of lookback + 1 or less is rejected
         prices = price_series(gbm_prices(50, seed=2))
-        with pytest.raises(ValidationError):
-            run(prices, small_cfg(5, 45))
+        for train_len in (3, 5):
+            with pytest.raises(ValidationError):
+                run(prices, small_cfg(train_len))
+
+    def test_resamples_with_the_selected_method(self, monkeypatch):
+        # default selector and no method anywhere else: the block length is
+        # selected for selector.method and the replicates are drawn with it
+        prices = price_series(gbm_prices(90, seed=16))
+        cfg = PipelineConfig(train_len=70, reps=2, train=small_train(), scale_window=40)
+        drawn_with = []
+        real_batch_resample = pl.batch_resample
+
+        def recording(x, plan, count):
+            drawn_with.append(plan.method)
+            return real_batch_resample(x, plan, count)
+
+        monkeypatch.setattr(pl, "batch_resample", recording)
+        result = run(prices, cfg)
+        assert drawn_with == [cfg.selector.method]
+        assert result.band.method == cfg.selector.method == cfg.method
+        returns = np.diff(np.log(prices.values[:70]))
+        l_opt, curve = select_block_length(returns, cfg.selector)
+        assert result.band.block_len == l_opt
+        for name in ("lengths", "distances", "penalties", "objectives"):
+            assert np.array_equal(getattr(result.curve, name), getattr(curve, name))
 
     def test_all_replicates_diverge_aborts(self):
         prices = price_series(gbm_prices(90, seed=5))
-        cfg = small_cfg(60, 30, reps=2, learning_rate=1e200)
+        cfg = small_cfg(60, reps=2, learning_rate=1e200)
         with np.errstate(over="ignore"), pytest.raises(ReplicateFailureError):
             run(prices, cfg)
 
     def test_allow_failures_drops_and_records(self, monkeypatch):
         prices = price_series(gbm_prices(100, seed=8))
-        cfg = replace(small_cfg(70, 30, reps=4), allow_failures=1)
+        cfg = replace(small_cfg(70, reps=4), allow_failures=1)
         real_task = pl._replicate_task
 
         def flaky(args):
@@ -218,10 +243,10 @@ class TestRun:
         from bootband.timeseries import from_log_returns
 
         prices = price_series(gbm_prices(100, seed=30))
-        cfg = small_cfg(70, 30, reps=5)
+        cfg = small_cfg(70, reps=5)
         result = run(prices, cfg)
         returns = np.diff(np.log(prices.values[:70]))
-        plan = BlockPlan(method=cfg.method, block_len=result.block_len,
+        plan = BlockPlan(method=cfg.method, block_len=result.band.block_len,
                          locality=cfg.selector.locality, seed=cfg.seed)
         for ps in batch_resample(returns, plan, cfg.reps):
             path = from_log_returns(ps.values, float(prices.values[0]))
@@ -232,7 +257,7 @@ class TestRun:
     def test_stage_tagged_errors(self):
         # selector config invalid for this n -> failure carries the stage name
         prices = price_series(gbm_prices(60, seed=4))
-        cfg = replace(small_cfg(40, 20), selector=SelectorConfig(reps=5, l_max=45, seed=1))
+        cfg = replace(small_cfg(40), selector=SelectorConfig(reps=5, l_max=45, seed=1))
         with pytest.raises(PipelineError) as err:
             run(prices, cfg)
         assert err.value.stage == "block-length-selection"
@@ -241,7 +266,7 @@ class TestRun:
 class TestCompareMethods:
     def test_ranks_all_three(self):
         prices = price_series(gbm_prices(110, seed=12))
-        cfg = small_cfg(75, 35, reps=3)
+        cfg = small_cfg(75, reps=3)
         comparison = compare_methods(prices, cfg)
         assert set(comparison.results) == {
             BootstrapMethod.NBB, BootstrapMethod.MBB, BootstrapMethod.LBB
@@ -254,13 +279,13 @@ class TestCompareMethods:
 
     def test_methods_use_own_selector(self):
         prices = price_series(gbm_prices(100, seed=14))
-        comparison = compare_methods(prices, small_cfg(70, 30, reps=2))
+        comparison = compare_methods(prices, small_cfg(70, reps=2))
         for method, res in comparison.results.items():
             assert res.band.method == method
 
     def test_deterministic(self):
         prices = price_series(gbm_prices(90, seed=15))
-        cfg = small_cfg(65, 25, reps=2)
+        cfg = small_cfg(65, reps=2)
         a = compare_methods(prices, cfg)
         b = compare_methods(prices, cfg)
         assert a.ranking == b.ranking
@@ -272,7 +297,7 @@ class TestCompareMethods:
         # for every method and the factors tie exactly; ranking falls back
         # to method name order
         prices = price_series(np.full(90, 50.0))
-        comparison = compare_methods(prices, small_cfg(65, 25, reps=3))
+        comparison = compare_methods(prices, small_cfg(65, reps=3))
         factors = {m: r.band.comparing_factor for m, r in comparison.results.items()}
         assert len(set(factors.values())) == 1
         assert [m.value for m in comparison.ranking] == ["lbb", "mbb", "nbb"]
@@ -281,7 +306,7 @@ class TestCompareMethods:
 class TestBandCsv:
     def test_factor_recompute_from_file(self, tmp_path):
         prices = price_series(gbm_prices(100, seed=21))
-        result = run(prices, small_cfg(70, 30, reps=3))
+        result = run(prices, small_cfg(70, reps=3))
         path = tmp_path / "band.csv"
         result.band.to_csv(path, actual=result.actual)
         rows = path.read_text().strip().splitlines()
@@ -296,8 +321,19 @@ class TestBandCsv:
 class TestConfigValidation:
     def test_alpha_range(self):
         with pytest.raises(ValidationError):
-            PipelineConfig(split=SplitSpec(10, 5), alpha=0.0)
+            PipelineConfig(train_len=10, alpha=0.0)
 
     def test_reps_minimum(self):
         with pytest.raises(ValidationError):
-            PipelineConfig(split=SplitSpec(10, 5), reps=1)
+            PipelineConfig(train_len=10, reps=1)
+
+    def test_train_len_positive(self):
+        with pytest.raises(ValidationError):
+            PipelineConfig(train_len=0)
+
+    def test_method_follows_selector(self):
+        assert PipelineConfig(train_len=10).method is SelectorConfig().method
+        cfg = PipelineConfig(train_len=10, selector=SelectorConfig(method="nbb"))
+        assert cfg.method is BootstrapMethod.NBB
+        with pytest.raises(TypeError):
+            PipelineConfig(train_len=10, method=BootstrapMethod.LBB)
