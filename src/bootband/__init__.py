@@ -8,9 +8,6 @@ from .bootstrap import (
     BootstrapMethod,
     PseudoSeries,
     batch_resample,
-    lbb_resample,
-    mbb_resample,
-    nbb_resample,
     resample,
 )
 from .lstm import LstmModel, TrainConfig, fit, predict_series
@@ -52,10 +49,7 @@ __all__ = [
     "compare_methods",
     "fit",
     "from_log_returns",
-    "lbb_resample",
     "load_csv",
-    "mbb_resample",
-    "nbb_resample",
     "percentile_band",
     "predict_series",
     "resample",

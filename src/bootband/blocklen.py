@@ -10,7 +10,9 @@ is evaluated.  The squared-distance term rewards replicates whose coarse
 structure tracks the original; the linear penalty makes the curve convex in
 ``l`` so the argmin is stable.  Selection runs every candidate on the same
 base seed, so results are reproducible and common random numbers damp the
-candidate-to-candidate noise.
+candidate-to-candidate noise.  :func:`distance` compares value arrays, and
+the :class:`SelectorCurve` returned by :func:`select_block_length` holds the
+distance, penalty and objective of every candidate.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import BlockPlan, BootstrapMethod, PseudoSeries, batch_resample
+from .bootstrap import BlockPlan, BootstrapMethod, batch_resample
 from .errors import ValidationError
 from .timeseries import LogReturnSeries, _freeze
 
@@ -95,14 +97,14 @@ def block_means(x, l: int) -> np.ndarray:
     return x[: b * l].reshape(b, l).mean(axis=1)
 
 
-def distance(x, replicates: list[PseudoSeries] | list[np.ndarray], l: int) -> float:
+def distance(x, replicates: list[np.ndarray], l: int) -> float:
     """Average scaled squared distance between replicate and original block means."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     orig = block_means(x, l)
     total = 0.0
     for rep in replicates:
-        values = rep.values if isinstance(rep, PseudoSeries) else np.asarray(rep, dtype=np.float64)
+        values = np.asarray(rep, dtype=np.float64)
         if values.size != n:
             raise ValidationError(f"replicate length {values.size} != series length {n}")
         diff = block_means(values, l) - orig
@@ -119,13 +121,7 @@ def _distance_and_penalty(x: np.ndarray, l: int, cfg: SelectorConfig) -> tuple[f
     """The two objective terms at length ``l`` over ``cfg.reps`` fresh replicates."""
     plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
     reps = batch_resample(x, plan, cfg.reps)
-    return distance(x, reps, l), length_penalty(x.size, l, cfg.t)
-
-
-def objective(x, l: int, cfg: SelectorConfig) -> float:
-    """Distance over ``cfg.reps`` fresh replicates at length ``l``, plus the penalty."""
-    dist, pen = _distance_and_penalty(np.asarray(x, dtype=np.float64), l, cfg)
-    return dist + pen
+    return distance(x, [ps.values for ps in reps], l), length_penalty(x.size, l, cfg.t)
 
 
 def select_block_length(

@@ -1,7 +1,8 @@
 """Block-bootstrap resampling for dependent data.
 
-Three schemes are provided, each producing a pseudo-series of the same
-length as the input by concatenating sampled blocks and truncating:
+Three schemes are provided.  They differ only in how block starts are
+drawn; :func:`resample` then lays the blocks at those starts end to end
+with one gather and truncates to the input length ``n``:
 
 * non-overlapping (``nbb``): blocks start on the fixed grid 0, l, 2l, ...;
   the last grid block may be shorter than ``l`` when ``l`` does not divide
@@ -76,44 +77,6 @@ def _check_input(x: np.ndarray, plan: BlockPlan) -> np.ndarray:
     return x
 
 
-def nbb_resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
-    """Non-overlapping block bootstrap.
-
-    Draws starts uniformly from the grid {0, l, 2l, ...} until the laid
-    blocks cover ``n`` values, then truncates.  When ``l`` divides ``n``
-    this is exactly ``n / l`` draws; otherwise the shortened boundary block
-    can force extra draws to reach full length.
-    """
-    if plan.method is not BootstrapMethod.NBB:
-        raise ValidationError(f"plan method {plan.method} is not nbb")
-    x = _check_input(x, plan)
-    n, l = x.size, plan.block_len
-    big_l = -(-n // l)
-    rng = substream(plan.seed, stream)
-    starts = (rng.integers(0, big_l, size=big_l) * l).tolist()
-    covered = int(np.minimum(l, n - np.asarray(starts)).sum())
-    while covered < n:
-        start = int(rng.integers(0, big_l)) * l
-        starts.append(start)
-        covered += min(l, n - start)
-    idx = np.concatenate([np.arange(s, min(s + l, n)) for s in starts])[:n]
-    return PseudoSeries(values=x[idx], starts=tuple(starts))
-
-
-def mbb_resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
-    """Moving block bootstrap: ceil(n/l) uniform draws from all overlapping blocks."""
-    if plan.method is not BootstrapMethod.MBB:
-        raise ValidationError(f"plan method {plan.method} is not mbb")
-    x = _check_input(x, plan)
-    n, l = x.size, plan.block_len
-    n_blocks = n - l + 1
-    k = -(-n // l)
-    rng = substream(plan.seed, stream)
-    drawn = rng.integers(0, n_blocks, size=k)
-    idx = (drawn[:, None] + np.arange(l)).ravel()[:n]
-    return PseudoSeries(values=x[idx], starts=tuple(int(s) for s in drawn))
-
-
 def lbb_start_windows(n: int, l: int, halo: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based inclusive start windows per block: [max(0, ml - halo),
     min(n - l, ml + halo)], centered on each block's output offset; the
@@ -128,39 +91,48 @@ def lbb_start_windows(n: int, l: int, halo: int) -> tuple[np.ndarray, np.ndarray
     return lo, hi
 
 
-def lbb_resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
-    """Local block bootstrap: block ``m`` starts within ``floor(n*B)`` of offset ``m*l``."""
-    if plan.method is not BootstrapMethod.LBB:
-        raise ValidationError(f"plan method {plan.method} is not lbb")
-    x = _check_input(x, plan)
-    n, l = x.size, plan.block_len
+def _draw_starts(rng: np.random.Generator, n: int, plan: BlockPlan) -> np.ndarray:
+    """Block starts in laying order, drawn by the rule of ``plan.method``."""
+    l = plan.block_len
+    if plan.method is BootstrapMethod.NBB:
+        # the short grid block covers fewer than l values, so it can force extra draws
+        big_l = -(-n // l)
+        starts = (rng.integers(0, big_l, size=big_l) * l).tolist()
+        covered = int(np.minimum(l, n - np.asarray(starts)).sum())
+        while covered < n:
+            start = int(rng.integers(0, big_l)) * l
+            starts.append(start)
+            covered += min(l, n - start)
+        return np.asarray(starts)
+    if plan.method is BootstrapMethod.MBB:
+        return rng.integers(0, n - l + 1, size=-(-n // l))
     halo = math.floor(n * plan.locality + 1e-9)
     if halo < 1:
         raise ValidationError(
             f"locality {plan.locality} gives floor(n*B) = {halo}; need >= 1 for n = {n}"
         )
     lo, hi = lbb_start_windows(n, l, halo)
-    rng = substream(plan.seed, stream)
-    starts = rng.integers(lo, hi + 1)
-    idx = (starts[:, None] + np.arange(l)).ravel()[:n]
-    return PseudoSeries(values=x[idx], starts=tuple(int(s) for s in starts))
-
-
-_RESAMPLERS = {
-    BootstrapMethod.NBB: nbb_resample,
-    BootstrapMethod.MBB: mbb_resample,
-    BootstrapMethod.LBB: lbb_resample,
-}
+    return rng.integers(lo, hi + 1)
 
 
 def resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
-    """Dispatch to the resampler named by ``plan.method``."""
-    return _RESAMPLERS[plan.method](x, plan, stream)
+    """One pseudo-series of ``x`` on sub-stream ``stream`` of ``plan.seed``.
+
+    The blocks at the drawn starts are laid end to end by one gather and
+    truncated to ``n``.  Positions past the end of the series are dropped
+    first, which shortens only an NBB grid block when ``l`` does not
+    divide ``n``; MBB and LBB starts always leave room for a full block.
+    """
+    x = _check_input(x, plan)
+    n = x.size
+    starts = _draw_starts(substream(plan.seed, stream), n, plan)
+    idx = (starts[:, None] + np.arange(plan.block_len)).ravel()
+    idx = idx[idx < n][:n]
+    return PseudoSeries(values=x[idx], starts=tuple(starts.tolist()))
 
 
 def batch_resample(x, plan: BlockPlan, count: int) -> list[PseudoSeries]:
     """Draw ``count`` pseudo-series on sub-streams 0 .. count-1 of ``plan.seed``."""
     if count < 1:
         raise ValidationError("count must be >= 1")
-    fn = _RESAMPLERS[plan.method]
-    return [fn(x, plan, stream) for stream in range(count)]
+    return [resample(x, plan, stream) for stream in range(count)]

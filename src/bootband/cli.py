@@ -60,13 +60,19 @@ def _bool_from(text: str) -> bool:
 
 # name -> (converter, default, help); None default means "resolved at runtime"
 # (seed: random; jobs: usable CPUs; lmax: min(50, n // 4)).  _REQUIRED marks a
-# flag the command line must give; its converter may be a list of choices.
+# value a flag or the config file must give.  A list converter is a list of
+# choices.
 _REQUIRED = object()
 
 _COMMON_OPTS = {
     "column": (str, "Close", "CSV column with the closing price"),
     "output_dir": (str, ".", "directory for artifacts"),
     "seed": (int, None, "master seed (default: random, printed and recorded)"),
+}
+
+# only band and compare train replicates, so only they take a worker count
+_PARALLEL_OPTS = {
+    **_COMMON_OPTS,
     "jobs": (int, None, "max parallel workers (default: available CPUs); outputs are identical for any value"),
 }
 
@@ -97,7 +103,8 @@ _RESAMPLE_OPTS = {
     "block_len": (int, _REQUIRED, "block length l"),
     "locality": (float, 0.1, "LBB locality fraction B"),
     "count": (int, 1, "number of pseudo-series"),
-    "space": (str, "log-return", "'log-return' (reverse-transformed to prices) or 'price'"),
+    "space": (["log-return", "price"], "log-return",
+              "'log-return' (reverse-transformed to prices) or 'price'"),
 }
 
 _SELECT_BLOCK_OPTS = {
@@ -109,7 +116,7 @@ _SELECT_BLOCK_OPTS = {
 _TRAIN_CMD_OPTS = {**_COMMON_OPTS, **_TRAIN_OPTS}
 
 _COMPARE_OPTS = {
-    **_COMMON_OPTS, **_SELECTOR_OPTS, **_TRAIN_OPTS,
+    **_PARALLEL_OPTS, **_SELECTOR_OPTS, **_TRAIN_OPTS,
     "reps": (int, 1000, "bootstrap replicates M"),
     "alpha": (float, 0.05, "miscoverage level (0.05 gives a 95 percent band)"),
     "selector_reps": (int, 100, "replicates per candidate in block-length selection"),
@@ -117,20 +124,19 @@ _COMPARE_OPTS = {
     "dump_replicates": (bool, False, "also write the M x T replicate prediction matrix"),
 }
 
-_BAND_OPTS = {**_COMMON_OPTS, **_METHOD_OPT, **_COMPARE_OPTS}
+_BAND_OPTS = {**_PARALLEL_OPTS, **_METHOD_OPT, **_COMPARE_OPTS}
 
 
 def _add_opts(parser: argparse.ArgumentParser, opts: dict) -> None:
     for name, (conv, default, help_) in opts.items():
         flag = "--" + name.replace("_", "-")
-        suffix = "" if default is None else f" (default: {default})"
-        if default is _REQUIRED:
-            choices = conv if isinstance(conv, list) else None
-            parser.add_argument(flag, required=True, type=None if choices else conv,
-                                choices=choices, help=help_)
-        elif conv is bool:
+        suffix = "" if default is None or default is _REQUIRED else f" (default: {default})"
+        if conv is bool:
             parser.add_argument(flag, action="store_const", const=True, default=None,
                                 help=help_ + (" (default: off)" if default is False else ""))
+        elif isinstance(conv, list):
+            parser.add_argument(flag, choices=conv, default=None,
+                                help=None if help_ is None else help_ + suffix)
         else:
             parser.add_argument(flag, type=conv, default=None, help=help_ + suffix)
 
@@ -160,14 +166,27 @@ class _Resolver:
             if key not in opts:
                 raise UsageError(f"unknown config key {key!r}")
         self.resolved: dict = {}
+        # a missing required value fails before the command does any work
+        for name, (_, default, _) in opts.items():
+            if default is _REQUIRED:
+                self.get(name)
 
     def get(self, name):
         conv, default, _ = self.opts[name]
         value = getattr(self.args, name, None)
         if value is None and name in self.file_values:
             raw = self.file_values[name]
-            value = _bool_from(raw) if conv is bool else conv(raw)
+            if conv is bool:
+                value = _bool_from(raw)
+            elif isinstance(conv, list):
+                if raw not in conv:
+                    raise UsageError(f"config {name} = {raw!r}: choose from {', '.join(conv)}")
+                value = raw
+            else:
+                value = conv(raw)
         if value is None:
+            if default is _REQUIRED:
+                raise UsageError(f"--{name.replace('_', '-')} is required, as a flag or in --config")
             value = default
         self.resolved[name] = value
         return value
@@ -262,8 +281,6 @@ def cmd_resample(args: argparse.Namespace) -> int:
     method = res.get("method")
     block_len = res.get("block_len")
     space = res.get("space")
-    if space not in ("log-return", "price"):
-        raise UsageError("--space must be 'log-return' or 'price'")
     prices = load_csv(args.input, res.get("column"))
 
     manifest = RunManifest(

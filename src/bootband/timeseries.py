@@ -7,7 +7,6 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -53,23 +52,6 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write ``date,value`` rows (full float precision)."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["date", "value"])
-            for ts, v in zip(self.timestamps, self.values):
-                w.writerow([ts.isoformat(), repr(float(v))])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "dates": [ts.isoformat() for ts in self.timestamps],
-                "values": [float(v) for v in self.values],
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -149,21 +131,16 @@ def to_log_returns(prices: np.ndarray) -> LogReturnSeries:
     return LogReturnSeries(values=np.diff(np.log(prices)), anchor_price=float(prices[0]))
 
 
-def from_log_returns(r: LogReturnSeries | np.ndarray, anchor_price: float | None = None) -> np.ndarray:
+def from_log_returns(returns: np.ndarray, anchor_price: float) -> np.ndarray:
     """Invert the log-return transform back to a positive price path.
 
-    Accepts either a :class:`LogReturnSeries` or a bare array plus an
-    explicit ``anchor_price``.  Returns the reconstructed price values
-    (length ``len(returns) + 1``); the caller owns any date index.
+    ``anchor_price`` is the price preceding the first return.  Returns the
+    reconstructed price values (length ``len(returns) + 1``); the caller
+    owns any date index.
     """
-    if isinstance(r, LogReturnSeries):
-        returns, anchor = r.values, r.anchor_price
-    else:
-        if anchor_price is None:
-            raise ValidationError("anchor_price required when passing a bare array")
-        returns, anchor = np.asarray(r, dtype=np.float64), float(anchor_price)
+    returns = np.asarray(returns, dtype=np.float64)
     steps = np.empty(len(returns) + 1)
-    steps[0] = anchor
+    steps[0] = anchor_price
     steps[1:] = np.exp(returns)
     return np.multiply.accumulate(steps)
 

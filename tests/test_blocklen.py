@@ -10,7 +10,6 @@ from bootband.blocklen import (
     block_means,
     distance,
     length_penalty,
-    objective,
     select_block_length,
 )
 from bootband.bootstrap import BlockPlan, batch_resample
@@ -70,7 +69,7 @@ class TestDistance:
     def test_duplicating_replicates_invariant(self):
         x = ar1_series(40, 0.5, seed=3)
         plan = BlockPlan(method="mbb", block_len=4, seed=9)
-        reps = batch_resample(x, plan, 5)
+        reps = [ps.values for ps in batch_resample(x, plan, 5)]
         once = distance(x, reps, 4)
         twice = distance(x, reps + reps, 4)
         assert twice == pytest.approx(once, rel=1e-15)
@@ -82,7 +81,7 @@ class TestDistance:
     def test_nonnegative(self):
         x = ar1_series(60, 0.7, seed=1)
         reps = batch_resample(x, BlockPlan(method="nbb", block_len=5, seed=2), 10)
-        assert distance(x, reps, 5) >= 0.0
+        assert distance(x, [ps.values for ps in reps], 5) >= 0.0
 
 
 class TestObjective:
@@ -94,8 +93,9 @@ class TestObjective:
         # at l = n every method returns the series verbatim, so only the
         # penalty remains
         x = ar1_series(24, 0.6, seed=5)
-        cfg = SelectorConfig(method="mbb", reps=7, seed=11)
-        assert objective(x, 24, cfg) == length_penalty(24, 24, cfg.t)
+        cfg = SelectorConfig(method="mbb", reps=7, l_min=24, l_max=24, seed=11)
+        _, curve = select_block_length(x, cfg)
+        assert curve.objectives[0] == length_penalty(24, 24, cfg.t)
 
     def test_penalty_is_linear_in_l(self):
         n, t = 200, 2.0
@@ -106,11 +106,12 @@ class TestObjective:
 
     def test_matches_naive_evaluator(self):
         x = ar1_series(80, 0.7, seed=21)
-        cfg = SelectorConfig(method="mbb", reps=20, seed=33)
+        cfg = SelectorConfig(method="mbb", reps=20, l_max=16, seed=33)
+        _, curve = select_block_length(x, cfg)
         for l in (1, 3, 7, 16):
             plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
             reps = batch_resample(x, plan, cfg.reps)
-            assert objective(x, l, cfg) == pytest.approx(
+            assert curve.objectives[l - 1] == pytest.approx(
                 naive_objective(x, reps, l, cfg.t), abs=1e-12
             )
 

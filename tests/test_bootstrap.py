@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootband.bootstrap import (
-    BlockPlan,
-    batch_resample,
-    lbb_resample,
-    mbb_resample,
-    nbb_resample,
-    resample,
-)
+from bootband.bootstrap import BlockPlan, batch_resample, resample
 from bootband.errors import ValidationError
 
 
@@ -27,7 +20,7 @@ def reconstruct_from_starts(x, starts, l, n):
 class TestNbb:
     def test_single_block_identity(self):
         plan = BlockPlan(method="nbb", block_len=4, seed=1)
-        out = nbb_resample(arr(1, 2, 3, 4), plan)
+        out = resample(arr(1, 2, 3, 4), plan)
         assert list(out.values) == [1, 2, 3, 4]
         assert out.starts == (0,)
 
@@ -36,7 +29,7 @@ class TestNbb:
         x = arr(1, 2, 3, 4)
         allowed = {(1.0, 2.0), (3.0, 4.0)}
         for seed in range(200):
-            out = nbb_resample(x, BlockPlan(method="nbb", block_len=2, seed=seed))
+            out = resample(x, BlockPlan(method="nbb", block_len=2, seed=seed))
             assert tuple(out.values[:2]) in allowed
             assert tuple(out.values[2:]) in allowed
 
@@ -44,7 +37,7 @@ class TestNbb:
         # n=5, l=2: blocks of 2 laid end to end, tail dropped at 5
         x = arr(10, 20, 30, 40, 50)
         for seed in range(300):
-            out = nbb_resample(x, BlockPlan(method="nbb", block_len=2, seed=seed))
+            out = resample(x, BlockPlan(method="nbb", block_len=2, seed=seed))
             assert len(out.values) == 5
             expected = reconstruct_from_starts(x, out.starts, 2, 5)
             assert np.array_equal(out.values, expected)
@@ -52,14 +45,14 @@ class TestNbb:
     def test_starts_on_grid(self):
         x = np.arange(20.0)
         for seed in range(100):
-            out = nbb_resample(x, BlockPlan(method="nbb", block_len=3, seed=seed))
+            out = resample(x, BlockPlan(method="nbb", block_len=3, seed=seed))
             assert all(s % 3 == 0 for s in out.starts)
 
     def test_aligned_segments_when_l_divides_n(self):
         x = np.arange(12.0)
         l = 3
         for seed in range(100):
-            out = nbb_resample(x, BlockPlan(method="nbb", block_len=l, seed=seed))
+            out = resample(x, BlockPlan(method="nbb", block_len=l, seed=seed))
             for q in range(len(x) // l):
                 seg = out.values[q * l : (q + 1) * l]
                 start = int(seg[0])
@@ -69,21 +62,21 @@ class TestNbb:
     def test_errors(self):
         plan = BlockPlan(method="nbb", block_len=2, seed=0)
         with pytest.raises(ValidationError):
-            nbb_resample(np.empty(0), plan)
+            resample(np.empty(0), plan)
         with pytest.raises(ValidationError):
-            nbb_resample(arr(1.0), plan)
+            resample(arr(1.0), plan)
 
 
 class TestMbb:
     def test_single_block_identity(self):
-        out = mbb_resample(arr(1, 2, 3, 4), BlockPlan(method="mbb", block_len=4, seed=3))
+        out = resample(arr(1, 2, 3, 4), BlockPlan(method="mbb", block_len=4, seed=3))
         assert list(out.values) == [1, 2, 3, 4]
 
     def test_pairs_are_overlapping_blocks(self):
         x = arr(1, 2, 3, 4)
         allowed = {(1.0, 2.0), (2.0, 3.0), (3.0, 4.0)}
         for seed in range(200):
-            out = mbb_resample(x, BlockPlan(method="mbb", block_len=2, seed=seed))
+            out = resample(x, BlockPlan(method="mbb", block_len=2, seed=seed))
             assert tuple(out.values[:2]) in allowed
             assert tuple(out.values[2:]) in allowed
 
@@ -100,13 +93,13 @@ class TestMbb:
 
     def test_errors(self):
         with pytest.raises(ValidationError):
-            mbb_resample(arr(1, 2), BlockPlan(method="mbb", block_len=3, seed=0))
+            resample(arr(1, 2), BlockPlan(method="mbb", block_len=3, seed=0))
 
 
 class TestLbb:
     def test_single_block_identity(self):
         for b in (0.25, 0.5, 1.0):
-            out = lbb_resample(
+            out = resample(
                 arr(1, 2, 3, 4), BlockPlan(method="lbb", block_len=4, locality=b, seed=5)
             )
             assert list(out.values) == [1, 2, 3, 4]
@@ -117,7 +110,7 @@ class TestLbb:
         x = arr(10, 20, 30)
         plan = BlockPlan(method="lbb", block_len=1, locality=1 / 3, seed=0)
         for seed in range(300):
-            out = lbb_resample(x, BlockPlan(method="lbb", block_len=1, locality=1 / 3, seed=seed))
+            out = resample(x, BlockPlan(method="lbb", block_len=1, locality=1 / 3, seed=seed))
             for m, s in enumerate(out.starts):
                 assert abs(s - m) <= 1
         assert plan.locality * 3 == 1.0
@@ -127,19 +120,19 @@ class TestLbb:
         n, l, b = 30, 4, 0.2
         halo = int(np.floor(n * b))
         for seed in range(1000):
-            out = lbb_resample(x, BlockPlan(method="lbb", block_len=l, locality=b, seed=seed))
+            out = resample(x, BlockPlan(method="lbb", block_len=l, locality=b, seed=seed))
             for m, s in enumerate(out.starts):
                 assert max(0, m * l - halo) <= s <= min(n - l, m * l + halo)
 
     def test_zero_halo_rejected(self):
         with pytest.raises(ValidationError):
-            lbb_resample(np.arange(7.0), BlockPlan(method="lbb", block_len=2, locality=0.1, seed=0))
+            resample(np.arange(7.0), BlockPlan(method="lbb", block_len=2, locality=0.1, seed=0))
 
     def test_tail_window_degenerates_to_last_feasible_start(self):
         # n=10, l=7, floor(n*B)=1: block 1's offset (7) is past the last
         # feasible start (3), so its window collapses to exactly {3}
         for seed in range(50):
-            out = lbb_resample(
+            out = resample(
                 np.arange(10.0), BlockPlan(method="lbb", block_len=7, locality=0.1, seed=seed)
             )
             assert out.starts[1] == 3
@@ -157,7 +150,7 @@ class TestBatch:
         x = np.arange(15.0)
         plan = BlockPlan(method="mbb", block_len=3, seed=99)
         batch = batch_resample(x, plan, 1)
-        single = mbb_resample(x, plan, stream=0)
+        single = resample(x, plan, stream=0)
         assert np.array_equal(batch[0].values, single.values)
 
     def test_same_seed_reproduces(self):
@@ -213,6 +206,8 @@ def test_core_invariants(values, block_len, seed, method):
     assert len(out.values) == n
     # value containment (bit-exact)
     assert np.all(np.isin(out.values, x))
+    # the values are the drawn blocks laid end to end
+    assert np.array_equal(out.values, reconstruct_from_starts(x, out.starts, block_len, n))
     # determinism
     again = resample(x, plan)
     assert np.array_equal(out.values, again.values)

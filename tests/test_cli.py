@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bootband.cli as cli
 import bootband.pipeline as pl
 from bootband.cli import main
 from conftest import gbm_prices, strip_volatile, write_price_csv
@@ -236,6 +238,25 @@ class TestConfigPrecedence:
         m2 = read_json(out2 / "manifest.json")
         assert m2["config"]["epochs"] == 1          # flag wins
 
+    def test_file_supplies_required_values(self, csv90, tmp_path):
+        # method and block length from the file give the same bytes as the flags
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("method = nbb\nblock_len = 7\n")
+        common = ["--input", csv90, "--count", "3", "--seed", "2"]
+        out1, out2 = tmp_path / "flags", tmp_path / "file"
+        assert main(["resample", *common, "--method", "nbb", "--block-len", "7",
+                     "--output-dir", str(out1)]) == 0
+        assert main(["resample", *common, "--config", str(cfg_file),
+                     "--output-dir", str(out2)]) == 0
+        assert strip_volatile(out1) == strip_volatile(out2)
+
+    def test_file_value_outside_choices(self, csv90, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("method = foo\nblock_len = 3\n")
+        code = main(["resample", "--input", csv90, "--config", str(cfg_file),
+                     "--seed", "1", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+
     def test_unknown_config_key(self, csv90, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("no_such_option = 5\n")
@@ -272,6 +293,23 @@ class TestSeedHandling:
 
 
 class TestHelp:
+    def test_each_subcommand_takes_its_table(self):
+        tables = {
+            "resample": cli._RESAMPLE_OPTS,
+            "select-block": cli._SELECT_BLOCK_OPTS,
+            "train": cli._TRAIN_CMD_OPTS,
+            "band": cli._BAND_OPTS,
+            "compare": cli._COMPARE_OPTS,
+        }
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(tables)
+        for name, table in tables.items():
+            dests = {a.dest for a in sub.choices[name]._actions}
+            assert dests == {"help", "input", "config"} | set(table), name
+        # only the commands that train replicates take a worker count
+        assert {n for n, t in tables.items() if "jobs" in t} == {"band", "compare"}
+
     def test_help_documents_defaults(self, capsys):
         assert main(["band", "--help"]) == 0
         text = capsys.readouterr().out
