@@ -1,5 +1,17 @@
 """Bootstrap confidence bands for univariate LSTM price forecasts."""
 
+import os
+
+# One BLAS thread per process, set before any submodule loads numpy (and with
+# it BLAS).  The largest matmul here is (batch, hidden) x (hidden, 4 * hidden),
+# too small for BLAS threads to pay off, and ``--jobs`` worker processes are
+# the unit of parallelism: forked workers inherit this BLAS and would
+# otherwise oversubscribe the CPUs.  A value already in the environment wins.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .blocklen import SelectorConfig, SelectorCurve, select_block_length

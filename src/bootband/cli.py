@@ -155,35 +155,44 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _from_file(name: str, conv, raw: str):
+    """Convert one config-file value; a bad one is a usage error naming it."""
+    if conv is bool:
+        return _bool_from(raw)
+    if isinstance(conv, list):
+        if raw not in conv:
+            raise UsageError(f"config {name} = {raw!r}: choose from {', '.join(conv)}")
+        return raw
+    try:
+        return conv(raw)
+    except ValueError:
+        raise UsageError(f"config {name} = {raw!r}: not a valid {conv.__name__}") from None
+
+
 class _Resolver:
     """Applies flag > config-file > default precedence and records the result."""
 
     def __init__(self, args: argparse.Namespace, opts: dict):
         self.args = args
         self.opts = opts
-        self.file_values = _read_config_file(args.config) if args.config else {}
-        for key in self.file_values:
+        raw_values = _read_config_file(args.config) if args.config else {}
+        for key in raw_values:
             if key not in opts:
                 raise UsageError(f"unknown config key {key!r}")
+        # a bad file value or a missing required value fails before the
+        # command does any work
+        self.file_values = {key: _from_file(key, opts[key][0], raw)
+                            for key, raw in raw_values.items()}
         self.resolved: dict = {}
-        # a missing required value fails before the command does any work
         for name, (_, default, _) in opts.items():
             if default is _REQUIRED:
                 self.get(name)
 
     def get(self, name):
-        conv, default, _ = self.opts[name]
+        _, default, _ = self.opts[name]
         value = getattr(self.args, name, None)
-        if value is None and name in self.file_values:
-            raw = self.file_values[name]
-            if conv is bool:
-                value = _bool_from(raw)
-            elif isinstance(conv, list):
-                if raw not in conv:
-                    raise UsageError(f"config {name} = {raw!r}: choose from {', '.join(conv)}")
-                value = raw
-            else:
-                value = conv(raw)
+        if value is None:
+            value = self.file_values.get(name)
         if value is None:
             if default is _REQUIRED:
                 raise UsageError(f"--{name.replace('_', '-')} is required, as a flag or in --config")

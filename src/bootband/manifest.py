@@ -1,23 +1,24 @@
 """Run manifests: enough resolved state to reproduce every artifact bit-exactly.
 
 The ``config`` block (plus the input file) fully determines the outputs;
-the ``execution`` block holds volatile facts (timings, job count, creation
-time) that vary run to run without affecting any artifact.  :func:`timed`
-is the one stage timer: the pipeline and the CLI both record wall-clock
-seconds per stage with it.
+the ``execution`` block holds volatile facts (timings, job count, the BLAS
+thread variables, creation time) that vary run to run without affecting any
+artifact.  :func:`timed` is the one stage timer: the pipeline and the CLI
+both record wall-clock seconds per stage with it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import _BLAS_THREAD_VARS, __version__
 
 
 @contextmanager
@@ -60,6 +61,7 @@ class RunManifest:
             "execution": {
                 "jobs": self.jobs,
                 "timings_seconds": self.timings,
+                "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
                 "created_utc": datetime.now(timezone.utc).isoformat(),
             },
         }

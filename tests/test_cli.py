@@ -2,12 +2,15 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bootband
 import bootband.cli as cli
 import bootband.pipeline as pl
 from bootband.cli import main
@@ -221,6 +224,49 @@ class TestCompare:
         }
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fresh_python(args, cwd, **blas):
+    """Run a new interpreter on this source tree, with only the given BLAS variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas)
+    src = str(Path(bootband.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, check=True)
+
+
+class TestBlasThreadPin:
+    # In this process numpy is already loaded, so only a new interpreter shows
+    # what importing bootband does to the environment BLAS reads at start-up.
+    SHOW = ("import json, os, bootband; "
+            f"print(json.dumps({{v: os.environ.get(v) for v in {BLAS_VARS!r}}}))")
+
+    def test_import_pins_unset_variables(self, tmp_path):
+        seen = json.loads(fresh_python(["-c", self.SHOW], tmp_path).stdout)
+        assert seen == dict.fromkeys(BLAS_VARS, "1")
+
+    def test_import_keeps_a_user_value(self, tmp_path):
+        seen = json.loads(fresh_python(["-c", self.SHOW], tmp_path,
+                                       OPENBLAS_NUM_THREADS="3").stdout)
+        assert seen == {**dict.fromkeys(BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": "3"}
+
+    def test_band_bytes_do_not_depend_on_blas_threads(self, csv90, tmp_path):
+        # hidden 32 gives the reference-scale recurrent matmul
+        bands, recorded = [], []
+        for name, blas in (("pinned", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+            out = tmp_path / name
+            fresh_python(["-m", "bootband", "band", "--input", csv90, "--method", "mbb",
+                          "--jobs", "2", *fast_flags(out, ["--hidden", "32"])],
+                         tmp_path, **blas)
+            bands.append((out / "band.csv").read_bytes())
+            recorded.append(read_json(out / "manifest.json")["execution"]["blas_threads"])
+        assert bands[0] == bands[1]
+        assert recorded[0] == dict.fromkeys(BLAS_VARS, "1")
+        assert recorded[1] == {**dict.fromkeys(BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": "2"}
+
+
 class TestConfigPrecedence:
     def test_file_overrides_default_flag_overrides_file(self, csv90, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -256,6 +302,23 @@ class TestConfigPrecedence:
         code = main(["resample", "--input", csv90, "--config", str(cfg_file),
                      "--seed", "1", "--output-dir", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("command, line", [
+        (["resample", "--method", "nbb"], "block_len = abc"),
+        (["band", "--method", "mbb"], "reps = 2.5"),
+    ])
+    def test_file_value_of_wrong_type(self, csv90, tmp_path, capsys, command, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        out = tmp_path / "o"
+        code = main([*command, "--input", csv90, "--config", str(cfg_file),
+                     "--output-dir", str(out)])
+        assert code == 2
+        key, value = (part.strip() for part in line.split("="))
+        err = capsys.readouterr()
+        assert key in err.err and repr(value) in err.err
+        assert err.out == ""  # no random seed was even chosen
+        assert not out.exists()
 
     def test_unknown_config_key(self, csv90, tmp_path):
         cfg_file = tmp_path / "run.cfg"
