@@ -15,13 +15,7 @@ del _var
 __version__ = "0.1.0"
 
 from .blocklen import SelectorConfig, SelectorCurve, select_block_length
-from .bootstrap import (
-    BlockPlan,
-    BootstrapMethod,
-    PseudoSeries,
-    batch_resample,
-    resample,
-)
+from .bootstrap import BlockPlan, BootstrapMethod, batch_resample
 from .lstm import LstmModel, TrainConfig, fit, predict_series
 from .pipeline import (
     ConfidenceBand,
@@ -33,7 +27,6 @@ from .pipeline import (
     run,
 )
 from .timeseries import (
-    LogReturnSeries,
     PriceSeries,
     WindowScale,
     from_log_returns,
@@ -46,13 +39,11 @@ __all__ = [
     "BlockPlan",
     "BootstrapMethod",
     "ConfidenceBand",
-    "LogReturnSeries",
     "LstmModel",
     "MethodComparison",
     "PipelineConfig",
     "PipelineResult",
     "PriceSeries",
-    "PseudoSeries",
     "SelectorConfig",
     "SelectorCurve",
     "TrainConfig",
@@ -64,7 +55,6 @@ __all__ = [
     "load_csv",
     "percentile_band",
     "predict_series",
-    "resample",
     "run",
     "select_block_length",
     "to_log_returns",

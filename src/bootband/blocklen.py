@@ -10,9 +10,11 @@ is evaluated.  The squared-distance term rewards replicates whose coarse
 structure tracks the original; the linear penalty makes the curve convex in
 ``l`` so the argmin is stable.  Selection runs every candidate on the same
 base seed, so results are reproducible and common random numbers damp the
-candidate-to-candidate noise.  :func:`distance` compares value arrays, and
-the :class:`SelectorCurve` returned by :func:`select_block_length` holds the
-distance, penalty and objective of every candidate.
+candidate-to-candidate noise.  Each candidate draws all its replicates as
+one ``(M, n)`` value matrix, and :func:`distance` reduces that matrix with
+one reshape; the :class:`SelectorCurve` returned by
+:func:`select_block_length` holds the distance, penalty and objective of
+every candidate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .bootstrap import BlockPlan, BootstrapMethod, batch_resample
 from .errors import ValidationError
-from .timeseries import LogReturnSeries, _freeze
+from .timeseries import _freeze
 
 
 @dataclass(frozen=True)
@@ -88,28 +90,35 @@ class SelectorCurve:
 
 
 def block_means(x, l: int) -> np.ndarray:
-    """Means of consecutive length-``l`` blocks; the trailing remainder is dropped."""
+    """Means of consecutive length-``l`` blocks along the last axis.
+
+    ``x`` is one series or a matrix with one series per row; the trailing
+    remainder of each is dropped.
+    """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    n = x.shape[-1]
     if not 1 <= l <= n:
         raise ValidationError(f"block length {l} outside [1, {n}]")
     b = n // l
-    return x[: b * l].reshape(b, l).mean(axis=1)
+    return x[..., : b * l].reshape(x.shape[:-1] + (b, l)).mean(axis=-1)
 
 
-def distance(x, replicates: list[np.ndarray], l: int) -> float:
-    """Average scaled squared distance between replicate and original block means."""
+def distance(x, replicates, l: int) -> float:
+    """Average scaled squared distance between replicate and original block means.
+
+    ``replicates`` is an ``(M, n)`` matrix, one replicate per row.  Each
+    row's squared norm is a vector dot product and the rows are summed left
+    to right, so the result equals a one-replicate-at-a-time loop bit for
+    bit; ``einsum`` or ``np.sum`` would reorder the additions.
+    """
     x = np.asarray(x, dtype=np.float64)
+    replicates = np.asarray(replicates, dtype=np.float64)
     n = x.size
-    orig = block_means(x, l)
-    total = 0.0
-    for rep in replicates:
-        values = np.asarray(rep, dtype=np.float64)
-        if values.size != n:
-            raise ValidationError(f"replicate length {values.size} != series length {n}")
-        diff = block_means(values, l) - orig
-        total += (l / n) * float(diff @ diff)
-    return total / len(replicates)
+    if replicates.ndim != 2 or replicates.shape[1] != n:
+        raise ValidationError(f"replicates of shape {replicates.shape} do not match series length {n}")
+    diff = block_means(replicates, l) - block_means(x, l)
+    sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+    return float(np.add.accumulate((l / n) * sq)[-1]) / len(replicates)
 
 
 def length_penalty(n: int, l: int, t: float) -> float:
@@ -117,31 +126,24 @@ def length_penalty(n: int, l: int, t: float) -> float:
     return math.log(n) / n**t * l
 
 
-def _distance_and_penalty(x: np.ndarray, l: int, cfg: SelectorConfig) -> tuple[float, float]:
-    """The two objective terms at length ``l`` over ``cfg.reps`` fresh replicates."""
-    plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
-    reps = batch_resample(x, plan, cfg.reps)
-    return distance(x, [ps.values for ps in reps], l), length_penalty(x.size, l, cfg.t)
-
-
-def select_block_length(
-    x: LogReturnSeries | np.ndarray, cfg: SelectorConfig
-) -> tuple[int, SelectorCurve]:
+def select_block_length(x, cfg: SelectorConfig) -> tuple[int, SelectorCurve]:
     """Evaluate the objective over the candidate range and return the argmin.
 
     Ties break toward the smaller length.  The full curve is returned so the
     convexity can be plotted or re-checked.
     """
-    values = x.values if isinstance(x, LogReturnSeries) else np.asarray(x, dtype=np.float64)
-    n = values.size
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
     l_max = cfg.resolved_l_max(n)
     if cfg.l_min > n:
         raise ValidationError(f"l_min {cfg.l_min} exceeds series length {n}")
     lengths = np.arange(cfg.l_min, l_max + 1)
     dists = np.empty(len(lengths))
     pens = np.empty(len(lengths))
-    for j, l in enumerate(lengths):
-        dists[j], pens[j] = _distance_and_penalty(values, int(l), cfg)
+    for j, l in enumerate(lengths.tolist()):
+        plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
+        replicates, _ = batch_resample(x, plan, cfg.reps)
+        dists[j], pens[j] = distance(x, replicates, l), length_penalty(n, l, cfg.t)
     objs = dists + pens
     curve = SelectorCurve(lengths=lengths, distances=dists, penalties=pens, objectives=objs)
     l_opt = int(lengths[int(np.argmin(objs))])

@@ -1,8 +1,8 @@
 """Block-bootstrap resampling for dependent data.
 
 Three schemes are provided.  They differ only in how block starts are
-drawn; :func:`resample` then lays the blocks at those starts end to end
-with one gather and truncates to the input length ``n``:
+drawn; :func:`batch_resample` then lays the blocks at those starts end to
+end with one gather and truncates to the input length ``n``:
 
 * non-overlapping (``nbb``): blocks start on the fixed grid 0, l, 2l, ...;
   the last grid block may be shorter than ``l`` when ``l`` does not divide
@@ -13,9 +13,10 @@ with one gather and truncates to the input length ``n``:
   positions of its own output offset, so the pseudo-series stays close to
   the original path locally.
 
-Every draw comes from a sub-stream keyed by ``(plan.seed, stream)``, so a
-batch of resamples is reproducible element-by-element regardless of
-evaluation order.  The drawn block starts are kept on the result for audit.
+Row ``k`` of a batch is drawn from the sub-stream keyed by
+``(plan.seed, k)``, so every row is reproducible on its own regardless of
+the batch size.  The drawn block starts are returned next to the value
+matrix for audit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from ._rng import substream
 from .errors import ValidationError
-from .timeseries import _freeze
 
 
 class BootstrapMethod(str, enum.Enum):
@@ -55,26 +55,6 @@ class BlockPlan:
                 raise ValidationError("LBB requires a locality fraction")
             if not 0 < self.locality <= 1:
                 raise ValidationError("locality must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class PseudoSeries:
-    """A resampled series and the drawn block starts."""
-
-    values: np.ndarray
-    starts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-
-
-def _check_input(x: np.ndarray, plan: BlockPlan) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValidationError("cannot resample an empty series")
-    if plan.block_len > x.size:
-        raise ValidationError(f"block_len {plan.block_len} exceeds series length {x.size}")
-    return x
 
 
 def lbb_start_windows(n: int, l: int, halo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,24 +95,31 @@ def _draw_starts(rng: np.random.Generator, n: int, plan: BlockPlan) -> np.ndarra
     return rng.integers(lo, hi + 1)
 
 
-def resample(x, plan: BlockPlan, stream: int = 0) -> PseudoSeries:
-    """One pseudo-series of ``x`` on sub-stream ``stream`` of ``plan.seed``.
+def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Draw ``count`` pseudo-series of ``x`` on sub-streams 0 .. count-1 of ``plan.seed``.
 
-    The blocks at the drawn starts are laid end to end by one gather and
-    truncated to ``n``.  Positions past the end of the series are dropped
-    first, which shortens only an NBB grid block when ``l`` does not
-    divide ``n``; MBB and LBB starts always leave room for a full block.
+    Returns the read-only ``(count, n)`` value matrix and, per row, the
+    drawn block starts in laying order (NBB rows can hold different numbers
+    of starts).  The blocks at the drawn starts are laid end to end by one
+    gather and truncated to ``n``.  Positions past the end of the series are
+    dropped first, which shortens only an NBB grid block when ``l`` does
+    not divide ``n``; MBB and LBB starts always leave room for a full block.
     """
-    x = _check_input(x, plan)
-    n = x.size
-    starts = _draw_starts(substream(plan.seed, stream), n, plan)
-    idx = (starts[:, None] + np.arange(plan.block_len)).ravel()
-    idx = idx[idx < n][:n]
-    return PseudoSeries(values=x[idx], starts=tuple(starts.tolist()))
-
-
-def batch_resample(x, plan: BlockPlan, count: int) -> list[PseudoSeries]:
-    """Draw ``count`` pseudo-series on sub-streams 0 .. count-1 of ``plan.seed``."""
     if count < 1:
         raise ValidationError("count must be >= 1")
-    return [resample(x, plan, stream) for stream in range(count)]
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    if n == 0:
+        raise ValidationError("cannot resample an empty series")
+    if plan.block_len > n:
+        raise ValidationError(f"block_len {plan.block_len} exceeds series length {n}")
+    offsets = np.arange(plan.block_len)
+    values = np.empty((count, n))
+    starts = []
+    for k in range(count):
+        row_starts = _draw_starts(substream(plan.seed, k), n, plan)
+        idx = (row_starts[:, None] + offsets).ravel()
+        values[k] = x[idx[idx < n][:n]]
+        starts.append(row_starts)
+    values.setflags(write=False)
+    return values, starts

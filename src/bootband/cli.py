@@ -301,22 +301,20 @@ def cmd_resample(args: argparse.Namespace) -> int:
                      locality=locality, seed=seed)
     with timed(manifest.timings, "resample"):
         if space == "log-return":
-            returns = to_log_returns(prices.values)
-            draws = batch_resample(returns.values, plan, res.get("count"))
-            paths = [from_log_returns(d.values, returns.anchor_price) for d in draws]
+            draws, starts = batch_resample(to_log_returns(prices.values), plan, res.get("count"))
+            paths = from_log_returns(draws, prices.values[0])
         else:
-            draws = batch_resample(prices.values, plan, res.get("count"))
-            paths = [d.values for d in draws]
+            paths, starts = batch_resample(prices.values, plan, res.get("count"))
 
     with timed(manifest.timings, "write"):
         with open(out / "pseudo_series.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t"] + [f"rep_{k}" for k in range(len(paths))])
-            for t in range(len(paths[0])):
-                w.writerow([t] + [repr(float(p[t])) for p in paths])
+            for t, column in enumerate(paths.T.tolist()):
+                w.writerow([t] + [repr(v) for v in column])
         _write_json(out / "starts.json", {
             "method": method, "block_len": block_len, "space": space,
-            "starts": [list(d.starts) for d in draws],
+            "starts": [row.tolist() for row in starts],
         })
     manifest.config = _identity_config(res)
     manifest.write(out / "manifest.json")

@@ -6,9 +6,9 @@ The procedure, per method:
 1. transform the training prices to log-returns;
 2. pick the block length that minimizes the penalized selector objective
    on those returns, for the method named by ``selector.method``;
-3. draw ``reps`` pseudo-return series with that same method and length, and
-   reverse-transform each (anchored at the first training price) into a
-   positive pseudo price path;
+3. draw ``reps`` pseudo-return series with that same method and length, as
+   one value matrix, and reverse-transform every row (anchored at the first
+   training price) into a positive pseudo price path;
 4. per replicate: window-scale the pseudo path, train one LSTM on it, then
    predict every test timestep one-step-ahead against the *actual* scaled
    history and de-normalize with the actual series' scale records;
@@ -217,10 +217,7 @@ def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResu
     timings: dict = {}
 
     with timed(timings, "log-returns"):
-        try:
-            returns = to_log_returns(prices.values[:train_len])
-        except BootbandError as exc:
-            raise PipelineError("log-returns", str(exc)) from exc
+        returns = to_log_returns(prices.values[:train_len])
 
     with timed(timings, "block-length-selection"):
         try:
@@ -233,10 +230,8 @@ def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResu
             plan = BlockPlan(
                 method=cfg.method, block_len=l_opt, locality=cfg.selector.locality, seed=cfg.seed
             )
-            pseudo_returns = batch_resample(returns.values, plan, cfg.reps)
-            pseudo_paths = [
-                from_log_returns(ps.values, returns.anchor_price) for ps in pseudo_returns
-            ]
+            pseudo_returns, _ = batch_resample(returns, plan, cfg.reps)
+            pseudo_paths = from_log_returns(pseudo_returns, prices.values[0])
         except BootbandError as exc:
             raise PipelineError("bootstrap", str(exc)) from exc
 

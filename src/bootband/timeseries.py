@@ -1,7 +1,8 @@
 """Price series ingestion, log-return transforms, and windowed min-max scaling.
 
-All containers are frozen dataclasses holding read-only numpy arrays, so
-instances can be shared freely across threads.
+Log returns are plain arrays; the price series and the scale records are
+frozen dataclasses holding read-only numpy arrays, so instances can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Ordered positive closing prices with a calendar-date index."""
+    """Ordered finite, positive closing prices with a calendar-date index."""
 
     timestamps: tuple[date, ...]
     values: np.ndarray
@@ -44,6 +45,8 @@ class PriceSeries:
             raise ValidationError("timestamps and values must have equal length")
         if len(self.values) < 2:
             raise ValidationError("a price series needs at least 2 observations")
+        if not np.all(np.isfinite(self.values)):
+            raise ValidationError("all prices must be finite")
         if not np.all(self.values > 0):
             raise NonPositivePriceError("all prices must be strictly positive")
         for a, b in zip(self.timestamps, self.timestamps[1:]):
@@ -54,29 +57,13 @@ class PriceSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class LogReturnSeries:
-    """First differences of log prices plus the price preceding the first return."""
-
-    values: np.ndarray
-    anchor_price: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if not (self.anchor_price > 0 and math.isfinite(self.anchor_price)):
-            raise ValidationError("anchor_price must be a positive finite number")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def load_csv(path: str | Path, column: str) -> PriceSeries:
     """Load one numeric column of a dated CSV as a :class:`PriceSeries`.
 
     The first column must hold ISO-8601 dates; the remaining columns are
     named numeric fields.  Rows whose selected cell is empty are dropped,
-    the rest are sorted by date.  Duplicate dates and non-positive prices
-    are rejected.
+    the rest are sorted by date.  Duplicate dates, infinite and non-positive
+    prices are rejected.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -109,6 +96,8 @@ def load_csv(path: str | Path, column: str) -> PriceSeries:
                 raise CsvFormatError(f"{path}:{lineno}: non-numeric {column!r} cell {cell!r}") from exc
             if math.isnan(value):
                 continue
+            if math.isinf(value):
+                raise CsvFormatError(f"{path}:{lineno}: non-finite {column!r} cell {cell!r}")
             if value <= 0:
                 raise NonPositivePriceError(f"{path}:{lineno}: non-positive price {value}")
             rows.append((ts, value))
@@ -126,23 +115,24 @@ def load_csv(path: str | Path, column: str) -> PriceSeries:
     )
 
 
-def to_log_returns(prices: np.ndarray) -> LogReturnSeries:
-    """ln(p[t+1] / p[t]) for consecutive prices; anchored at the first price."""
-    return LogReturnSeries(values=np.diff(np.log(prices)), anchor_price=float(prices[0]))
+def to_log_returns(prices: np.ndarray) -> np.ndarray:
+    """ln(p[t+1] / p[t]) for consecutive prices; ``prices[0]`` is the anchor."""
+    return np.diff(np.log(prices))
 
 
 def from_log_returns(returns: np.ndarray, anchor_price: float) -> np.ndarray:
-    """Invert the log-return transform back to a positive price path.
+    """Invert the log-return transform back to positive price paths.
 
-    ``anchor_price`` is the price preceding the first return.  Returns the
-    reconstructed price values (length ``len(returns) + 1``); the caller
-    owns any date index.
+    ``returns`` is one series or a ``(k, n)`` matrix of series, one per row,
+    and ``anchor_price`` is the price preceding the first return of each.
+    Returns the reconstructed price values, ``n + 1`` per series; the
+    caller owns any date index.
     """
     returns = np.asarray(returns, dtype=np.float64)
-    steps = np.empty(len(returns) + 1)
-    steps[0] = anchor_price
-    steps[1:] = np.exp(returns)
-    return np.multiply.accumulate(steps)
+    steps = np.empty(returns.shape[:-1] + (returns.shape[-1] + 1,))
+    steps[..., 0] = anchor_price
+    steps[..., 1:] = np.exp(returns)
+    return np.multiply.accumulate(steps, axis=-1)
 
 
 @dataclass(frozen=True)

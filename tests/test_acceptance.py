@@ -21,7 +21,6 @@ from bootband.bootstrap import (
     BootstrapMethod,
     batch_resample,
     lbb_start_windows,
-    resample,
 )
 from bootband.cli import main
 from bootband.lstm import _forward_pass, backward, init_params, kernel_mask, loss
@@ -107,21 +106,22 @@ def test_criterion_3_resampler_structure_suite():
                     method=method, block_len=l,
                     locality=locality if method == "lbb" else None, seed=31_337,
                 )
-                for stream in range(1000):
-                    ps = resample(x, plan, stream)
+                # row `stream` is the draw on sub-stream `stream` of the seed
+                batch, batch_starts = batch_resample(x, plan, 1000)
+                assert batch.shape == (1000, n)
+                for values, starts in zip(batch, batch_starts):
                     draws += 1
-                    assert len(ps.values) == n
-                    assert np.all(np.isin(ps.values, x))
+                    assert np.all(np.isin(values, x))
                     if l == n:
-                        assert np.array_equal(ps.values, x)
+                        assert np.array_equal(values, x)
                     if method == "nbb":
-                        assert all(s % l == 0 for s in ps.starts)
+                        assert all(s % l == 0 for s in starts)
                         rebuilt = np.concatenate(
-                            [x[s : min(s + l, n)] for s in ps.starts]
+                            [x[s : min(s + l, n)] for s in starts]
                         )[:n]
-                        assert np.array_equal(ps.values, rebuilt)
+                        assert np.array_equal(values, rebuilt)
                     elif method == "lbb":
-                        for m, s in enumerate(ps.starts):
+                        for m, s in enumerate(starts):
                             assert lo[m] <= s <= hi[m]
     elapsed = time.perf_counter() - t0
     assert elapsed < 10, f"resampler suite took {elapsed:.1f}s"
@@ -131,10 +131,8 @@ def test_criterion_3_resampler_structure_suite():
 def test_criterion_4_mbb_uniformity():
     x = np.arange(6.0)
     plan = BlockPlan(method="mbb", block_len=2, seed=2718)
-    counts = np.zeros(5)
-    for ps in batch_resample(x, plan, 100_000):
-        for s in ps.starts:
-            counts[s] += 1
+    _, starts = batch_resample(x, plan, 100_000)
+    counts = np.bincount(np.concatenate(starts), minlength=5)
     chi2, p = stats.chisquare(counts)
     assert p > 0.01, f"chi-square p = {p}"
     print(f"\nPASS criterion 4: 10^5 draws over N=5 blocks, chi2={chi2:.3f}, p={p:.4f}")
@@ -165,11 +163,11 @@ def test_criterion_5_selector_oracle():
     for j, l in enumerate(curve.lengths):
         l = int(l)
         plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
-        reps = batch_resample(x, plan, cfg.reps)
+        reps, _ = batch_resample(x, plan, cfg.reps)
         orig = naive_block_means(list(x), l)
         total = 0.0
         for rep in reps:
-            rep_means = naive_block_means(list(rep.values), l)
+            rep_means = naive_block_means(list(rep), l)
             sq = 0.0
             for a, b in zip(rep_means, orig):
                 sq += (a - b) ** 2

@@ -28,7 +28,7 @@ def naive_objective(x, replicates, l, t):
     orig = naive_block_means(list(x), l)
     total = 0.0
     for rep in replicates:
-        rep_means = naive_block_means(list(rep.values), l)
+        rep_means = naive_block_means(list(rep), l)
         sq = 0.0
         for a, b in zip(rep_means, orig):
             sq += (a - b) ** 2
@@ -57,31 +57,53 @@ class TestDistance:
     def test_identical_replicate_is_zero(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         for l in (1, 2, 4):
-            assert distance(x, [x.copy()], l) == 0.0
+            assert distance(x, x[None, :], l) == 0.0
 
     def test_hand_case(self):
         # block means at l=2: orig [0, 2], replicate [2, 0];
         # (2/4) * ((2-0)^2 + (0-2)^2) = 4
         x = np.array([0.0, 0.0, 2.0, 2.0])
         rep = np.array([2.0, 2.0, 0.0, 0.0])
-        assert distance(x, [rep], 2) == 4.0
+        assert distance(x, rep[None, :], 2) == 4.0
 
     def test_duplicating_replicates_invariant(self):
         x = ar1_series(40, 0.5, seed=3)
         plan = BlockPlan(method="mbb", block_len=4, seed=9)
-        reps = [ps.values for ps in batch_resample(x, plan, 5)]
+        reps, _ = batch_resample(x, plan, 5)
         once = distance(x, reps, 4)
-        twice = distance(x, reps + reps, 4)
+        twice = distance(x, np.vstack([reps, reps]), 4)
         assert twice == pytest.approx(once, rel=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            distance(np.arange(6.0), [np.arange(5.0)], 2)
+            distance(np.arange(6.0), np.arange(5.0)[None, :], 2)
+        with pytest.raises(ValidationError):
+            distance(np.arange(6.0), np.arange(6.0), 2)
 
     def test_nonnegative(self):
         x = ar1_series(60, 0.7, seed=1)
-        reps = batch_resample(x, BlockPlan(method="nbb", block_len=5, seed=2), 10)
-        assert distance(x, [ps.values for ps in reps], 5) >= 0.0
+        reps, _ = batch_resample(x, BlockPlan(method="nbb", block_len=5, seed=2), 10)
+        assert distance(x, reps, 5) >= 0.0
+
+    @pytest.mark.parametrize("n,l,m", [(40, 3, 1), (257, 7, 25), (5000, 50, 30), (5000, 1, 30)])
+    def test_matrix_matches_per_row_reference(self, n, l, m):
+        # the per-row dot product of the block-mean differences, summed left
+        # to right over the replicates; the matrix form must agree bit for bit
+        x = ar1_series(n, 0.4, seed=n + l, sigma=0.01)
+        reps, _ = batch_resample(x, BlockPlan(method="mbb", block_len=l, seed=m), m)
+        orig = block_means(x, l)
+        total = 0.0
+        for row in reps:
+            diff = block_means(row, l) - orig
+            total += (l / n) * float(diff @ diff)
+        assert distance(x, reps, l) == total / m
+
+    def test_block_means_of_matrix_rows(self):
+        reps, _ = batch_resample(np.arange(23.0), BlockPlan(method="nbb", block_len=4, seed=8), 6)
+        means = block_means(reps, 4)
+        assert means.shape == (6, 5)
+        for row, row_means in zip(reps, means):
+            assert np.array_equal(block_means(row, 4), row_means)
 
 
 class TestObjective:
@@ -110,7 +132,7 @@ class TestObjective:
         _, curve = select_block_length(x, cfg)
         for l in (1, 3, 7, 16):
             plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
-            reps = batch_resample(x, plan, cfg.reps)
+            reps, _ = batch_resample(x, plan, cfg.reps)
             assert curve.objectives[l - 1] == pytest.approx(
                 naive_objective(x, reps, l, cfg.t), abs=1e-12
             )
@@ -181,7 +203,7 @@ def test_distance_zero_iff_equal_block_means(seed, n):
     x = rng.standard_normal(n)
     l = int(rng.integers(1, n + 1))
     # the series against itself is always zero
-    assert distance(x, [x.copy()], l) == 0.0
+    assert distance(x, x[None, :], l) == 0.0
     # a shifted replicate with different block means is strictly positive
     shifted = x + 1.0
-    assert distance(x, [shifted], l) > 0.0
+    assert distance(x, shifted[None, :], l) > 0.0

@@ -91,6 +91,24 @@ class TestResample:
         assert code == 4
 
 
+class TestNonFinitePrice:
+    @pytest.mark.parametrize("command,flags", [
+        ("select-block", ["--method", "mbb", "--reps", "5", "--seed", "3"]),
+        ("band", ["--method", "lbb", "--jobs", "1"]),
+        ("compare", ["--jobs", "1"]),
+    ])
+    def test_infinite_price_is_a_data_error(self, tmp_path, capsys, command, flags):
+        values = gbm_prices(300, seed=21)
+        values[50] = np.inf
+        path = write_price_csv(tmp_path / "prices.csv", values)
+        out = tmp_path / "out"
+        extra = flags if command == "select-block" else fast_flags(out, flags)
+        code = main([command, "--input", str(path), "--output-dir", str(out), *extra])
+        assert code == 4
+        assert "prices.csv:52: non-finite 'Close' cell 'inf'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestSelectBlock:
     def test_artifacts(self, csv90, tmp_path):
         out = tmp_path / "out"

@@ -248,11 +248,11 @@ class TestRun:
         returns = np.diff(np.log(prices.values[:70]))
         plan = BlockPlan(method=cfg.method, block_len=result.band.block_len,
                          locality=cfg.selector.locality, seed=cfg.seed)
-        for ps in batch_resample(returns, plan, cfg.reps):
-            path = from_log_returns(ps.values, float(prices.values[0]))
-            assert path[0] == prices.values[0]
-            assert np.all(path > 0)
-            assert len(path) == 70
+        pseudo_returns, _ = batch_resample(returns, plan, cfg.reps)
+        paths = from_log_returns(pseudo_returns, prices.values[0])
+        assert paths.shape == (cfg.reps, 70)
+        assert np.all(paths[:, 0] == prices.values[0])
+        assert np.all(paths > 0)
 
     def test_stage_tagged_errors(self):
         # selector config invalid for this n -> failure carries the stage name

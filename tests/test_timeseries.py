@@ -106,17 +106,26 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError):
             load_csv(p, "Close")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
+    def test_infinite_cell_rejected_with_line(self, tmp_path, cell):
+        p = write_csv(tmp_path / "a.csv", [
+            ["2020-01-01", "1", "100"],
+            ["2020-01-02", "1", cell],
+            ["2020-01-03", "1", "102"],
+        ])
+        with pytest.raises(CsvFormatError, match=r"a\.csv:3: non-finite"):
+            load_csv(p, "Close")
+
 
 class TestLogReturns:
     def test_constant_prices_zero_returns(self):
         r = to_log_returns(np.array([100.0, 100.0, 100.0]))
-        assert list(r.values) == [0.0, 0.0]
-        assert r.anchor_price == 100.0
+        assert list(r) == [0.0, 0.0]
 
     def test_single_return_value(self):
         # ln(110/100), evaluated independently
         r = to_log_returns(np.array([100.0, 110.0]))
-        assert r.values[0] == pytest.approx(0.09531017980432486, abs=1e-15)
+        assert r[0] == pytest.approx(0.09531017980432486, abs=1e-15)
         assert len(r) == 1
 
     def test_length_shrinks_by_one(self):
@@ -131,8 +140,7 @@ class TestLogReturns:
     @settings(max_examples=100)
     def test_round_trip(self, values):
         p = np.asarray(values, dtype=np.float64)
-        r = to_log_returns(p)
-        back = from_log_returns(r.values, r.anchor_price)
+        back = from_log_returns(to_log_returns(p), p[0])
         assert np.allclose(back, p, rtol=1e-9, atol=0)
 
     def test_from_zero_returns(self):
@@ -146,17 +154,28 @@ class TestLogReturns:
     def test_lengthens_by_one(self):
         assert len(from_log_returns(np.zeros(5), anchor_price=1.0)) == 6
 
+    def test_matrix_equals_stacked_rows(self):
+        # one call on a (k, n) matrix gives every row's path bit for bit
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((12,))))
+        for k, n in ((1, 1), (3, 17), (40, 257)):
+            returns = 0.02 * rng.standard_normal((k, n))
+            anchor = float(rng.uniform(10, 500))
+            paths = from_log_returns(returns, anchor)
+            stacked = np.stack([from_log_returns(row, anchor) for row in returns])
+            assert paths.shape == (k, n + 1)
+            assert np.array_equal(paths, stacked)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_bootstrapped_returns_give_positive_prices(self, seed):
-        from bootband.bootstrap import BlockPlan, resample
+        from bootband.bootstrap import BlockPlan, batch_resample
 
-        r = to_log_returns(np.linspace(50, 150, 40))
+        prices = np.linspace(50, 150, 40)
         plan = BlockPlan(method="mbb", block_len=4, seed=seed)
-        pseudo = resample(r.values, plan)
-        path = from_log_returns(pseudo.values, r.anchor_price)
-        assert np.all(path > 0)
-        assert path[0] == r.anchor_price
+        pseudo, _ = batch_resample(to_log_returns(prices), plan, 3)
+        paths = from_log_returns(pseudo, prices[0])
+        assert np.all(paths > 0)
+        assert np.all(paths[:, 0] == prices[0])
 
 
 class TestWindowScale:
@@ -215,6 +234,14 @@ class TestWindowScale:
 
 
 class TestInvariantsAndExport:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_price_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            PriceSeries(
+                timestamps=(date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3)),
+                values=np.array([100.0, bad, 101.0]),
+            )
+
     def test_strictly_increasing_dates_required(self):
         with pytest.raises(ValidationError):
             PriceSeries(
