@@ -51,8 +51,8 @@ class SelectorConfig:
         object.__setattr__(self, "method", BootstrapMethod(self.method))
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
-        if self.t <= 0:
-            raise ValidationError("penalty exponent t must be > 0")
+        if not (math.isfinite(self.t) and self.t > 0):  # NaN fails too
+            raise ValidationError(f"penalty exponent t must be finite and > 0, got {self.t}")
         if self.l_min < 1:
             raise ValidationError("l_min must be >= 1")
         if self.l_max is not None and self.l_max < self.l_min:

@@ -120,7 +120,7 @@ _COMPARE_OPTS = {
     "reps": (int, 1000, "bootstrap replicates M"),
     "alpha": (float, 0.05, "miscoverage level (0.05 gives a 95 percent band)"),
     "selector_reps": (int, 100, "replicates per candidate in block-length selection"),
-    "allow_failures": (int, 0, "tolerated diverged replicates before aborting"),
+    "allow_failures": (int, 0, "tolerated failed replicates (non-finite loss or forecast) before aborting"),
     "dump_replicates": (bool, False, "also write the M x T replicate prediction matrix"),
 }
 

@@ -47,12 +47,16 @@ class PipelineError(BootbandError):
 
 
 class ReplicateFailureError(PipelineError):
-    """More replicates failed to train than the configured tolerance."""
+    """More replicates failed than the configured tolerance.
+
+    A replicate fails when its training loss or its test predictions turn
+    non-finite.
+    """
 
     def __init__(self, failed_indices, allowed):
         super().__init__(
             "train",
-            f"{len(failed_indices)} replicate(s) diverged "
+            f"{len(failed_indices)} replicate(s) failed "
             f"(allowed: {allowed}); indices: {sorted(failed_indices)}",
         )
         self.failed_indices = tuple(sorted(failed_indices))

@@ -23,7 +23,7 @@ from bootband.bootstrap import (
     lbb_start_windows,
 )
 from bootband.cli import main
-from bootband.lstm import _forward_pass, backward, init_params, kernel_mask, loss
+from bootband.lstm import _forward_pass, backward, init_params, loss
 from bootband.pipeline import PipelineConfig, compare_methods, percentile_band
 from bootband.timeseries import PriceSeries
 from bootband.lstm import TrainConfig
@@ -71,7 +71,7 @@ def test_criterion_2_gradient_suite():
         if rng_master.random() < 0.5:
             masks = (rng_master.random((batch, hidden)) >= 0.2) / 0.8
         _, cache = _forward_pass(theta, windows, masks)
-        analytic = backward(theta, targets, cache, l2, kernel_mask(hidden))
+        analytic = backward(theta, targets, cache, l2)
 
         step = 1e-5
         for j in range(theta.size):

@@ -185,6 +185,11 @@ class TestSelect:
         with pytest.raises(ValidationError):
             select_block_length(np.arange(10.0), SelectorConfig(l_max=11))
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_penalty_exponent_must_be_finite_and_positive(self, t):
+        with pytest.raises(ValidationError, match="penalty exponent t"):
+            SelectorConfig(t=t)
+
     def test_curve_csv(self, tmp_path):
         x = ar1_series(60, 0.5, seed=9)
         _, curve = select_block_length(x, SelectorConfig(method="mbb", reps=5, l_max=6, seed=1))

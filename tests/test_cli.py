@@ -109,6 +109,26 @@ class TestNonFinitePrice:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestBadNumericFlags:
+    @pytest.mark.parametrize("command,flags,field", [
+        ("band", ["--method", "lbb", "--learning-rate", "-1"], "learning_rate"),
+        ("band", ["--method", "lbb", "--learning-rate", "nan"], "learning_rate"),
+        ("band", ["--method", "lbb", "--l2", "nan"], "l2_coeff"),
+        ("compare", ["--learning-rate", "0"], "learning_rate"),
+        ("band", ["--method", "lbb", "--t", "nan"], "penalty exponent t"),
+        ("select-block", ["--method", "mbb", "--t", "nan"], "penalty exponent t"),
+        ("select-block", ["--method", "mbb", "--t", "inf"], "penalty exponent t"),
+    ])
+    def test_exit_4_before_any_artifact(self, csv90, tmp_path, capsys, command, flags, field):
+        out = tmp_path / "out"
+        extra = (["--output-dir", str(out), "--reps", "5", "--seed", "3", *flags]
+                 if command == "select-block" else fast_flags(out, [*flags, "--jobs", "1"]))
+        code = main([command, "--input", csv90, *extra])
+        assert code == 4
+        assert field in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestSelectBlock:
     def test_artifacts(self, csv90, tmp_path):
         out = tmp_path / "out"

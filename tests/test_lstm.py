@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ class TestBackward:
         window = np.array([[0.2, 0.8]])
         target = np.array([0.5])
         preds, cache = _forward_pass(theta, window, None)
-        grad = backward(theta, target, cache, 0.0, kernel_mask(3))
+        grad = backward(theta, target, cache, 0.0)
         assert float(param_views(grad)[4]) == pytest.approx(2 * (preds[0] - 0.5), abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -211,7 +212,7 @@ class TestBackward:
         if rng.random() < 0.5:
             masks = (rng.random((batch, hidden)) >= 0.2) / 0.8
         _, cache = _forward_pass(theta, windows, masks)
-        analytic = backward(theta, targets, cache, l2, kernel_mask(hidden))
+        analytic = backward(theta, targets, cache, l2)
         numeric = numeric_gradients(theta, windows, targets, l2, masks)
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
@@ -221,8 +222,8 @@ class TestBackward:
         windows = substream(4, 2).random((5, 3))
         targets = substream(4, 3).random(5)
         _, cache = _forward_pass(theta, windows, None)
-        g0 = backward(theta, targets, cache, 0.0, kernel)
-        g1 = backward(theta, targets, cache, 0.01, kernel)
+        g0 = backward(theta, targets, cache, 0.0)
+        g1 = backward(theta, targets, cache, 0.01)
         # the kernel is W and dense_w: 4 * 3 + 3 entries
         assert kernel.sum() == 15
         # difference is the penalty derivative, up to one rounding of g + penalty
@@ -300,6 +301,124 @@ class TestFit:
         cfg = TrainConfig(lookback=5, batch_size=15, epochs=10, hidden_size=8, seed=5)
         _, trace = fit(scaled, cfg)
         assert trace[-1] < trace[0]
+
+
+def group_series(n, count, seed):
+    """``count`` scaled random-walk columns, time-major ``(n, count)``."""
+    rng = substream(seed, 9)
+    walks = np.cumsum(rng.standard_normal((count, n)), axis=1)
+    lo, hi = walks.min(axis=1, keepdims=True), walks.max(axis=1, keepdims=True)
+    return ((walks - lo) / (hi - lo)).T
+
+
+class TestGroupFit:
+    SEEDS = (31, 32, 33, 34, 35)
+
+    @pytest.mark.parametrize("hidden", [1, 8, 32])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    def test_rows_match_solo_fits(self, hidden, dropout, l2):
+        # 45 pairs in batches of 7: the last batch is short
+        series = group_series(48, len(self.SEEDS), seed=hidden)
+        cfg = TrainConfig(lookback=3, batch_size=7, epochs=2, hidden_size=hidden,
+                          dropout_rate=dropout, l2_coeff=l2)
+        solo = [fit(series[:, k], replace(cfg, seed=seed))
+                for k, seed in enumerate(self.SEEDS)]
+        # every replicate at several positions of groups of 1 to 5
+        for size in range(1, 6):
+            for shift in range(size):
+                cols = [(shift + j) % 5 for j in range(size)]
+                model, rmse, diverged = fit(series[:, cols], cfg, [self.SEEDS[k] for k in cols])
+                assert model.theta.shape == (size, param_count(hidden))
+                assert rmse.shape == (size, cfg.epochs)
+                assert diverged == {}
+                for row, k in enumerate(cols):
+                    assert np.array_equal(model.theta[row], solo[k][0].theta)
+                    assert np.array_equal(rmse[row], solo[k][1])
+
+    def test_group_predictions_match_solo(self):
+        series = group_series(60, 3, seed=2)
+        cfg = TrainConfig(lookback=4, batch_size=9, epochs=2, hidden_size=5)
+        model, _, _ = fit(series, cfg, [7, 8, 9])
+        positions = np.arange(40, 61)
+        preds = predict_series(model, series[:, 0], positions)
+        assert preds.shape == (3, positions.size)
+        for row, seed in enumerate((7, 8, 9)):
+            solo, _ = fit(series[:, row], replace(cfg, seed=seed))
+            assert np.array_equal(preds[row], predict_series(solo, series[:, 0], positions))
+
+    def test_diverging_row_leaves_group_mates_unchanged(self):
+        series = group_series(60, 3, seed=4)
+        series[:, 1] *= 1e300
+        cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4)
+        seeds = [5, 6, 7]
+        with np.errstate(over="ignore", invalid="ignore"):
+            model, rmse, diverged = fit(series, cfg, seeds)
+            with pytest.raises(DivergenceError) as solo_err:
+                fit(series[:, 1], replace(cfg, seed=6))
+        assert set(diverged) == {1}
+        assert (diverged[1].epoch, diverged[1].batch) == (solo_err.value.epoch, solo_err.value.batch)
+        assert str(diverged[1]) == str(solo_err.value)
+        assert np.all(np.isnan(model.theta[1])) and np.all(np.isnan(rmse[1]))
+        for row in (0, 2):
+            solo, trace = fit(series[:, row], replace(cfg, seed=seeds[row]))
+            assert np.array_equal(model.theta[row], solo.theta)
+            assert np.array_equal(rmse[row], trace)
+
+    def test_late_divergence_matches_solo_location(self):
+        # the rate only overflows after some steps; each row reports the
+        # epoch and batch its own solo fit reports
+        series = group_series(60, 3, seed=5)
+        cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4, learning_rate=1e200)
+        seeds = [1, 2, 3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, diverged = fit(series, cfg, seeds)
+            for row, seed in enumerate(seeds):
+                with pytest.raises(DivergenceError) as err:
+                    fit(series[:, row], replace(cfg, seed=seed))
+                assert (diverged[row].epoch, diverged[row].batch) == (err.value.epoch, err.value.batch)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_draw_order_per_row(self, monkeypatch, dropout):
+        # init, then per epoch one permutation and, only with dropout, the masks
+        import bootband.lstm as lstm
+
+        calls = {}
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng, self.log = substream(seed, 0), calls.setdefault(seed, [])
+
+            def __getattr__(self, name):
+                self.log.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(lstm, "substream", lambda seed, *key: Recording(seed))
+        cfg = TrainConfig(lookback=3, batch_size=7, epochs=3, hidden_size=2, dropout_rate=dropout)
+        fit(group_series(30, 2, seed=1), cfg, [3, 4])
+        per_epoch = ["permutation", "random"] if dropout else ["permutation"]
+        assert calls == {seed: ["uniform"] * 9 + per_epoch * 3 for seed in (3, 4)}
+
+    @pytest.mark.parametrize("seeds", [[1, 2], None])
+    def test_seed_count_must_match_columns(self, seeds):
+        with pytest.raises(ValidationError):
+            fit(group_series(30, 3, seed=1), TrainConfig(lookback=3, epochs=1), seeds)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", math.nan),
+        ("learning_rate", math.inf), ("l2_coeff", -1e-4), ("l2_coeff", math.nan),
+        ("l2_coeff", math.inf), ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", math.nan), ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan),
+    ])
+    def test_bad_optimizer_value_names_the_field(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        # the divergence tests rely on a huge but finite rate
+        TrainConfig(learning_rate=1e200, l2_coeff=0.0, beta1=0.0, beta2=0.0, eps=1e-300)
 
 
 class TestPredict:

@@ -172,6 +172,53 @@ class TestRun:
         assert np.array_equal(seq.band.lower, par.band.lower)
         assert seq.band.comparing_factor == par.band.comparing_factor
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("group_size", [1, 3, 5])
+    def test_group_size_does_not_change_predictions(self, monkeypatch, jobs, group_size):
+        prices = price_series(gbm_prices(100, seed=6))
+        cfg = small_cfg(70, reps=5)
+        solo = run(prices, cfg, jobs=1)  # groups of min(GROUP_SIZE, 5) = 5
+        monkeypatch.setattr(pl, "GROUP_SIZE", group_size)
+        grouped = run(prices, cfg, jobs=jobs)
+        assert grouped.predictions.tobytes() == solo.predictions.tobytes()
+        assert grouped.replicate_ids == solo.replicate_ids == tuple(range(5))
+
+    def test_groups_are_contiguous_and_cover_every_replicate(self, monkeypatch):
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        prices = price_series(gbm_prices(100, seed=6))
+        seen = []
+        real_task = pl._group_task
+
+        def recording(args):
+            seen.append(tuple(args[0]))
+            return real_task(args)
+
+        monkeypatch.setattr(pl, "_group_task", recording)
+        monkeypatch.setattr(pl, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(pl, "GROUP_SIZE", 3)
+        run(prices, small_cfg(70, reps=7), jobs=1)
+        assert seen == [(0, 1, 2), (3, 4, 5), (6,)]
+        # ceil(reps / jobs) caps the width below GROUP_SIZE
+        monkeypatch.setattr(pl, "GROUP_SIZE", 16)
+        seen.clear()
+        run(prices, small_cfg(70, reps=7), jobs=2)
+        assert seen == [(0, 1, 2, 3), (4, 5, 6)]
+        seen.clear()
+        run(prices, small_cfg(70, reps=2), jobs=2)
+        assert seen == [(0,), (1,)]
+
     def test_quantile_sandwich_against_replicates(self):
         prices = price_series(gbm_prices(110, seed=9))
         result = run(prices, small_cfg(75, reps=5))
@@ -222,19 +269,61 @@ class TestRun:
     def test_allow_failures_drops_and_records(self, monkeypatch):
         prices = price_series(gbm_prices(100, seed=8))
         cfg = replace(small_cfg(70, reps=4), allow_failures=1)
-        real_task = pl._replicate_task
+        real_task = pl._group_task
 
         def flaky(args):
-            if args[0] == 2:
-                return args[0], None, "forced divergence"
-            return real_task(args)
+            return [(idx, None, "forced divergence") if idx == 2 else (idx, preds, err)
+                    for idx, preds, err in real_task(args)]
 
-        monkeypatch.setattr(pl, "_replicate_task", flaky)
+        monkeypatch.setattr(pl, "_group_task", flaky)
         result = run(prices, cfg)
         assert result.failed_ids == (2,)
         assert result.replicate_ids == (0, 1, 3)
         assert result.predictions.shape == (3, 30)
         assert result.band.reps == 3
+
+    def test_non_finite_predictions_fail_their_replicate(self, monkeypatch):
+        # replicate 2's forecasts overflow although its training loss stayed finite
+        prices = price_series(gbm_prices(100, seed=8))
+        cfg = small_cfg(70, reps=4)
+        real_predict = pl.predict_series
+
+        def overflowing(model, context, positions):
+            preds = real_predict(model, context, positions)
+            preds[2, 5] = np.inf
+            return preds
+
+        monkeypatch.setattr(pl, "GROUP_SIZE", 4)
+        monkeypatch.setattr(pl, "predict_series", overflowing)
+        with pytest.raises(ReplicateFailureError) as err:
+            run(prices, cfg)
+        assert err.value.failed_indices == (2,)
+        result = run(prices, replace(cfg, allow_failures=1))
+        assert result.failed_ids == (2,)
+        assert result.replicate_ids == (0, 1, 3)
+        assert np.all(np.isfinite(result.predictions))
+
+    def test_one_replicate_diverging_leaves_the_others(self, monkeypatch):
+        # a pseudo path blown up by 1e300 scales like any other, so blow up
+        # the scaled series of replicate 1: the third scaling, after the
+        # actual prices and replicate 0
+        prices = price_series(gbm_prices(100, seed=8))
+        cfg = small_cfg(70, reps=3)
+        real_scale = pl.window_minmax_scale
+        calls = []
+
+        def blown_up(x, window_len):
+            scaled, scale = real_scale(x, window_len)
+            calls.append(len(x))
+            return (scaled * 1e300 if len(calls) == 3 else scaled), scale
+
+        clean = run(prices, cfg)
+        monkeypatch.setattr(pl, "window_minmax_scale", blown_up)
+        with np.errstate(over="ignore"):
+            result = run(prices, replace(cfg, allow_failures=1))
+        assert result.failed_ids == (1,)
+        assert result.replicate_ids == (0, 2)
+        assert np.array_equal(result.predictions, clean.predictions[[0, 2]])
 
     def test_anchor_consistency_of_pseudo_paths(self):
         # rebuild the exact replicate price paths the run used: anchored at
