@@ -10,9 +10,16 @@ is evaluated.  The squared-distance term rewards replicates whose coarse
 structure tracks the original; the linear penalty makes the curve convex in
 ``l`` so the argmin is stable.  Selection runs every candidate on the same
 base seed, so results are reproducible and common random numbers damp the
-candidate-to-candidate noise.  Each candidate draws all its replicates as
-one ``(M, n)`` value matrix, and :func:`distance` reduces that matrix with
-one reshape; the :class:`SelectorCurve` returned by
+candidate-to-candidate noise.  Row ``k`` of every candidate therefore starts
+from the same sub-stream state: the ``M`` generators are built once per
+selection and rewound before each candidate, which draws the same starts as
+fresh generators.  A candidate is scored from the block starts it draws, not
+from laid-out replicates: a replicate block is a source window wherever the
+blocks before it all have full length, so its mean is read off the means of
+the drawn windows, and only rows laid after a short NBB grid block are
+gathered from that block on.  No ``(M, n)`` replicate matrix is built, the
+block means equal those of :func:`batch_resample`'s replicates bit for bit,
+and :func:`distance` scores them.  The :class:`SelectorCurve` returned by
 :func:`select_block_length` holds the distance, penalty and objective of
 every candidate.
 """
@@ -26,9 +33,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import BlockPlan, BootstrapMethod, batch_resample
+from ._rng import substream
+from .bootstrap import BlockPlan, BootstrapMethod, draw_starts
+# selection no longer lays replicates, but perfbench/traced_cli.py still wraps
+# this name here
+from .bootstrap import batch_resample  # noqa: F401
 from .errors import ValidationError
 from .timeseries import _freeze
+
+# Window means are averaged in gathered slices of at most this many values
+# (1 MB), so a long candidate length allocates no (n - l + 1, l) matrix.
+_GATHER_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -103,22 +118,60 @@ def block_means(x, l: int) -> np.ndarray:
     return x[..., : b * l].reshape(x.shape[:-1] + (b, l)).mean(axis=-1)
 
 
-def distance(x, replicates, l: int) -> float:
+def distance(x, replicate_means, l: int) -> float:
     """Average scaled squared distance between replicate and original block means.
 
-    ``replicates`` is an ``(M, n)`` matrix, one replicate per row.  Each
-    row's squared norm is a vector dot product and the rows are summed left
-    to right, so the result equals a one-replicate-at-a-time loop bit for
-    bit; ``einsum`` or ``np.sum`` would reorder the additions.
+    ``replicate_means`` is an ``(M, n // l)`` matrix, the :func:`block_means`
+    of one replicate per row.  Each row's squared norm is a vector dot
+    product and the rows are summed left to right, so the result equals a
+    one-replicate-at-a-time loop bit for bit; ``einsum`` or ``np.sum`` would
+    reorder the additions.
     """
     x = np.asarray(x, dtype=np.float64)
-    replicates = np.asarray(replicates, dtype=np.float64)
-    n = x.size
-    if replicates.ndim != 2 or replicates.shape[1] != n:
-        raise ValidationError(f"replicates of shape {replicates.shape} do not match series length {n}")
-    diff = block_means(replicates, l) - block_means(x, l)
+    replicate_means = np.asarray(replicate_means, dtype=np.float64)
+    orig = block_means(x, l)
+    if replicate_means.ndim != 2 or replicate_means.shape[1] != orig.size:
+        raise ValidationError(
+            f"replicate block means of shape {replicate_means.shape} do not match "
+            f"{orig.size} blocks of length {l} in {x.size} values"
+        )
+    diff = replicate_means - orig
     sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-    return float(np.add.accumulate((l / n) * sq)[-1]) / len(replicates)
+    return float(np.add.accumulate((l / x.size) * sq)[-1]) / len(replicate_means)
+
+
+def _replicate_block_means(x, rows, l: int) -> np.ndarray:
+    """:func:`block_means` of the replicates laid from the start ``rows``, without laying them.
+
+    Block ``T < n // l`` of a replicate is the source window at its ``T``-th
+    start whenever every block before it has full length, so its mean is that
+    window's mean.  Window means are averaged only at the starts drawn, in
+    gathered ``(k, l)`` slices of at most ``_GATHER_ELEMENTS`` values; a
+    contiguous length-``l`` row averages to the same bits as the block it
+    equals.  A start past ``n - l`` (the short NBB grid block) shifts every
+    later block, so from that block on the row is laid and averaged as
+    :func:`batch_resample` lays it.
+    """
+    n = x.size
+    b = n // l
+    heads = np.array([row[:b] for row in rows])
+    used = np.zeros(n, dtype=bool)
+    used[heads] = True
+    at = np.flatnonzero(used[: n - l + 1])
+    window_mean = np.full(n, np.nan)
+    windows = np.lib.stride_tricks.sliding_window_view(x, l)
+    step = max(1, _GATHER_ELEMENTS // l)
+    for lo in range(0, at.size, step):
+        part = at[lo : lo + step]
+        window_mean[part] = windows[part].mean(axis=1)
+    means = window_mean[heads]
+    short = heads > n - l
+    offsets = np.arange(l)
+    for k in np.flatnonzero(short.any(axis=1)).tolist():
+        p = int(np.argmax(short[k]))
+        idx = (rows[k][p:, None] + offsets).ravel()
+        means[k, p:] = x[idx[idx < n][: (b - p) * l]].reshape(b - p, l).mean(axis=1)
+    return means
 
 
 def length_penalty(n: int, l: int, t: float) -> float:
@@ -140,10 +193,16 @@ def select_block_length(x, cfg: SelectorConfig) -> tuple[int, SelectorCurve]:
     lengths = np.arange(cfg.l_min, l_max + 1)
     dists = np.empty(len(lengths))
     pens = np.empty(len(lengths))
+    # every candidate draws row k from the same sub-stream state, so build
+    # the generators once and rewind them before each candidate
+    rngs = [substream(cfg.seed, k) for k in range(cfg.reps)]
+    states = [rng.bit_generator.state for rng in rngs]
     for j, l in enumerate(lengths.tolist()):
         plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
-        replicates, _ = batch_resample(x, plan, cfg.reps)
-        dists[j], pens[j] = distance(x, replicates, l), length_penalty(n, l, cfg.t)
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        means = _replicate_block_means(x, draw_starts(rngs, n, plan), l)
+        dists[j], pens[j] = distance(x, means, l), length_penalty(n, l, cfg.t)
     objs = dists + pens
     curve = SelectorCurve(lengths=lengths, distances=dists, penalties=pens, objectives=objs)
     l_opt = int(lengths[int(np.argmin(objs))])

@@ -16,7 +16,9 @@ end with one gather and truncates to the input length ``n``:
 Row ``k`` of a batch is drawn from the sub-stream keyed by
 ``(plan.seed, k)``, so every row is reproducible on its own regardless of
 the batch size.  The drawn block starts are returned next to the value
-matrix for audit.
+matrix for audit.  :func:`draw_starts` draws the starts from generators the
+caller passes, so block-length selection can rewind one set of generators
+for every candidate length.
 """
 
 from __future__ import annotations
@@ -71,28 +73,37 @@ def lbb_start_windows(n: int, l: int, halo: int) -> tuple[np.ndarray, np.ndarray
     return lo, hi
 
 
-def _draw_starts(rng: np.random.Generator, n: int, plan: BlockPlan) -> np.ndarray:
-    """Block starts in laying order, drawn by the rule of ``plan.method``."""
+def draw_starts(rngs, n: int, plan: BlockPlan) -> list[np.ndarray]:
+    """Block starts in laying order, one row per generator in ``rngs``, drawn
+    by the rule of ``plan.method``.
+    """
     l = plan.block_len
     if plan.method is BootstrapMethod.NBB:
-        # the short grid block covers fewer than l values, so it can force extra draws
+        # the last grid block is short by ``gap`` values when l does not divide
+        # n; each draw of it can force scalar top-up draws until n is covered
         big_l = -(-n // l)
-        starts = (rng.integers(0, big_l, size=big_l) * l).tolist()
-        covered = int(np.minimum(l, n - np.asarray(starts)).sum())
-        while covered < n:
-            start = int(rng.integers(0, big_l)) * l
-            starts.append(start)
-            covered += min(l, n - start)
-        return np.asarray(starts)
+        last, gap = (big_l - 1) * l, big_l * l - n
+        rows = []
+        for rng in rngs:
+            starts = rng.integers(0, big_l, size=big_l) * l
+            covered = big_l * l - gap * int(np.count_nonzero(starts == last))
+            extra = []
+            while covered < n:
+                start = int(rng.integers(0, big_l)) * l
+                extra.append(start)
+                covered += min(l, n - start)
+            rows.append(np.concatenate([starts, extra]) if extra else starts)
+        return rows
     if plan.method is BootstrapMethod.MBB:
-        return rng.integers(0, n - l + 1, size=-(-n // l))
+        return [rng.integers(0, n - l + 1, size=-(-n // l)) for rng in rngs]
     halo = math.floor(n * plan.locality + 1e-9)
     if halo < 1:
         raise ValidationError(
             f"locality {plan.locality} gives floor(n*B) = {halo}; need >= 1 for n = {n}"
         )
     lo, hi = lbb_start_windows(n, l, halo)
-    return rng.integers(lo, hi + 1)
+    stop = hi + 1
+    return [rng.integers(lo, stop) for rng in rngs]
 
 
 def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -114,12 +125,10 @@ def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.
     if plan.block_len > n:
         raise ValidationError(f"block_len {plan.block_len} exceeds series length {n}")
     offsets = np.arange(plan.block_len)
+    starts = draw_starts((substream(plan.seed, k) for k in range(count)), n, plan)
     values = np.empty((count, n))
-    starts = []
-    for k in range(count):
-        row_starts = _draw_starts(substream(plan.seed, k), n, plan)
+    for k, row_starts in enumerate(starts):
         idx = (row_starts[:, None] + offsets).ravel()
         values[k] = x[idx[idx < n][:n]]
-        starts.append(row_starts)
     values.setflags(write=False)
     return values, starts

@@ -518,7 +518,7 @@ def main(argv=None) -> int:
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PipelineError as exc:
-        print(f"error{exc}", file=sys.stderr)
+        print(f"error[{exc.stage}]: {exc.detail}", file=sys.stderr)
         return EXIT_COMPUTE
     except DivergenceError as exc:
         print(f"error[train]: {exc}", file=sys.stderr)

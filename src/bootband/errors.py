@@ -44,20 +44,22 @@ class PipelineError(BootbandError):
     def __init__(self, stage, message):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.detail = message
 
 
 class ReplicateFailureError(PipelineError):
     """More replicates failed than the configured tolerance.
 
     A replicate fails when its training loss or its test predictions turn
-    non-finite.
+    non-finite.  ``failures`` maps each failed replicate index to its cause,
+    and the message names every index with its cause.
     """
 
-    def __init__(self, failed_indices, allowed):
+    def __init__(self, failures, allowed):
+        self.failures = dict(sorted(failures.items()))
+        causes = "; ".join(f"replicate {idx}: {cause}" for idx, cause in self.failures.items())
         super().__init__(
-            "train",
-            f"{len(failed_indices)} replicate(s) failed "
-            f"(allowed: {allowed}); indices: {sorted(failed_indices)}",
+            "train", f"{len(failures)} replicate(s) failed (allowed: {allowed}): {causes}"
         )
-        self.failed_indices = tuple(sorted(failed_indices))
+        self.failed_indices = tuple(self.failures)
         self.allowed = allowed

@@ -405,54 +405,57 @@ def fit(series, cfg: TrainConfig, seeds=None):
     diverged: dict[int, DivergenceError] = {}
     rmse = np.full((n_rows, cfg.epochs), np.nan)
     step = 0
-    for epoch in range(cfg.epochs):
-        order = np.stack([rng.permutation(n_pairs) for rng in rngs])
-        ep_windows = windows[np.arange(len(live))[:, None], order]
-        ep_targets = np.take_along_axis(targets, order, axis=1)
-        ep_kept = None
-        if cfg.dropout_rate > 0:
-            # one draw per epoch yields the doubles of one draw per batch
-            draws = np.empty((n_pairs, hidden))
-            ep_kept = np.empty((len(live), n_pairs, hidden), dtype=bool)
-            for rng, kept in zip(rngs, ep_kept):
-                np.greater_equal(rng.random(out=draws), cfg.dropout_rate, out=kept)
-        for b, start in enumerate(range(0, n_pairs, cfg.batch_size)):
-            batch = slice(start, start + cfg.batch_size)
-            while live.size:  # until every live row has a finite loss
-                masks = None if ep_kept is None else ep_kept[:, batch] / (1.0 - cfg.dropout_rate)
-                batch_loss, cache = _loss(
-                    theta, ep_windows[:, batch], ep_targets[:, batch], masks, cfg.l2_coeff, kernel
-                )
-                bad = ~np.isfinite(batch_loss)
-                if not bad.any():
-                    break
-                for row in live[bad]:
-                    diverged[int(row)] = DivergenceError(
-                        f"non-finite loss at epoch {epoch}, batch {b}", epoch=epoch, batch=b
+    # a diverging row overflows on its way to a non-finite loss, which
+    # np.isfinite catches below, so its floating-point warnings carry nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = np.stack([rng.permutation(n_pairs) for rng in rngs])
+            ep_windows = windows[np.arange(len(live))[:, None], order]
+            ep_targets = np.take_along_axis(targets, order, axis=1)
+            ep_kept = None
+            if cfg.dropout_rate > 0:
+                # one draw per epoch yields the doubles of one draw per batch
+                draws = np.empty((n_pairs, hidden))
+                ep_kept = np.empty((len(live), n_pairs, hidden), dtype=bool)
+                for rng, kept in zip(rngs, ep_kept):
+                    np.greater_equal(rng.random(out=draws), cfg.dropout_rate, out=kept)
+            for b, start in enumerate(range(0, n_pairs, cfg.batch_size)):
+                batch = slice(start, start + cfg.batch_size)
+                while live.size:  # until every live row has a finite loss
+                    masks = None if ep_kept is None else ep_kept[:, batch] / (1.0 - cfg.dropout_rate)
+                    batch_loss, cache = _loss(
+                        theta, ep_windows[:, batch], ep_targets[:, batch], masks, cfg.l2_coeff, kernel
                     )
-                # drop the failed rows; the others' numbers do not change
-                ok = ~bad
-                live = live[ok]
-                rngs = [rng for rng, k in zip(rngs, ok) if k]
-                theta, m, v, windows, targets, ep_windows, ep_targets = (
-                    x[ok] for x in (theta, m, v, windows, targets, ep_windows, ep_targets)
+                    bad = ~np.isfinite(batch_loss)
+                    if not bad.any():
+                        break
+                    for row in live[bad]:
+                        diverged[int(row)] = DivergenceError(
+                            f"non-finite loss at epoch {epoch}, batch {b}", epoch=epoch, batch=b
+                        )
+                    # drop the failed rows; the others' numbers do not change
+                    ok = ~bad
+                    live = live[ok]
+                    rngs = [rng for rng, k in zip(rngs, ok) if k]
+                    theta, m, v, windows, targets, ep_windows, ep_targets = (
+                        x[ok] for x in (theta, m, v, windows, targets, ep_windows, ep_targets)
+                    )
+                    if ep_kept is not None:
+                        ep_kept = ep_kept[ok]
+                if not live.size:
+                    break
+                grad = backward(theta, ep_targets[:, batch], cache, cfg.l2_coeff)
+                del cache  # free before Adam's temporaries and the next forward pass
+                step += 1
+                theta, m, v = adam_step(
+                    theta, grad, m, v, step,
+                    lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
                 )
-                if ep_kept is not None:
-                    ep_kept = ep_kept[ok]
+                del grad
             if not live.size:
                 break
-            grad = backward(theta, ep_targets[:, batch], cache, cfg.l2_coeff)
-            del cache  # free before Adam's temporaries and the next forward pass
-            step += 1
-            theta, m, v = adam_step(
-                theta, grad, m, v, step,
-                lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-            )
-            del grad
-        if not live.size:
-            break
-        preds = _infer(theta, windows)
-        rmse[live, epoch] = np.sqrt(np.mean((preds - targets) ** 2, axis=-1))
+            preds = _infer(theta, windows)
+            rmse[live, epoch] = np.sqrt(np.mean((preds - targets) ** 2, axis=-1))
     weights = np.full((n_rows, theta.shape[-1]), np.nan)
     weights[live] = theta
     if solo:

@@ -25,8 +25,9 @@ minibatch for the whole group.  Every row of a group is bit-identical to the
 same replicate trained alone, so ``jobs`` worker processes take whole groups
 and results are assembled in replicate order, keeping runs bit-reproducible
 for any ``jobs`` value.  A replicate whose loss or test predictions turn
-non-finite is recorded as failed by index.  Each run returns the wall-clock
-seconds of its five stages, timed with :func:`bootband.manifest.timed`.
+non-finite is recorded as failed by index, with its cause.  Each run returns
+the wall-clock seconds of its five stages, timed with
+:func:`bootband.manifest.timed`.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResu
         outcomes = [outcome for group in groups for outcome in group]
 
         succeeded = [(idx, preds) for idx, preds, err in outcomes if err is None]
-        failed = tuple(idx for idx, _, err in outcomes if err is not None)
+        failed = {idx: err for idx, _, err in outcomes if err is not None}
         if len(failed) > cfg.allow_failures:
             raise ReplicateFailureError(failed, cfg.allow_failures)
         if len(succeeded) < 2:
@@ -308,7 +309,7 @@ def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResu
         curve=curve,
         predictions=predictions,
         replicate_ids=tuple(idx for idx, _ in succeeded),
-        failed_ids=failed,
+        failed_ids=tuple(failed),
         actual=actual_test,
         coverage=coverage,
         timings=timings,

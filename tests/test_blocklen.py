@@ -1,10 +1,14 @@
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bootband.blocklen as blocklen
 from bootband.blocklen import (
     SelectorConfig,
     block_means,
@@ -57,38 +61,39 @@ class TestDistance:
     def test_identical_replicate_is_zero(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         for l in (1, 2, 4):
-            assert distance(x, x[None, :], l) == 0.0
+            assert distance(x, block_means(x[None, :], l), l) == 0.0
 
     def test_hand_case(self):
         # block means at l=2: orig [0, 2], replicate [2, 0];
         # (2/4) * ((2-0)^2 + (0-2)^2) = 4
         x = np.array([0.0, 0.0, 2.0, 2.0])
         rep = np.array([2.0, 2.0, 0.0, 0.0])
-        assert distance(x, rep[None, :], 2) == 4.0
+        assert distance(x, block_means(rep[None, :], 2), 2) == 4.0
 
     def test_duplicating_replicates_invariant(self):
         x = ar1_series(40, 0.5, seed=3)
         plan = BlockPlan(method="mbb", block_len=4, seed=9)
-        reps, _ = batch_resample(x, plan, 5)
-        once = distance(x, reps, 4)
-        twice = distance(x, np.vstack([reps, reps]), 4)
+        means = block_means(batch_resample(x, plan, 5)[0], 4)
+        once = distance(x, means, 4)
+        twice = distance(x, np.vstack([means, means]), 4)
         assert twice == pytest.approx(once, rel=1e-15)
 
     def test_length_mismatch(self):
+        # 6 values hold 3 blocks of length 2
         with pytest.raises(ValidationError):
-            distance(np.arange(6.0), np.arange(5.0)[None, :], 2)
+            distance(np.arange(6.0), np.zeros((1, 2)), 2)
         with pytest.raises(ValidationError):
-            distance(np.arange(6.0), np.arange(6.0), 2)
+            distance(np.arange(6.0), np.zeros(3), 2)
 
     def test_nonnegative(self):
         x = ar1_series(60, 0.7, seed=1)
         reps, _ = batch_resample(x, BlockPlan(method="nbb", block_len=5, seed=2), 10)
-        assert distance(x, reps, 5) >= 0.0
+        assert distance(x, block_means(reps, 5), 5) >= 0.0
 
     @pytest.mark.parametrize("n,l,m", [(40, 3, 1), (257, 7, 25), (5000, 50, 30), (5000, 1, 30)])
     def test_matrix_matches_per_row_reference(self, n, l, m):
         # the per-row dot product of the block-mean differences, summed left
-        # to right over the replicates; the matrix form must agree bit for bit
+        # to right over the replicates; the batched form must agree bit for bit
         x = ar1_series(n, 0.4, seed=n + l, sigma=0.01)
         reps, _ = batch_resample(x, BlockPlan(method="mbb", block_len=l, seed=m), m)
         orig = block_means(x, l)
@@ -96,7 +101,7 @@ class TestDistance:
         for row in reps:
             diff = block_means(row, l) - orig
             total += (l / n) * float(diff @ diff)
-        assert distance(x, reps, l) == total / m
+        assert distance(x, block_means(reps, l), l) == total / m
 
     def test_block_means_of_matrix_rows(self):
         reps, _ = batch_resample(np.arange(23.0), BlockPlan(method="nbb", block_len=4, seed=8), 6)
@@ -201,6 +206,96 @@ class TestSelect:
         assert float(d) + float(p) == float(o)
 
 
+def laid_out_distances(x, cfg):
+    """Each candidate's distance from the block means of its laid-out replicate matrix."""
+    lengths = range(cfg.l_min, cfg.resolved_l_max(len(x)) + 1)
+    dists = []
+    for l in lengths:
+        plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
+        reps, _ = batch_resample(x, plan, cfg.reps)
+        dists.append(distance(x, block_means(reps, l), l))
+    return dists
+
+
+# name -> (series, l_min, l_max, locality)
+SCORING_CASES = {
+    # l = 7 does not divide n = 50: NBB rows draw the short grid block among
+    # their first n // l starts, which shifts every later block
+    "short-head": (ar1_series(50, 0.6, seed=12, sigma=0.01), 1, 12, 0.1),
+    # n = 10 with halo 1: the LBB tail window at l = 7 clamps to start 3
+    "clamped-tail": (ar1_series(10, 0.3, seed=4), 1, 10, 0.1),
+    "constant": (np.full(60, 3.25), 1, 10, 0.1),
+    "l-equals-n": (ar1_series(24, 0.6, seed=5), 24, 24, 0.1),
+    "long": (ar1_series(1258, 0.4, seed=6, sigma=0.01), 1, 50, 0.1),
+}
+
+
+class TestScoringFromStarts:
+    @pytest.mark.parametrize("case", sorted(SCORING_CASES))
+    @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
+    def test_curve_equals_laid_out_replicates(self, method, case):
+        x, l_min, l_max, locality = SCORING_CASES[case]
+        cfg = SelectorConfig(
+            method=method, reps=20, l_min=l_min, l_max=l_max, locality=locality, seed=3
+        )
+        _, curve = select_block_length(x, cfg)
+        assert curve.distances.tolist() == laid_out_distances(x, cfg)
+
+    def test_short_head_case_draws_the_short_block_early(self):
+        x = SCORING_CASES["short-head"][0]
+        _, starts = batch_resample(x, BlockPlan(method="nbb", block_len=7, seed=3), 20)
+        early = [49 in row[:7] for row in starts]
+        assert any(early) and not all(early)
+
+    def test_one_generator_per_replicate(self, monkeypatch):
+        built = []
+
+        def counting(seed, *key):
+            built.append(key)
+            return real(seed, *key)
+
+        real = blocklen.substream
+        monkeypatch.setattr(blocklen, "substream", counting)
+        cfg = SelectorConfig(method="mbb", reps=9, l_max=15, seed=2)
+        select_block_length(ar1_series(80, 0.5, seed=2), cfg)
+        assert built == [(k,) for k in range(cfg.reps)]
+
+    @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
+    def test_long_candidate_peaks_below_one_replicate_matrix(self, method):
+        x = ar1_series(4000, 0.5, seed=3, sigma=0.01)
+        cfg = SelectorConfig(method=method, reps=100, l_min=2000, l_max=2000, seed=1)
+        tracemalloc.start()
+        try:
+            select_block_length(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.reps * x.size * 8
+
+
+# SHA-256 of the JSON list [l_opt, distances, objectives].  These pin the
+# selector's output bits for each method, the LBB one also at clamped windows.
+PINNED_CURVES = [
+    ("nbb", 250, 23, 24, 0.1,
+     "b08801bcc47e6d4f23978701b2d0382bd3bb0f0e6544152b7d2bcd864c5d242f"),
+    ("mbb", 250, 5, 24, 0.1,
+     "da27d53b65dd6284698145cc10a13c2ba14f54abd120ce98185141f85447a414"),
+    ("lbb", 250, 61, 24, 0.1,
+     "5114da78cf71a7262890a50a89cc3e6dcaa7441bcd75b504e7a586d8b8194e60"),
+    ("lbb", 40, 8, 40, 0.05,
+     "9346e8f56ae6a82a80d6874cb5653859cba9cdb5be873f35b4e721f715595547"),
+]
+
+
+@pytest.mark.parametrize("method,n,seed,l_max,locality,digest", PINNED_CURVES)
+def test_pinned_selector_curves(method, n, seed, l_max, locality, digest):
+    x = ar1_series(n, 0.6, seed=seed, sigma=0.01)
+    cfg = SelectorConfig(method=method, reps=30, l_max=l_max, locality=locality, seed=seed)
+    l_opt, curve = select_block_length(x, cfg)
+    payload = json.dumps([l_opt, curve.distances.tolist(), curve.objectives.tolist()]).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
 @given(st.integers(0, 2**31), st.integers(2, 50))
 @settings(max_examples=60, deadline=None)
 def test_distance_zero_iff_equal_block_means(seed, n):
@@ -208,7 +303,7 @@ def test_distance_zero_iff_equal_block_means(seed, n):
     x = rng.standard_normal(n)
     l = int(rng.integers(1, n + 1))
     # the series against itself is always zero
-    assert distance(x, x[None, :], l) == 0.0
+    assert distance(x, block_means(x[None, :], l), l) == 0.0
     # a shifted replicate with different block means is strictly positive
     shifted = x + 1.0
-    assert distance(x, shifted[None, :], l) > 0.0
+    assert distance(x, block_means(shifted[None, :], l), l) > 0.0

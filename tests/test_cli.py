@@ -216,6 +216,17 @@ class TestBand:
                      *fast_flags(tmp_path / "o", ["--learning-rate", "1e200"])])
         assert code == 5
 
+    def test_divergence_prints_each_cause_and_nothing_else(self, csv90, tmp_path):
+        # in process, pytest records numpy's warnings; a new interpreter prints them
+        with pytest.raises(subprocess.CalledProcessError) as err:
+            fresh_python(["-m", "bootband", "band", "--input", csv90, "--method", "mbb",
+                          *fast_flags(tmp_path / "o", ["--learning-rate", "1e200"])], tmp_path)
+        assert err.value.returncode == 5
+        assert err.value.stderr.splitlines() == [
+            "error[train]: 3 replicate(s) failed (allowed: 0): "
+            + "; ".join(f"replicate {k}: non-finite loss at epoch 0, batch 1" for k in range(3))
+        ]
+
     def test_broken_worker_pool_exit_code(self, csv90, tmp_path, monkeypatch, capsys):
         class BrokenPool:
             def __init__(self, max_workers):
@@ -234,7 +245,7 @@ class TestBand:
         code = main(["band", "--input", csv90, "--method", "mbb", "--jobs", "2",
                      *fast_flags(tmp_path / "o")])
         assert code == 5
-        assert "error[train]" in capsys.readouterr().err
+        assert "error[train]: a worker process died" in capsys.readouterr().err
 
     def test_default_jobs_are_the_usable_cpus(self, csv90, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

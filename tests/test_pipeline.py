@@ -263,8 +263,12 @@ class TestRun:
     def test_all_replicates_diverge_aborts(self):
         prices = price_series(gbm_prices(90, seed=5))
         cfg = small_cfg(60, reps=2, learning_rate=1e200)
-        with np.errstate(over="ignore"), pytest.raises(ReplicateFailureError):
+        with pytest.raises(ReplicateFailureError) as err:
             run(prices, cfg)
+        assert err.value.failed_indices == (0, 1)
+        for idx, cause in err.value.failures.items():
+            assert cause.startswith("non-finite loss at epoch 0, batch ")
+            assert f"replicate {idx}: {cause}" in str(err.value)
 
     def test_allow_failures_drops_and_records(self, monkeypatch):
         prices = price_series(gbm_prices(100, seed=8))
@@ -298,6 +302,8 @@ class TestRun:
         with pytest.raises(ReplicateFailureError) as err:
             run(prices, cfg)
         assert err.value.failed_indices == (2,)
+        assert err.value.failures == {2: "non-finite test prediction"}
+        assert str(err.value).endswith("replicate 2: non-finite test prediction")
         result = run(prices, replace(cfg, allow_failures=1))
         assert result.failed_ids == (2,)
         assert result.replicate_ids == (0, 1, 3)
