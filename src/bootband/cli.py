@@ -4,7 +4,8 @@ Every subcommand reads a dated CSV, writes UTF-8 CSV/JSON artifacts into
 ``--output-dir``, and drops a ``manifest.json`` recording the fully resolved
 configuration, the input hash, and per-stage timings (the command's own
 stages, timed with :func:`bootband.manifest.timed`, plus the pipeline's;
-``compare`` names those ``<method>:<stage>``).  Configuration
+``compare`` names each method's own stages ``<method>:<stage>`` and records
+the ``train-predict`` stage its three methods share once).  Configuration
 precedence is CLI flags > ``--config`` file (``key = value`` lines, ``#``
 comments) > built-in defaults.  All randomness derives from the single
 ``--seed``; when omitted a random seed is chosen, printed, and recorded.
@@ -457,6 +458,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for method, result in comparison.results.items():
         for stage, seconds in result.timings.items():
             manifest.timings[f"{method.value}:{stage}"] = seconds
+    manifest.timings.update(comparison.timings)
     with timed(manifest.timings, "write"):
         for method, result in comparison.results.items():
             result.band.to_csv(out / f"band_{method.value}.csv", actual=result.actual)

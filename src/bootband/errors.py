@@ -39,27 +39,34 @@ class DivergenceError(BootbandError):
 
 
 class PipelineError(BootbandError):
-    """A pipeline stage failed; ``stage`` names the failing step."""
+    """A pipeline stage failed; ``stage`` names the failing step.
 
-    def __init__(self, stage, message):
-        super().__init__(f"[{stage}] {message}")
+    ``method``, when given, names the bootstrap method whose stage failed
+    (a comparison runs three) and leads the detail.
+    """
+
+    def __init__(self, stage, message, method=None):
+        detail = message if method is None else f"{method}: {message}"
+        super().__init__(f"[{stage}] {detail}")
         self.stage = stage
-        self.detail = message
+        self.detail = detail
+        self.method = method
 
 
 class ReplicateFailureError(PipelineError):
     """More replicates failed than the configured tolerance.
 
     A replicate fails when its training loss or its test predictions turn
-    non-finite.  ``failures`` maps each failed replicate index to its cause,
-    and the message names every index with its cause.
+    non-finite, or when its group runs out of memory.  ``failures`` maps each
+    failed replicate index to its cause, and the message names every index
+    with its cause.
     """
 
-    def __init__(self, failures, allowed):
+    def __init__(self, failures, allowed, method=None):
         self.failures = dict(sorted(failures.items()))
         causes = "; ".join(f"replicate {idx}: {cause}" for idx, cause in self.failures.items())
         super().__init__(
-            "train", f"{len(failures)} replicate(s) failed (allowed: {allowed}): {causes}"
+            "train", f"{len(failures)} replicate(s) failed (allowed: {allowed}): {causes}", method
         )
         self.failed_indices = tuple(self.failures)
         self.allowed = allowed

@@ -18,16 +18,26 @@ The procedure, per method:
    band = better resampling strategy).
 
 Replicates are independent given their derived seeds.  They are trained in
-groups: a group is a contiguous run of replicate ids, at most
-``min(GROUP_SIZE, ceil(reps / jobs))`` long, that :func:`bootband.lstm.fit`
+groups: a group is a contiguous run of rows that :func:`bootband.lstm.fit`
 trains in lockstep, one stacked forward, backward and Adam step per
 minibatch for the whole group.  Every row of a group is bit-identical to the
 same replicate trained alone, so ``jobs`` worker processes take whole groups
-and results are assembled in replicate order, keeping runs bit-reproducible
-for any ``jobs`` value.  A replicate whose loss or test predictions turn
-non-finite is recorded as failed by index, with its cause.  Each run returns
-the wall-clock seconds of its five stages, timed with
-:func:`bootband.manifest.timed`.
+and results are assembled in row order, keeping runs bit-reproducible for
+any ``jobs`` value.  A replicate whose loss or test predictions turn
+non-finite, or whose group runs out of memory, is recorded as failed by
+index, with its cause.
+
+A run is three phases: each method's checks and draw (steps 1-3), one
+shared training phase (step 4), and each method's finish (failure check,
+steps 5-6).  :func:`run` is the one-method case.  :func:`compare_methods`
+is the three-method case: it selects and draws for NBB, MBB and LBB first,
+then trains all ``3 * reps`` rows, in (method, replicate) order, as one set
+of groups of at most ``min(GROUP_SIZE, ceil(rows / jobs))`` rows on one
+pool, so a group may span two methods.  Row ``m`` of every method is
+replicate ``m`` with the seed ``derive_seed(train.seed, m)``, and outcomes
+go back to their method by position.  Each method's result times its own
+stages with :func:`bootband.manifest.timed`; the shared ``train-predict``
+seconds are timed once (a single-method run adds them to its result).
 """
 
 from __future__ import annotations
@@ -204,12 +214,16 @@ def _group_task(args):
     """Train one group of replicates in lockstep and predict the test horizon in price units.
 
     Module-level so process pools can pickle it.  Returns one
-    (index, predictions | None, error message | None) per replicate.
+    (index, predictions | None, error message | None) per replicate.  A group
+    that runs out of memory fails every one of its replicates.
     """
     (ids, pseudo_paths, scaled_actual, scale_actual, train_cfg, seeds, scale_window, positions) = args
-    scaled = np.column_stack([window_minmax_scale(path, scale_window)[0] for path in pseudo_paths])
-    model, _, diverged = fit(scaled, train_cfg, seeds)
-    preds = scale_actual.denormalize(predict_series(model, scaled_actual, positions), positions)
+    try:
+        scaled = np.column_stack([window_minmax_scale(path, scale_window)[0] for path in pseudo_paths])
+        model, _, diverged = fit(scaled, train_cfg, seeds)
+        preds = scale_actual.denormalize(predict_series(model, scaled_actual, positions), positions)
+    except MemoryError:
+        return [(idx, None, "out of memory") for idx in ids]
     outcomes = []
     for row, idx in enumerate(ids):
         if row in diverged:
@@ -221,29 +235,28 @@ def _group_task(args):
     return outcomes
 
 
-def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResult:
-    """Execute the full band construction for the bootstrap method ``cfg.method``."""
-    train_len = cfg.train_len
-    if train_len >= len(prices):
-        raise ValidationError(
-            f"training length {train_len} leaves no test timestep in {len(prices)} prices"
-        )
-    if train_len <= cfg.train.lookback + 1:
-        raise ValidationError(
-            f"training length {train_len} must exceed lookback + 1 = {cfg.train.lookback + 1}"
-        )
-    actual_test = prices.values[train_len:]
-    positions = np.arange(train_len, len(prices))
-    timings: dict = {}
+@dataclass(frozen=True)
+class _Draw:
+    """One method's work before training: its block length, curve and pseudo price paths."""
 
+    cfg: PipelineConfig
+    l_opt: int
+    curve: SelectorCurve
+    pseudo_paths: np.ndarray         # (reps, train_len)
+    timings: dict
+
+
+def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None) -> _Draw:
+    """Log-returns, block-length selection and the replicate draw for ``cfg.method``."""
+    timings: dict = {}
     with timed(timings, "log-returns"):
-        returns = to_log_returns(prices.values[:train_len])
+        returns = to_log_returns(prices.values[: cfg.train_len])
 
     with timed(timings, "block-length-selection"):
         try:
             l_opt, curve = select_block_length(returns, cfg.selector)
         except BootbandError as exc:
-            raise PipelineError("block-length-selection", str(exc)) from exc
+            raise PipelineError("block-length-selection", str(exc), label) from exc
 
     with timed(timings, "bootstrap"):
         try:
@@ -253,60 +266,80 @@ def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResu
             pseudo_returns, _ = batch_resample(returns, plan, cfg.reps)
             pseudo_paths = from_log_returns(pseudo_returns, prices.values[0])
         except BootbandError as exc:
-            raise PipelineError("bootstrap", str(exc)) from exc
+            raise PipelineError("bootstrap", str(exc), label) from exc
+    return _Draw(cfg=cfg, l_opt=l_opt, curve=curve, pseudo_paths=pseudo_paths, timings=timings)
 
-    with timed(timings, "train-predict"):
-        scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
-        width = min(GROUP_SIZE, math.ceil(cfg.reps / jobs))
-        tasks = [
-            (
-                ids,
-                pseudo_paths[ids.start : ids.stop],
-                scaled_actual,
-                scale_actual,
-                cfg.train,
-                [derive_seed(cfg.train.seed, m) for m in ids],
-                cfg.scale_window,
-                positions,
-            )
-            for ids in (range(lo, min(lo + width, cfg.reps)) for lo in range(0, cfg.reps, width))
-        ]
-        if jobs > 1:
-            try:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    groups = list(pool.map(_group_task, tasks))
-            except BrokenProcessPool as exc:
-                raise PipelineError("train", f"a worker process died: {exc}") from exc
-        else:
-            groups = [_group_task(t) for t in tasks]
-        outcomes = [outcome for group in groups for outcome in group]
 
-        succeeded = [(idx, preds) for idx, preds, err in outcomes if err is None]
-        failed = {idx: err for idx, _, err in outcomes if err is not None}
-        if len(failed) > cfg.allow_failures:
-            raise ReplicateFailureError(failed, cfg.allow_failures)
-        if len(succeeded) < 2:
-            raise PipelineError("train", f"only {len(succeeded)} replicate(s) trained; need >= 2")
-        predictions = np.vstack([preds for _, preds in succeeded])
+def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.ndarray],
+                   jobs: int) -> list[list[tuple]]:
+    """Train every row of every path set in contiguous lockstep groups on one pool.
 
+    The rows are laid out in (path set, replicate) order, so a group may span
+    two path sets.  Row ``m`` of every set is replicate ``m`` with seed
+    ``derive_seed(cfg.train.seed, m)``.  Returns the outcomes of each path
+    set, split back by position: the sets share their replicate ids.
+    """
+    positions = np.arange(cfg.train_len, len(prices))
+    scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
+    rows = [(m, paths[m]) for paths in path_sets for m in range(cfg.reps)]
+    width = min(GROUP_SIZE, math.ceil(len(rows) / jobs))
+    tasks = []
+    for lo in range(0, len(rows), width):
+        ids = [m for m, _ in rows[lo : lo + width]]
+        tasks.append((
+            ids,
+            [path for _, path in rows[lo : lo + width]],
+            scaled_actual,
+            scale_actual,
+            cfg.train,
+            [derive_seed(cfg.train.seed, m) for m in ids],
+            cfg.scale_window,
+            positions,
+        ))
+    if jobs > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                groups = list(pool.map(_group_task, tasks))
+        except BrokenProcessPool as exc:
+            raise PipelineError("train", f"a worker process died: {exc}") from exc
+    else:
+        groups = [_group_task(t) for t in tasks]
+    outcomes = [outcome for group in groups for outcome in group]
+    return [outcomes[lo : lo + cfg.reps] for lo in range(0, len(outcomes), cfg.reps)]
+
+
+def _finish(prices: PriceSeries, draw: _Draw, outcomes: list[tuple],
+            label: str | None) -> PipelineResult:
+    """Check one method's failures, then take its quantile band."""
+    cfg = draw.cfg
+    succeeded = [(idx, preds) for idx, preds, err in outcomes if err is None]
+    failed = {idx: err for idx, _, err in outcomes if err is not None}
+    if len(failed) > cfg.allow_failures:
+        raise ReplicateFailureError(failed, cfg.allow_failures, label)
+    if len(succeeded) < 2:
+        raise PipelineError("train", f"only {len(succeeded)} replicate(s) trained; need >= 2", label)
+    predictions = np.vstack([preds for _, preds in succeeded])
+    actual_test = prices.values[cfg.train_len :]
+
+    timings = dict(draw.timings)
     with timed(timings, "quantile-band"):
         try:
             lower, median, upper = percentile_band(predictions, cfg.alpha)
         except BootbandError as exc:
-            raise PipelineError("percentile-band", str(exc)) from exc
+            raise PipelineError("percentile-band", str(exc), label) from exc
         band = ConfidenceBand(
-            timestamps=prices.timestamps[train_len:],
+            timestamps=prices.timestamps[cfg.train_len :],
             lower=lower,
             point=median,
             upper=upper,
             method=cfg.method,
-            block_len=l_opt,
+            block_len=draw.l_opt,
             reps=len(succeeded),
         )
         coverage = float(np.mean((actual_test >= lower) & (actual_test <= upper)))
     return PipelineResult(
         band=band,
-        curve=curve,
+        curve=draw.curve,
         predictions=predictions,
         replicate_ids=tuple(idx for idx, _ in succeeded),
         failed_ids=tuple(failed),
@@ -316,12 +349,49 @@ def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResu
     )
 
 
+def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMethod, ...],
+         jobs: int) -> tuple[list[PipelineResult], dict]:
+    """Draw for every method, train all their replicates together, then finish each.
+
+    Returns one result per method, each timing its own four stages, and the
+    shared ``train-predict`` seconds.  With several methods, a failing
+    method's error names it.
+    """
+    train_len = cfg.train_len
+    if train_len >= len(prices):
+        raise ValidationError(
+            f"training length {train_len} leaves no test timestep in {len(prices)} prices"
+        )
+    if train_len <= cfg.train.lookback + 1:
+        raise ValidationError(
+            f"training length {train_len} must exceed lookback + 1 = {cfg.train.lookback + 1}"
+        )
+    labels = [method.value if len(methods) > 1 else None for method in methods]
+    draws = [
+        _draw(prices, replace(cfg, selector=replace(cfg.selector, method=method)), label)
+        for method, label in zip(methods, labels)
+    ]
+    shared: dict = {}
+    with timed(shared, "train-predict"):
+        outcomes = _train_predict(prices, cfg, [draw.pseudo_paths for draw in draws], jobs)
+    results = [_finish(prices, draw, rows, label)
+               for draw, rows, label in zip(draws, outcomes, labels)]
+    return results, shared
+
+
+def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResult:
+    """Execute the full band construction for the bootstrap method ``cfg.method``."""
+    (result,), shared = _run(prices, cfg, (cfg.method,), jobs)
+    return replace(result, timings={**result.timings, **shared})
+
+
 @dataclass(frozen=True)
 class MethodComparison:
     """Per-method results ranked ascending by comparing factor."""
 
     results: dict[BootstrapMethod, PipelineResult]
     ranking: tuple[BootstrapMethod, ...]
+    timings: dict                    # shared stage name -> wall-clock seconds
 
     def report(self, seed: int | None = None) -> list[dict]:
         """Machine-readable summary rows, best method first."""
@@ -329,16 +399,17 @@ class MethodComparison:
 
 
 def compare_methods(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> MethodComparison:
-    """Run the pipeline once per bootstrap method and rank by comparing factor.
+    """Build a band with each bootstrap method and rank them by comparing factor.
 
     Each method re-selects its own block length, so ``cfg.selector.method``
-    is not used.  Ties rank by method name.
+    is not used.  All three draw before any replicate trains, and their
+    replicates train as one set of groups on one pool.  Ties rank by method
+    name.
     """
-    results = {
-        method: run(prices, replace(cfg, selector=replace(cfg.selector, method=method)), jobs=jobs)
-        for method in (BootstrapMethod.NBB, BootstrapMethod.MBB, BootstrapMethod.LBB)
-    }
+    methods = (BootstrapMethod.NBB, BootstrapMethod.MBB, BootstrapMethod.LBB)
+    per_method, timings = _run(prices, cfg, methods, jobs)
+    results = dict(zip(methods, per_method))
     ranking = tuple(
         sorted(results, key=lambda m: (results[m].band.comparing_factor, m.value))
     )
-    return MethodComparison(results=results, ranking=ranking)
+    return MethodComparison(results=results, ranking=ranking, timings=timings)

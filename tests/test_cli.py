@@ -268,9 +268,38 @@ class TestCompare:
             assert (out / f"band_{m}.csv").exists()
             assert (out / f"selector_curve_{m}.csv").exists()
         timings = read_json(out / "manifest.json")["execution"]["timings_seconds"]
-        assert set(timings) == {"compare", "write"} | {
+        # the three methods share one train-predict stage, recorded once
+        assert set(timings) == {"compare", "write", "train-predict"} | {
             f"{m}:{stage}" for m in ("nbb", "mbb", "lbb") for stage in PIPELINE_STAGES
+            if stage != "train-predict"
         }
+
+    def test_divergence_names_the_first_failing_method(self, csv90, tmp_path, capsys):
+        code = main(["compare", "--input", csv90,
+                     *fast_flags(tmp_path / "o", ["--learning-rate", "1e200"])])
+        assert code == 5
+        assert capsys.readouterr().err.splitlines() == [
+            "error[train]: nbb: 3 replicate(s) failed (allowed: 0): "
+            + "; ".join(f"replicate {k}: non-finite loss at epoch 0, batch 1" for k in range(3))
+        ]
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command, prefix", [
+        (["band", "--method", "mbb"], ""),
+        (["compare"], "nbb: "),
+    ])
+    def test_names_every_replicate(self, csv90, tmp_path, monkeypatch, capsys, command, prefix):
+        def short_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(pl, "fit", short_of_memory)
+        code = main([*command, "--input", csv90, "--jobs", "1", *fast_flags(tmp_path / "o")])
+        assert code == 5
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[train]: {prefix}3 replicate(s) failed (allowed: 0): "
+            + "; ".join(f"replicate {k}: out of memory" for k in range(3))
+        ]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

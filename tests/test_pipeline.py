@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bootband.pipeline as pl
+from bootband._rng import derive_seed
 from bootband.blocklen import SelectorConfig, select_block_length
 from bootband.bootstrap import BootstrapMethod
 from bootband.errors import PipelineError, ReplicateFailureError, ValidationError
@@ -146,6 +147,31 @@ class TestComparingFactor:
             )
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: maps in process and counts the pools opened."""
+
+    opened = 0
+
+    def __init__(self, max_workers):
+        SerialPool.opened += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+METHODS = (BootstrapMethod.NBB, BootstrapMethod.MBB, BootstrapMethod.LBB)
+
+
+def with_method(cfg, method):
+    return replace(cfg, selector=replace(cfg.selector, method=method))
+
+
 class TestRun:
     def test_smoke_band_is_ordered_and_deterministic(self):
         prices = price_series(gbm_prices(120, seed=3))
@@ -184,19 +210,6 @@ class TestRun:
         assert grouped.replicate_ids == solo.replicate_ids == tuple(range(5))
 
     def test_groups_are_contiguous_and_cover_every_replicate(self, monkeypatch):
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
         prices = price_series(gbm_prices(100, seed=6))
         seen = []
         real_task = pl._group_task
@@ -331,6 +344,26 @@ class TestRun:
         assert result.replicate_ids == (0, 2)
         assert np.array_equal(result.predictions, clean.predictions[[0, 2]])
 
+    def test_out_of_memory_fails_its_group(self, monkeypatch):
+        # groups (0, 1), (2, 3), (4): the second group's fit runs out of memory
+        prices = price_series(gbm_prices(100, seed=8))
+        cfg = replace(small_cfg(70, reps=5), allow_failures=2)
+        real_fit = pl.fit
+
+        def short_of_memory(series, train_cfg, seeds):
+            if seeds[0] == derive_seed(train_cfg.seed, 2):
+                raise MemoryError
+            return real_fit(series, train_cfg, seeds)
+
+        monkeypatch.setattr(pl, "GROUP_SIZE", 2)
+        monkeypatch.setattr(pl, "fit", short_of_memory)
+        result = run(prices, cfg)
+        assert result.failed_ids == (2, 3)
+        assert result.replicate_ids == (0, 1, 4)
+        with pytest.raises(ReplicateFailureError) as err:
+            run(prices, replace(cfg, allow_failures=1))
+        assert err.value.failures == {2: "out of memory", 3: "out of memory"}
+
     def test_anchor_consistency_of_pseudo_paths(self):
         # rebuild the exact replicate price paths the run used: anchored at
         # the first training price and strictly positive
@@ -396,6 +429,125 @@ class TestCompareMethods:
         factors = {m: r.band.comparing_factor for m, r in comparison.results.items()}
         assert len(set(factors.values())) == 1
         assert [m.value for m in comparison.ranking] == ["lbb", "mbb", "nbb"]
+
+
+class TestSharedTraining:
+    """compare_methods trains the replicates of all three methods as one set of groups."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        prices = price_series(gbm_prices(100, seed=6))
+        cfg = small_cfg(70, reps=4)  # dropout 0.2
+        return prices, cfg, {m: run(prices, with_method(cfg, m)) for m in METHODS}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("group_size", [1, 3, 16])
+    def test_equals_one_run_per_method(self, case, monkeypatch, jobs, group_size):
+        prices, cfg, solo = case
+        monkeypatch.setattr(pl, "GROUP_SIZE", group_size)
+        comparison = compare_methods(prices, cfg, jobs=jobs)
+        assert tuple(comparison.results) == METHODS
+        for method in METHODS:
+            got, want = comparison.results[method], solo[method]
+            assert got.predictions.tobytes() == want.predictions.tobytes()
+            for name in ("lower", "point", "upper"):
+                assert getattr(got.band, name).tobytes() == getattr(want.band, name).tobytes()
+            for name in ("lengths", "distances", "penalties", "objectives"):
+                assert np.array_equal(getattr(got.curve, name), getattr(want.curve, name))
+            assert got.band.block_len == want.band.block_len
+            assert got.replicate_ids == want.replicate_ids == tuple(range(4))
+            assert got.failed_ids == want.failed_ids == ()
+
+    @pytest.mark.parametrize("reps, jobs, group_size, widths", [
+        (2, 2, 16, [3, 3]),           # ceil(6 / 2) = 3: both groups span two methods
+        (7, 1, 3, [3] * 7),
+        (5, 2, 16, [8, 7]),
+        (4, 1, 16, [12]),
+    ])
+    def test_groups_are_contiguous_rows_of_all_methods(self, monkeypatch, reps, jobs,
+                                                       group_size, widths):
+        prices = price_series(gbm_prices(100, seed=6))
+        drawn, groups = [], []
+        real_paths, real_task = pl.from_log_returns, pl._group_task
+
+        def recording_paths(returns, anchor):
+            drawn.append(real_paths(returns, anchor))
+            return drawn[-1]
+
+        def recording_task(args):
+            groups.append((list(args[0]), np.array(args[1])))
+            return real_task(args)
+
+        monkeypatch.setattr(pl, "from_log_returns", recording_paths)
+        monkeypatch.setattr(pl, "_group_task", recording_task)
+        monkeypatch.setattr(pl, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(pl, "GROUP_SIZE", group_size)
+        SerialPool.opened = 0
+        compare_methods(prices, small_cfg(70, reps=reps), jobs=jobs)
+        assert SerialPool.opened == (1 if jobs > 1 else 0)
+        assert [len(ids) for ids, _ in groups] == widths
+        # rows in (method, replicate) order: NBB's replicates, then MBB's, then LBB's
+        assert [m for ids, _ in groups for m in ids] == list(range(reps)) * 3
+        assert len(drawn) == 3
+        assert np.array_equal(np.vstack([paths for _, paths in groups]), np.vstack(drawn))
+
+    def test_one_method_failure_stays_with_its_method(self, monkeypatch):
+        # fail MBB's replicate 1, the row at position reps + 1
+        prices = price_series(gbm_prices(100, seed=6))
+        cfg = replace(small_cfg(70, reps=4), allow_failures=1)
+        clean = compare_methods(prices, cfg)
+        real_task = pl._group_task
+        position = []
+
+        def flaky(args):
+            outcomes = []
+            for idx, preds, err in real_task(args):
+                position.append(idx)
+                forced = len(position) - 1 == cfg.reps + 1
+                outcomes.append((idx, None, "forced divergence") if forced else (idx, preds, err))
+            return outcomes
+
+        monkeypatch.setattr(pl, "GROUP_SIZE", 3)
+        monkeypatch.setattr(pl, "_group_task", flaky)
+        comparison = compare_methods(prices, cfg)
+        for method in METHODS:
+            got, want = comparison.results[method], clean.results[method]
+            if method is BootstrapMethod.MBB:
+                assert got.failed_ids == (1,)
+                assert got.replicate_ids == (0, 2, 3)
+                assert np.array_equal(got.predictions, want.predictions[[0, 2, 3]])
+            else:
+                assert got.failed_ids == ()
+                assert np.array_equal(got.predictions, want.predictions)
+        position.clear()
+        with pytest.raises(ReplicateFailureError) as err:
+            compare_methods(prices, replace(cfg, allow_failures=0))
+        assert err.value.method == "mbb"
+        assert err.value.detail.startswith("mbb: 1 replicate(s) failed (allowed: 0): replicate 1:")
+
+    def test_every_selection_runs_before_any_training(self, monkeypatch):
+        # a failing LBB selection stops the compare before NBB or MBB trains
+        prices = price_series(gbm_prices(100, seed=6))
+        real_select, fits = pl.select_block_length, []
+
+        def failing_lbb(returns, selector):
+            if selector.method is BootstrapMethod.LBB:
+                raise ValidationError("no candidate fits")
+            return real_select(returns, selector)
+
+        monkeypatch.setattr(pl, "select_block_length", failing_lbb)
+        monkeypatch.setattr(pl, "fit", lambda *args: fits.append(args))
+        with pytest.raises(PipelineError) as err:
+            compare_methods(prices, small_cfg(70, reps=2))
+        assert err.value.stage == "block-length-selection"
+        assert err.value.detail == "lbb: no candidate fits"
+        assert fits == []
+
+    def test_train_len_checked_before_selection(self, monkeypatch):
+        prices = price_series(gbm_prices(100, seed=6))
+        monkeypatch.setattr(pl, "select_block_length", None)
+        with pytest.raises(ValidationError):
+            compare_methods(prices, small_cfg(100, reps=2))
 
 
 class TestBandCsv:
