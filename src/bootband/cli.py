@@ -26,13 +26,8 @@ from . import __version__
 from ._rng import derive_seed
 from .blocklen import SelectorConfig, select_block_length
 from .bootstrap import BlockPlan, BootstrapMethod, batch_resample
-from .errors import (
-    DataError,
-    DivergenceError,
-    PipelineError,
-    ValidationError,
-)
-from .lstm import TrainConfig, fit, predict_series, save_model
+from .errors import DataError, PipelineError, ValidationError
+from .lstm import LstmModel, TrainConfig, fit, predict_series, save_model
 from .manifest import RunManifest, sha256_of, timed
 from .pipeline import PipelineConfig, compare_methods, run
 from .timeseries import from_log_returns, load_csv, to_log_returns, window_minmax_scale
@@ -376,7 +371,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     with timed(manifest.timings, "scale"):
         scaled, scale = window_minmax_scale(prices.values, scale_window)
     with timed(manifest.timings, "fit"):
-        model, rmse_trace = fit(scaled[:train_len], cfg)
+        group, traces, diverged = fit(scaled[:train_len, None], cfg, [cfg.seed])
+    if diverged:
+        raise PipelineError("train", diverged[0])
+    model = LstmModel(theta=group.theta[0], cfg=cfg)
+    rmse_trace = traces[0].tolist()
     with timed(manifest.timings, "predict"):
         test_pos = np.arange(train_len, n)
         train_pos = np.arange(cfg.lookback, train_len)
@@ -521,9 +520,6 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except PipelineError as exc:
         print(f"error[{exc.stage}]: {exc.detail}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except DivergenceError as exc:
-        print(f"error[train]: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)

@@ -29,15 +29,6 @@ class ValidationError(BootbandError):
     """An argument or configuration violates a precondition."""
 
 
-class DivergenceError(BootbandError):
-    """Training produced a non-finite loss."""
-
-    def __init__(self, message, epoch=None, batch=None):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
-
-
 class PipelineError(BootbandError):
     """A pipeline stage failed; ``stage`` names the failing step.
 

@@ -22,8 +22,9 @@ leading axis (``U`` is ``(R, H, 4H)``, a minibatch of windows is
 ``(R, batch, lookback)``).  Each product is one stacked ``np.matmul`` and
 every other operation works row by row, so a row's numbers are bit-identical
 to those of the same network trained alone, and a row that turns non-finite
-cannot leak into the others.  :func:`fit` trains one network as a group of
-one.
+cannot leak into the others.  :func:`fit` always trains such a group, from a
+time-major ``(n, R)`` series and one seed per column; one network is a group
+of one.
 
 During training an inverted-dropout mask is applied to the final hidden
 state only, and an L2 penalty is applied to the input kernels and dense
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import substream
-from .errors import DivergenceError, ValidationError
+from .errors import ValidationError
 
 # model.json field names; u_<gate> is that gate's (H, H) recurrent matrix
 PARAM_NAMES = (
@@ -61,7 +62,12 @@ _INFER_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters (defaults follow the reference experiment)."""
+    """Training hyperparameters (defaults follow the reference experiment).
+
+    :func:`fit` does not read ``seed``: it takes one seed per network.  The
+    ``train`` command passes ``[seed]`` for its one network, and the pipeline
+    derives each replicate's seed from ``seed``.
+    """
 
     lookback: int = 5
     batch_size: int = 15
@@ -370,39 +376,36 @@ def make_windows(series: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndar
     return np.ascontiguousarray(windows), rows[..., lookback:]
 
 
-def fit(series, cfg: TrainConfig, seeds=None):
-    """Train on a scaled series; returns the model and per-epoch training RMSE
-    (scaled space, computed in inference mode after each epoch).
+def fit(series, cfg: TrainConfig, seeds):
+    """Train ``R`` networks in lockstep on a time-major ``(n, R)`` scaled series.
 
-    A ``(n,)`` series trains one network from ``cfg.seed`` and returns
-    ``(model, rmse_trace)``; a non-finite batch loss raises
-    :class:`DivergenceError` with its epoch and batch.
-
-    A time-major ``(n, R)`` series trains ``R`` networks in lockstep, column
-    ``r`` from ``seeds[r]``, and returns ``(model, rmse, diverged)``:
-    ``model.theta`` is ``(R, P)``, ``rmse`` is ``(R, epochs)``, and
-    ``diverged`` maps each row whose loss turned non-finite to the
-    :class:`DivergenceError` that training it alone raises.  That row's
-    weights and RMSE are NaN, and it stops training without touching the
-    other rows, which end bit-identical to networks trained alone.
+    Column ``r`` trains from ``seeds[r]``; the config's ``seed`` is not read.
+    Returns ``(model, rmse, diverged)``: ``model.theta`` is ``(R, P)``,
+    ``rmse`` is ``(R, epochs)`` (training RMSE in scaled space, computed in
+    inference mode after each epoch), and ``diverged`` maps each row whose
+    batch loss turned non-finite to its cause, ``non-finite loss at epoch E,
+    batch B``.  That row's weights and RMSE are NaN, and it stops training
+    without touching the other rows.  Every row ends bit-identical to the
+    same column and seed trained as a group of one.
     """
     series = np.asarray(series, dtype=np.float64)
-    solo = series.ndim == 1
-    windows, targets = make_windows(series[:, None] if solo else series, cfg.lookback)
-    seeds = (cfg.seed,) if solo else tuple(() if seeds is None else seeds)
+    if series.ndim != 2:
+        raise ValidationError(f"fit takes a time-major (n, R) series, got shape {series.shape}")
+    windows, targets = make_windows(series, cfg.lookback)
+    seeds = tuple(seeds)
     if len(seeds) != len(windows):
         raise ValidationError(f"{len(windows)} series columns need as many seeds, got {len(seeds)}")
     n_rows, n_pairs = targets.shape
     hidden = cfg.hidden_size
-    # each row draws from its own stream in a solo fit's order: the initial
-    # weights, then per epoch one permutation and (with dropout) the masks
+    # each row draws from its own stream in a group of one's order: the
+    # initial weights, then per epoch one permutation and (with dropout) the masks
     rngs = [substream(seed, 0) for seed in seeds]
     theta = np.stack([init_params(hidden, rng) for rng in rngs])
     kernel = np.flatnonzero(kernel_mask(hidden))
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     live = np.arange(n_rows)  # group rows still training, in order
-    diverged: dict[int, DivergenceError] = {}
+    diverged: dict[int, str] = {}
     rmse = np.full((n_rows, cfg.epochs), np.nan)
     step = 0
     # a diverging row overflows on its way to a non-finite loss, which
@@ -430,9 +433,7 @@ def fit(series, cfg: TrainConfig, seeds=None):
                     if not bad.any():
                         break
                     for row in live[bad]:
-                        diverged[int(row)] = DivergenceError(
-                            f"non-finite loss at epoch {epoch}, batch {b}", epoch=epoch, batch=b
-                        )
+                        diverged[int(row)] = f"non-finite loss at epoch {epoch}, batch {b}"
                     # drop the failed rows; the others' numbers do not change
                     ok = ~bad
                     live = live[ok]
@@ -458,10 +459,6 @@ def fit(series, cfg: TrainConfig, seeds=None):
             rmse[live, epoch] = np.sqrt(np.mean((preds - targets) ** 2, axis=-1))
     weights = np.full((n_rows, theta.shape[-1]), np.nan)
     weights[live] = theta
-    if solo:
-        if diverged:
-            raise diverged[0]
-        return LstmModel(theta=weights[0], cfg=cfg), rmse[0].tolist()
     return LstmModel(theta=weights, cfg=cfg), rmse, diverged
 
 

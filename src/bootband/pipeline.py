@@ -227,7 +227,7 @@ def _group_task(args):
     outcomes = []
     for row, idx in enumerate(ids):
         if row in diverged:
-            outcomes.append((idx, None, str(diverged[row])))
+            outcomes.append((idx, None, diverged[row]))
         elif not np.all(np.isfinite(preds[row])):
             outcomes.append((idx, None, "non-finite test prediction"))
         else:
@@ -271,13 +271,15 @@ def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None) -> _Draw:
 
 
 def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.ndarray],
-                   jobs: int) -> list[list[tuple]]:
+                   labels: list[str | None], jobs: int) -> list[list[tuple]]:
     """Train every row of every path set in contiguous lockstep groups on one pool.
 
     The rows are laid out in (path set, replicate) order, so a group may span
     two path sets.  Row ``m`` of every set is replicate ``m`` with seed
     ``derive_seed(cfg.train.seed, m)``.  Returns the outcomes of each path
-    set, split back by position: the sets share their replicate ids.
+    set, split back by position: the sets share their replicate ids.  If a
+    worker dies, the error names the first group without a result by the
+    ``labels`` of its path sets and its replicate ids.
     """
     positions = np.arange(cfg.train_len, len(prices))
     scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
@@ -297,11 +299,20 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.
             positions,
         ))
     if jobs > 1:
+        groups = []
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                groups = list(pool.map(_group_task, tasks))
+                for group in pool.map(_group_task, tasks):
+                    groups.append(group)
         except BrokenProcessPool as exc:
-            raise PipelineError("train", f"a worker process died: {exc}") from exc
+            lost: dict = {}  # path set label -> replicate ids of the first lost group
+            for k, m in enumerate(tasks[len(groups)][0], start=len(groups) * width):
+                lost.setdefault(labels[k // cfg.reps], []).append(str(m))
+            named = "; ".join(", ".join(ids) if label is None else f"{label} {', '.join(ids)}"
+                              for label, ids in lost.items())
+            raise PipelineError(
+                "train", f"a worker process died: first group without a result: {named}"
+            ) from exc
     else:
         groups = [_group_task(t) for t in tasks]
     outcomes = [outcome for group in groups for outcome in group]
@@ -373,7 +384,7 @@ def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMetho
     ]
     shared: dict = {}
     with timed(shared, "train-predict"):
-        outcomes = _train_predict(prices, cfg, [draw.pseudo_paths for draw in draws], jobs)
+        outcomes = _train_predict(prices, cfg, [draw.pseudo_paths for draw in draws], labels, jobs)
     results = [_finish(prices, draw, rows, label)
                for draw, rows, label in zip(draws, outcomes, labels)]
     return results, shared

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -158,6 +159,9 @@ class TestTrain:
         log = (out / "rmse_log.csv").read_text().strip().splitlines()
         assert log[0] == "epoch,train_rmse_scaled"
         assert len(log) == 3
+        # plain float reprs, which numpy scalars would not be
+        trace = [float(line.split(",")[1]) for line in log[1:]]
+        assert metrics["final_epoch_rmse_scaled"] == trace[-1]
         with open(out / "predictions.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 30
@@ -171,6 +175,20 @@ class TestTrain:
               "--hidden", "3", "--seed", "9", "--output-dir", str(out)])
         model = load_model(out / "model.json")
         assert model.cfg.hidden_size == 3
+
+    def test_divergence_prints_its_cause_and_writes_no_artifact(self, csv90, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(subprocess.CalledProcessError) as err:
+            fresh_python(["-m", "bootband", "train", "--input", csv90, "--train-len", "60",
+                          "--lookback", "4", "--epochs", "2", "--hidden", "3",
+                          "--scale-window", "30", "--seed", "9", "--learning-rate", "1e200",
+                          "--output-dir", str(out)], tmp_path)
+        assert err.value.returncode == 5
+        lines = err.value.stderr.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"error\[train\]: non-finite loss at epoch \d+, batch \d+", lines[0])
+        assert not (out / "model.json").exists()
+        assert not (out / "manifest.json").exists()
 
 
 class TestBand:
@@ -239,13 +257,24 @@ class TestBand:
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                # the first group returns, then the pool breaks
+                yield fn(next(iter(tasks)))
                 raise BrokenProcessPool("a child process terminated abruptly")
 
         monkeypatch.setattr(pl, "ProcessPoolExecutor", BrokenPool)
+        # 3 replicates on 2 workers: groups (0, 1), (2)
         code = main(["band", "--input", csv90, "--method", "mbb", "--jobs", "2",
                      *fast_flags(tmp_path / "o")])
         assert code == 5
-        assert "error[train]: a worker process died" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error[train]: a worker process died: first group without a result: 2"
+        ]
+        # 3 x 3 rows on 2 workers: groups (nbb 0-2, mbb 0-1), (mbb 2, lbb 0-2)
+        code = main(["compare", "--input", csv90, "--jobs", "2", *fast_flags(tmp_path / "c")])
+        assert code == 5
+        assert capsys.readouterr().err.splitlines() == [
+            "error[train]: a worker process died: first group without a result: mbb 2; lbb 0, 1, 2"
+        ]
 
     def test_default_jobs_are_the_usable_cpus(self, csv90, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootband._rng import substream
-from bootband.errors import DivergenceError, ValidationError
+from bootband.errors import ValidationError
 from bootband.lstm import (
+    LstmModel,
     TrainConfig,
     adam_step,
     backward,
@@ -261,45 +263,63 @@ class TestAdam:
         assert abs(delta) == pytest.approx(1e-3, rel=1e-4)
 
 
+def fit_one(column, cfg, seed):
+    """Train one network as a group of one: ``(model, rmse_trace, cause or None)``."""
+    group, rmse, diverged = fit(np.asarray(column)[:, None], cfg, [seed])
+    return LstmModel(theta=group.theta[0], cfg=cfg), rmse[0], diverged.get(0)
+
+
+CAUSE = r"non-finite loss at epoch \d+, batch \d+"
+
+
 class TestFit:
     def test_constant_signal(self):
         series = np.full(80, 0.42)
-        cfg = TrainConfig(lookback=5, batch_size=15, epochs=19, hidden_size=8, seed=3)
-        model, trace = fit(series, cfg)
+        cfg = TrainConfig(lookback=5, batch_size=15, epochs=19, hidden_size=8)
+        model, trace, _ = fit_one(series, cfg, 3)
         preds = predict_series(model, series, np.arange(60, 80))
         assert np.all(np.abs(preds - 0.42) < 0.05)
         assert trace[-1] < trace[0]
 
     def test_bit_identical_reruns(self):
         series = (np.sin(np.linspace(0, 9, 90)) + 1) / 2
-        cfg = TrainConfig(lookback=4, batch_size=10, epochs=4, hidden_size=6, seed=21)
-        m1, t1 = fit(series, cfg)
-        m2, t2 = fit(series, cfg)
-        assert t1 == t2
+        cfg = TrainConfig(lookback=4, batch_size=10, epochs=4, hidden_size=6)
+        m1, t1, _ = fit_one(series, cfg, 21)
+        m2, t2, _ = fit_one(series, cfg, 21)
+        assert np.array_equal(t1, t2)
         assert np.array_equal(m1.theta, m2.theta)
 
     def test_divergence_aborts_with_location(self):
         # Adam's normalized steps keep updates ~lr, so the rate must be large
         # enough that a single step overflows the squared loss
         series = (np.sin(np.linspace(0, 9, 60)) + 1) / 2
-        cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4,
-                          learning_rate=1e200, seed=2)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-            fit(series, cfg)
-        assert err.value.epoch is not None
-        assert err.value.batch is not None
+        cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4, learning_rate=1e200)
+        model, trace, cause = fit_one(series, cfg, 2)
+        assert re.fullmatch(CAUSE, cause)
+        assert np.all(np.isnan(model.theta)) and np.all(np.isnan(trace))
 
     def test_series_too_short(self):
         with pytest.raises(ValidationError):
-            fit(np.ones(5), TrainConfig(lookback=5))
+            fit_one(np.ones(5), TrainConfig(lookback=5), 0)
+
+    def test_one_dimensional_series_rejected(self):
+        with pytest.raises(ValidationError, match=r"\(n, R\)"):
+            fit(np.linspace(0, 1, 30), TrainConfig(lookback=3, epochs=1), [0])
+
+    def test_does_not_read_config_seed(self):
+        series = (np.sin(np.linspace(0, 9, 40)) + 1) / 2
+        cfg = TrainConfig(lookback=3, epochs=2, hidden_size=3, seed=1)
+        a, ta, _ = fit_one(series, cfg, 5)
+        b, tb, _ = fit_one(series, replace(cfg, seed=2), 5)
+        assert np.array_equal(a.theta, b.theta) and np.array_equal(ta, tb)
 
     def test_rmse_drops_on_gbm(self):
         from conftest import gbm_prices
         from bootband.timeseries import window_minmax_scale
 
         scaled, _ = window_minmax_scale(gbm_prices(150, seed=4), 50)
-        cfg = TrainConfig(lookback=5, batch_size=15, epochs=10, hidden_size=8, seed=5)
-        _, trace = fit(scaled, cfg)
+        cfg = TrainConfig(lookback=5, batch_size=15, epochs=10, hidden_size=8)
+        _, trace, _ = fit_one(scaled, cfg, 5)
         assert trace[-1] < trace[0]
 
 
@@ -322,8 +342,7 @@ class TestGroupFit:
         series = group_series(48, len(self.SEEDS), seed=hidden)
         cfg = TrainConfig(lookback=3, batch_size=7, epochs=2, hidden_size=hidden,
                           dropout_rate=dropout, l2_coeff=l2)
-        solo = [fit(series[:, k], replace(cfg, seed=seed))
-                for k, seed in enumerate(self.SEEDS)]
+        solo = [fit_one(series[:, k], cfg, seed) for k, seed in enumerate(self.SEEDS)]
         # every replicate at several positions of groups of 1 to 5
         for size in range(1, 6):
             for shift in range(size):
@@ -344,7 +363,7 @@ class TestGroupFit:
         preds = predict_series(model, series[:, 0], positions)
         assert preds.shape == (3, positions.size)
         for row, seed in enumerate((7, 8, 9)):
-            solo, _ = fit(series[:, row], replace(cfg, seed=seed))
+            solo, _, _ = fit_one(series[:, row], cfg, seed)
             assert np.array_equal(preds[row], predict_series(solo, series[:, 0], positions))
 
     def test_diverging_row_leaves_group_mates_unchanged(self):
@@ -352,31 +371,27 @@ class TestGroupFit:
         series[:, 1] *= 1e300
         cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4)
         seeds = [5, 6, 7]
-        with np.errstate(over="ignore", invalid="ignore"):
-            model, rmse, diverged = fit(series, cfg, seeds)
-            with pytest.raises(DivergenceError) as solo_err:
-                fit(series[:, 1], replace(cfg, seed=6))
+        model, rmse, diverged = fit(series, cfg, seeds)
         assert set(diverged) == {1}
-        assert (diverged[1].epoch, diverged[1].batch) == (solo_err.value.epoch, solo_err.value.batch)
-        assert str(diverged[1]) == str(solo_err.value)
+        assert diverged[1] == fit_one(series[:, 1], cfg, 6)[2]
+        assert re.fullmatch(CAUSE, diverged[1])
         assert np.all(np.isnan(model.theta[1])) and np.all(np.isnan(rmse[1]))
         for row in (0, 2):
-            solo, trace = fit(series[:, row], replace(cfg, seed=seeds[row]))
+            solo, trace, cause = fit_one(series[:, row], cfg, seeds[row])
+            assert cause is None
             assert np.array_equal(model.theta[row], solo.theta)
             assert np.array_equal(rmse[row], trace)
 
     def test_late_divergence_matches_solo_location(self):
         # the rate only overflows after some steps; each row reports the
-        # epoch and batch its own solo fit reports
+        # epoch and batch its own group of one reports
         series = group_series(60, 3, seed=5)
         cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4, learning_rate=1e200)
         seeds = [1, 2, 3]
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, _, diverged = fit(series, cfg, seeds)
-            for row, seed in enumerate(seeds):
-                with pytest.raises(DivergenceError) as err:
-                    fit(series[:, row], replace(cfg, seed=seed))
-                assert (diverged[row].epoch, diverged[row].batch) == (err.value.epoch, err.value.batch)
+        _, _, diverged = fit(series, cfg, seeds)
+        assert set(diverged) == {0, 1, 2}
+        for row, seed in enumerate(seeds):
+            assert diverged[row] == fit_one(series[:, row], cfg, seed)[2]
 
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
     def test_draw_order_per_row(self, monkeypatch, dropout):
@@ -401,7 +416,8 @@ class TestGroupFit:
 
     @pytest.mark.parametrize("seeds", [[1, 2], None])
     def test_seed_count_must_match_columns(self, seeds):
-        with pytest.raises(ValidationError):
+        # seeds are required: None is not a sequence of them
+        with pytest.raises(TypeError if seeds is None else ValidationError):
             fit(group_series(30, 3, seed=1), TrainConfig(lookback=3, epochs=1), seeds)
 
 
@@ -423,20 +439,21 @@ class TestTrainConfigValidation:
 
 class TestPredict:
     def test_empty_positions(self):
-        model, _ = fit(np.linspace(0, 1, 30), TrainConfig(lookback=3, epochs=1, hidden_size=2, seed=0))
+        cfg = TrainConfig(lookback=3, epochs=1, hidden_size=2)
+        model, _, _ = fit_one(np.linspace(0, 1, 30), cfg, 0)
         assert predict_series(model, np.linspace(0, 1, 30), []).size == 0
 
     def test_zero_params_predict_bias(self):
-        cfg = TrainConfig(lookback=3, epochs=1, hidden_size=2, seed=0)
-        model, _ = fit(np.linspace(0, 1, 30), cfg)
+        cfg = TrainConfig(lookback=3, epochs=1, hidden_size=2)
+        model, _, _ = fit_one(np.linspace(0, 1, 30), cfg, 0)
         model.theta = zero_params(2, dense_b=1.25)
         preds = predict_series(model, np.linspace(0, 1, 30), [5, 10, 15])
         assert np.array_equal(preds, np.full(3, 1.25))
 
     def test_matches_stepwise_forward_replay(self):
-        cfg = TrainConfig(lookback=4, epochs=2, hidden_size=3, seed=7)
+        cfg = TrainConfig(lookback=4, epochs=2, hidden_size=3)
         context = (np.cos(np.linspace(0, 7, 50)) + 1) / 2
-        model, _ = fit(context[:40], cfg)
+        model, _, _ = fit_one(context[:40], cfg, 7)
         positions = np.arange(40, 50)
         preds = predict_series(model, context, positions)
         replay = np.array(
@@ -445,8 +462,8 @@ class TestPredict:
         assert np.allclose(preds, replay, rtol=0, atol=1e-15)
 
     def test_insufficient_history(self):
-        cfg = TrainConfig(lookback=5, epochs=1, hidden_size=2, seed=0)
-        model, _ = fit(np.linspace(0, 1, 30), cfg)
+        cfg = TrainConfig(lookback=5, epochs=1, hidden_size=2)
+        model, _, _ = fit_one(np.linspace(0, 1, 30), cfg, 0)
         with pytest.raises(ValidationError):
             predict_series(model, np.linspace(0, 1, 30), [3])
 
@@ -503,7 +520,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         cfg = TrainConfig(lookback=4, epochs=2, hidden_size=5, seed=13)
         series = (np.sin(np.linspace(0, 5, 60)) + 1) / 2
-        model, _ = fit(series, cfg)
+        model, _, _ = fit_one(series, cfg, 13)
         save_model(model, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
         assert np.array_equal(model.theta, loaded.theta)
