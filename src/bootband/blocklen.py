@@ -72,6 +72,9 @@ class SelectorConfig:
             raise ValidationError("l_min must be >= 1")
         if self.l_max is not None and self.l_max < self.l_min:
             raise ValidationError("l_max must be >= l_min")
+        # written so that NaN fails too; NBB and MBB never read locality
+        if self.method is BootstrapMethod.LBB and not 0 < self.locality <= 1:
+            raise ValidationError(f"locality must lie in (0, 1], got {self.locality}")
 
     def resolved_l_max(self, n: int) -> int:
         if self.l_max is not None:

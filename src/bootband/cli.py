@@ -371,7 +371,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     with timed(manifest.timings, "scale"):
         scaled, scale = window_minmax_scale(prices.values, scale_window)
     with timed(manifest.timings, "fit"):
-        group, traces, diverged = fit(scaled[:train_len, None], cfg, [cfg.seed])
+        group, traces, diverged = fit(scaled[:train_len, None], cfg, [cfg.seed], epoch_rmse=True)
     if diverged:
         raise PipelineError("train", diverged[0])
     model = LstmModel(theta=group.theta[0], cfg=cfg)

@@ -54,9 +54,10 @@ PARAM_NAMES = (
 MODEL_FORMAT = "bootband-lstm"
 MODEL_FORMAT_VERSION = 1
 
-# Inference passes (epoch-end RMSE, prediction) keep no BPTT cache and run in
-# row slices of at most this many (window, gate) pre-activations, about 1 MB:
-# at the reference shapes (795 windows, hidden 32) one row at a time.
+# Inference passes (prediction, and the epoch-end RMSE of fit(epoch_rmse=True))
+# keep no BPTT cache and run in row slices of at most this many (window, gate)
+# pre-activations, about 1 MB: at the reference shapes (795 windows, hidden 32)
+# one row at a time.
 _INFER_ELEMENTS = 1 << 17
 
 
@@ -203,11 +204,13 @@ def _forward_pass(
         a += windows[..., t, None] * W
         a += b
         g = gates[t if keep_cache else 0]
-        # logistic sigmoid as 0.5 * tanh(a / 2) + 0.5, which cannot overflow
-        sig = np.multiply(a[..., :s], 0.5, out=g[..., :s])
-        np.tanh(sig, out=sig)
-        sig *= 0.5
-        sig += 0.5
+        # logistic sigmoid as 0.5 * tanh(a / 2) + 0.5, which cannot overflow,
+        # over the whole contiguous block (cheaper than over the strided f, i,
+        # o columns); then the candidate columns are overwritten with tanh
+        np.multiply(a, 0.5, out=g)
+        np.tanh(g, out=g)
+        g *= 0.5
+        g += 0.5
         np.tanh(a[..., s:], out=g[..., s:])
         c[new] = g[..., hidden : 2 * hidden] * g[..., s:] + g[..., :hidden] * c[old]
         tc = tanh_c[t if keep_cache else 0]
@@ -376,16 +379,18 @@ def make_windows(series: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndar
     return np.ascontiguousarray(windows), rows[..., lookback:]
 
 
-def fit(series, cfg: TrainConfig, seeds):
+def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     """Train ``R`` networks in lockstep on a time-major ``(n, R)`` scaled series.
 
     Column ``r`` trains from ``seeds[r]``; the config's ``seed`` is not read.
-    Returns ``(model, rmse, diverged)``: ``model.theta`` is ``(R, P)``,
-    ``rmse`` is ``(R, epochs)`` (training RMSE in scaled space, computed in
-    inference mode after each epoch), and ``diverged`` maps each row whose
-    batch loss turned non-finite to its cause, ``non-finite loss at epoch E,
-    batch B``.  That row's weights and RMSE are NaN, and it stops training
-    without touching the other rows.  Every row ends bit-identical to the
+    Returns ``(model, rmse, diverged)``: ``model.theta`` is ``(R, P)`` and
+    ``diverged`` maps each row whose batch loss turned non-finite to its
+    cause, ``non-finite loss at epoch E, batch B``.  That row's weights are
+    NaN, and it stops training without touching the other rows.  ``rmse`` is
+    ``None`` unless ``epoch_rmse`` is set; then it is ``(R, epochs)``, the
+    training RMSE in scaled space computed in inference mode after each
+    epoch (NaN for a diverged row).  That pass writes only ``rmse``, so the
+    weights are the same either way.  Every row ends bit-identical to the
     same column and seed trained as a group of one.
     """
     series = np.asarray(series, dtype=np.float64)
@@ -406,7 +411,7 @@ def fit(series, cfg: TrainConfig, seeds):
     v = np.zeros_like(theta)
     live = np.arange(n_rows)  # group rows still training, in order
     diverged: dict[int, str] = {}
-    rmse = np.full((n_rows, cfg.epochs), np.nan)
+    rmse = np.full((n_rows, cfg.epochs), np.nan) if epoch_rmse else None
     step = 0
     # a diverging row overflows on its way to a non-finite loss, which
     # np.isfinite catches below, so its floating-point warnings carry nothing
@@ -455,8 +460,9 @@ def fit(series, cfg: TrainConfig, seeds):
                 del grad
             if not live.size:
                 break
-            preds = _infer(theta, windows)
-            rmse[live, epoch] = np.sqrt(np.mean((preds - targets) ** 2, axis=-1))
+            if epoch_rmse:
+                preds = _infer(theta, windows)
+                rmse[live, epoch] = np.sqrt(np.mean((preds - targets) ** 2, axis=-1))
     weights = np.full((n_rows, theta.shape[-1]), np.nan)
     weights[live] = theta
     return LstmModel(theta=weights, cfg=cfg), rmse, diverged

@@ -378,10 +378,9 @@ def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMetho
             f"training length {train_len} must exceed lookback + 1 = {cfg.train.lookback + 1}"
         )
     labels = [method.value if len(methods) > 1 else None for method in methods]
-    draws = [
-        _draw(prices, replace(cfg, selector=replace(cfg.selector, method=method)), label)
-        for method, label in zip(methods, labels)
-    ]
+    # every method's config is checked before any selection runs
+    cfgs = [replace(cfg, selector=replace(cfg.selector, method=method)) for method in methods]
+    draws = [_draw(prices, method_cfg, label) for method_cfg, label in zip(cfgs, labels)]
     shared: dict = {}
     with timed(shared, "train-predict"):
         outcomes = _train_predict(prices, cfg, [draw.pseudo_paths for draw in draws], labels, jobs)

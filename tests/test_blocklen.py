@@ -195,6 +195,16 @@ class TestSelect:
         with pytest.raises(ValidationError, match="penalty exponent t"):
             SelectorConfig(t=t)
 
+    @pytest.mark.parametrize("locality", [0.0, -0.1, 1.5, 2.0, math.nan, math.inf])
+    def test_lbb_locality_must_lie_in_unit_interval(self, locality):
+        with pytest.raises(ValidationError, match=r"locality must lie in \(0, 1\]"):
+            SelectorConfig(method="lbb", locality=locality)
+
+    @pytest.mark.parametrize("method", ["nbb", "mbb"])
+    def test_other_methods_do_not_read_locality(self, method):
+        assert SelectorConfig(method=method, locality=0.0).locality == 0.0
+        assert SelectorConfig(method="lbb", locality=1.0).locality == 1.0
+
     def test_curve_csv(self, tmp_path):
         x = ar1_series(60, 0.5, seed=9)
         _, curve = select_block_length(x, SelectorConfig(method="mbb", reps=5, l_max=6, seed=1))

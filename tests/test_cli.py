@@ -130,6 +130,35 @@ class TestBadNumericFlags:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestBadLocality:
+    @pytest.mark.parametrize("command,flags,value", [
+        ("band", ["--method", "lbb"], "0"),
+        ("band", ["--method", "lbb"], "2"),
+        ("band", ["--method", "lbb"], "nan"),
+        ("compare", [], "0"),
+        ("select-block", ["--method", "lbb"], "0"),
+    ])
+    def test_exit_4_before_any_selection(self, csv90, tmp_path, monkeypatch, capsys,
+                                         command, flags, value):
+        monkeypatch.setattr(pl, "select_block_length", None)
+        out = tmp_path / "out"
+        flags = [*flags, "--locality", value]
+        extra = (["--output-dir", str(out), "--reps", "5", "--seed", "3", *flags]
+                 if command == "select-block" else fast_flags(out, [*flags, "--jobs", "1"]))
+        code = main([command, "--input", csv90, *extra])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == f"error[data]: locality must lie in (0, 1], got {float(value)}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("method", ["nbb", "mbb"])
+    def test_other_methods_ignore_it(self, csv90, tmp_path, method):
+        out = tmp_path / "out"
+        flags = ["--method", method, "--locality", "0", "--jobs", "1"]
+        assert main(["band", "--input", csv90, *fast_flags(out, flags)]) == 0
+        assert (out / "band.csv").exists()
+
+
 class TestSelectBlock:
     def test_artifacts(self, csv90, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -265,7 +266,7 @@ class TestAdam:
 
 def fit_one(column, cfg, seed):
     """Train one network as a group of one: ``(model, rmse_trace, cause or None)``."""
-    group, rmse, diverged = fit(np.asarray(column)[:, None], cfg, [seed])
+    group, rmse, diverged = fit(np.asarray(column)[:, None], cfg, [seed], epoch_rmse=True)
     return LstmModel(theta=group.theta[0], cfg=cfg), rmse[0], diverged.get(0)
 
 
@@ -322,6 +323,43 @@ class TestFit:
         _, trace, _ = fit_one(scaled, cfg, 5)
         assert trace[-1] < trace[0]
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_epoch_rmse_pass_leaves_weights_unchanged(self, dropout):
+        # an all-zero column with no L2 penalty has a zero gradient, so even a
+        # rate of 1e200 never moves it; the random-walk column diverges
+        series = np.zeros((60, 3))
+        series[:, 1] = group_series(60, 1, seed=3)[:, 0]
+        cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4,
+                          dropout_rate=dropout, l2_coeff=0.0, learning_rate=1e200)
+        plain, rmse, diverged = fit(series, cfg, [4, 5, 6])
+        traced, trace, traced_diverged = fit(series, cfg, [4, 5, 6], epoch_rmse=True)
+        assert rmse is None
+        assert set(diverged) == {1} and traced_diverged == diverged
+        assert plain.theta.tobytes() == traced.theta.tobytes()
+        assert trace.shape == (3, cfg.epochs)
+        assert np.all(np.isnan(trace[1])) and np.array_equal(trace[[0, 2]], np.zeros((2, 3)))
+
+
+# SHA-256 of model.theta.tobytes() for fixed group fits: (hidden, dropout,
+# rows, points, lookback, batch, series seed, digest).  A change to the
+# forward, backward or Adam arithmetic that moves any weight bit fails here.
+PINNED_FITS = [
+    (32, 0.0, 3, 120, 5, 15, 11,
+     "73eb86665f41f8d7df2599052d3f16d3fff07fc0f1f063a3b818eb33fb4507e2"),
+    (8, 0.2, 4, 100, 4, 10, 12,
+     "c815a41241dee6e749f29760789044c4c7bcbd4c153a43744b0585a62c55afe7"),
+]
+
+
+@pytest.mark.parametrize("hidden,dropout,rows,points,lookback,batch,seed,digest", PINNED_FITS)
+def test_pinned_fit_weights(hidden, dropout, rows, points, lookback, batch, seed, digest):
+    cfg = TrainConfig(lookback=lookback, batch_size=batch, epochs=3, hidden_size=hidden,
+                      dropout_rate=dropout)
+    seeds = [100 * (seed - 10) + k for k in range(1, rows + 1)]
+    model, _, diverged = fit(group_series(points, rows, seed=seed), cfg, seeds)
+    assert diverged == {}
+    assert hashlib.sha256(model.theta.tobytes()).hexdigest() == digest
+
 
 def group_series(n, count, seed):
     """``count`` scaled random-walk columns, time-major ``(n, count)``."""
@@ -347,7 +385,9 @@ class TestGroupFit:
         for size in range(1, 6):
             for shift in range(size):
                 cols = [(shift + j) % 5 for j in range(size)]
-                model, rmse, diverged = fit(series[:, cols], cfg, [self.SEEDS[k] for k in cols])
+                model, rmse, diverged = fit(
+                    series[:, cols], cfg, [self.SEEDS[k] for k in cols], epoch_rmse=True
+                )
                 assert model.theta.shape == (size, param_count(hidden))
                 assert rmse.shape == (size, cfg.epochs)
                 assert diverged == {}
@@ -371,7 +411,7 @@ class TestGroupFit:
         series[:, 1] *= 1e300
         cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4)
         seeds = [5, 6, 7]
-        model, rmse, diverged = fit(series, cfg, seeds)
+        model, rmse, diverged = fit(series, cfg, seeds, epoch_rmse=True)
         assert set(diverged) == {1}
         assert diverged[1] == fit_one(series[:, 1], cfg, 6)[2]
         assert re.fullmatch(CAUSE, diverged[1])

@@ -232,6 +232,22 @@ class TestRun:
         run(prices, small_cfg(70, reps=2), jobs=2)
         assert seen == [(0,), (1,)]
 
+    def test_fits_skip_the_epoch_rmse_pass(self, monkeypatch):
+        # the only inference pass of a group is its test-horizon prediction
+        import bootband.lstm as lstm
+
+        prices = price_series(gbm_prices(100, seed=6))
+        real_infer, calls = lstm._infer, []
+
+        def counting(theta, windows):
+            calls.append(theta.shape[0])
+            return real_infer(theta, windows)
+
+        monkeypatch.setattr(lstm, "_infer", counting)
+        monkeypatch.setattr(pl, "GROUP_SIZE", 3)
+        run(prices, small_cfg(70, reps=7, epochs=3), jobs=1)
+        assert calls == [3, 3, 1]
+
     def test_quantile_sandwich_against_replicates(self):
         prices = price_series(gbm_prices(110, seed=9))
         result = run(prices, small_cfg(75, reps=5))
@@ -542,6 +558,15 @@ class TestSharedTraining:
         assert err.value.stage == "block-length-selection"
         assert err.value.detail == "lbb: no candidate fits"
         assert fits == []
+
+    def test_bad_lbb_locality_stops_the_compare_before_selection(self, monkeypatch):
+        # an NBB selector ignores locality; LBB's copy of it rejects 0
+        prices = price_series(gbm_prices(100, seed=6))
+        cfg = small_cfg(70, method="nbb", reps=2)
+        cfg = replace(cfg, selector=replace(cfg.selector, locality=0.0))
+        monkeypatch.setattr(pl, "select_block_length", None)
+        with pytest.raises(ValidationError, match="locality"):
+            compare_methods(prices, cfg)
 
     def test_train_len_checked_before_selection(self, monkeypatch):
         prices = price_series(gbm_prices(100, seed=6))
