@@ -77,11 +77,12 @@ class SelectorConfig:
             raise ValidationError(f"locality must lie in (0, 1], got {self.locality}")
 
     def resolved_l_max(self, n: int) -> int:
-        if self.l_max is not None:
-            if self.l_max > n:
-                raise ValidationError(f"l_max {self.l_max} exceeds series length {n}")
-            return self.l_max
-        return max(self.l_min, min(50, n // 4))
+        """The largest candidate length for ``n`` values; both bounds must fit in ``n``."""
+        if self.l_max is not None and self.l_max > n:
+            raise ValidationError(f"l_max {self.l_max} exceeds series length {n}")
+        if self.l_min > n:
+            raise ValidationError(f"l_min {self.l_min} exceeds series length {n}")
+        return self.l_max if self.l_max is not None else max(self.l_min, min(50, n // 4))
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,6 @@ def select_block_length(x, cfg: SelectorConfig) -> tuple[int, SelectorCurve]:
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     l_max = cfg.resolved_l_max(n)
-    if cfg.l_min > n:
-        raise ValidationError(f"l_min {cfg.l_min} exceeds series length {n}")
     lengths = np.arange(cfg.l_min, l_max + 1)
     dists = np.empty(len(lengths))
     pens = np.empty(len(lengths))

@@ -5,10 +5,14 @@ Every subcommand reads a dated CSV, writes UTF-8 CSV/JSON artifacts into
 configuration, the input hash, and per-stage timings (the command's own
 stages, timed with :func:`bootband.manifest.timed`, plus the pipeline's;
 ``compare`` names each method's own stages ``<method>:<stage>`` and records
-the ``train-predict`` stage its three methods share once).  Configuration
-precedence is CLI flags > ``--config`` file (``key = value`` lines, ``#``
-comments) > built-in defaults.  All randomness derives from the single
-``--seed``; when omitted a random seed is chosen, printed, and recorded.
+the ``train-predict`` stage its three methods share once).  One runner,
+:func:`_execute`, resolves the options, picks the seed, loads the input and
+writes the manifest; each subcommand body only computes its artifacts.
+Configuration precedence is CLI flags > ``--config`` file (``key = value``
+lines, ``#`` comments) > defaults, which are those of :class:`TrainConfig`,
+:class:`SelectorConfig` and :class:`PipelineConfig`.  All randomness derives
+from the single ``--seed``; when omitted a random seed is chosen, printed,
+and recorded.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import DataError, PipelineError, ValidationError
 from .lstm import LstmModel, TrainConfig, fit, predict_series, save_model
 from .manifest import RunManifest, sha256_of, timed
 from .pipeline import PipelineConfig, compare_methods, run
-from .timeseries import from_log_returns, load_csv, to_log_returns, window_minmax_scale
+from .timeseries import PriceSeries, from_log_returns, load_csv, to_log_returns, window_minmax_scale
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +61,7 @@ def _bool_from(text: str) -> bool:
 # name -> (converter, default, help); None default means "resolved at runtime"
 # (seed: random; jobs: usable CPUs; lmax: min(50, n // 4)).  _REQUIRED marks a
 # value a flag or the config file must give.  A list converter is a list of
-# choices.
+# choices.  Defaults are read off the config dataclasses, so each is stated once.
 _REQUIRED = object()
 
 _COMMON_OPTS = {
@@ -73,31 +77,43 @@ _PARALLEL_OPTS = {
 }
 
 _SELECTOR_OPTS = {
-    "t": (float, 2.0, "penalty exponent"),
-    "lmin": (int, 1, "smallest candidate block length"),
+    "t": (float, SelectorConfig.t, "penalty exponent"),
+    "lmin": (int, SelectorConfig.l_min, "smallest candidate block length"),
     "lmax": (int, None, "largest candidate block length (default: min(50, n // 4))"),
-    "locality": (float, 0.1, "LBB locality fraction B in (0, 1]"),
+    "locality": (float, SelectorConfig.locality, "LBB locality fraction B in (0, 1]"),
 }
 
 _TRAIN_OPTS = {
+    # PipelineConfig has no default training length; 800 is the reference split
     "train_len": (int, 800, "number of leading observations used for training"),
-    "lookback": (int, 5, "window length fed to the LSTM"),
-    "batch_size": (int, 15, "minibatch size"),
-    "epochs": (int, 19, "training epochs"),
-    "dropout": (float, 0.2, "dropout rate on the final hidden state"),
-    "l2": (float, 1e-4, "L2 coefficient on input kernels and dense weights"),
-    "hidden": (int, 32, "LSTM hidden size"),
-    "learning_rate": (float, 1e-3, "Adam learning rate"),
-    "scale_window": (int, 200, "segment length for window min-max scaling"),
+    "lookback": (int, TrainConfig.lookback, "window length fed to the LSTM"),
+    "batch_size": (int, TrainConfig.batch_size, "minibatch size"),
+    "epochs": (int, TrainConfig.epochs, "training epochs"),
+    "dropout": (float, TrainConfig.dropout_rate, "dropout rate on the final hidden state"),
+    "l2": (float, TrainConfig.l2_coeff, "L2 coefficient on input kernels and dense weights"),
+    "hidden": (int, TrainConfig.hidden_size, "LSTM hidden size"),
+    "learning_rate": (float, TrainConfig.learning_rate, "Adam learning rate"),
+    "scale_window": (int, PipelineConfig.scale_window, "segment length for window min-max scaling"),
 }
 
 _METHOD_OPT = {"method": (METHOD_CHOICES, _REQUIRED, None)}
+
+# the options of one band construction, shared by band and compare
+_PIPELINE_OPTS = {
+    **_SELECTOR_OPTS, **_TRAIN_OPTS,
+    "reps": (int, PipelineConfig.reps, "bootstrap replicates M"),
+    "alpha": (float, PipelineConfig.alpha, "miscoverage level (0.05 gives a 95 percent band)"),
+    "selector_reps": (int, SelectorConfig.reps, "replicates per candidate in block-length selection"),
+    "allow_failures": (int, PipelineConfig.allow_failures,
+                       "tolerated failed replicates (non-finite loss or forecast) before aborting"),
+    "dump_replicates": (bool, False, "also write the M x T replicate prediction matrix"),
+}
 
 # one table per subcommand: it drives both the parser and the config resolver
 _RESAMPLE_OPTS = {
     **_COMMON_OPTS, **_METHOD_OPT,
     "block_len": (int, _REQUIRED, "block length l"),
-    "locality": (float, 0.1, "LBB locality fraction B"),
+    "locality": (float, SelectorConfig.locality, "LBB locality fraction B"),
     "count": (int, 1, "number of pseudo-series"),
     "space": (["log-return", "price"], "log-return",
               "'log-return' (reverse-transformed to prices) or 'price'"),
@@ -105,22 +121,13 @@ _RESAMPLE_OPTS = {
 
 _SELECT_BLOCK_OPTS = {
     **_COMMON_OPTS, **_METHOD_OPT, **_SELECTOR_OPTS,
-    "reps": (int, 100, "bootstrap replicates per candidate length"),
+    "reps": (int, SelectorConfig.reps, "bootstrap replicates per candidate length"),
     "train_len": (int, None, "restrict to the first train-len prices (default: whole series)"),
 }
 
 _TRAIN_CMD_OPTS = {**_COMMON_OPTS, **_TRAIN_OPTS}
-
-_COMPARE_OPTS = {
-    **_PARALLEL_OPTS, **_SELECTOR_OPTS, **_TRAIN_OPTS,
-    "reps": (int, 1000, "bootstrap replicates M"),
-    "alpha": (float, 0.05, "miscoverage level (0.05 gives a 95 percent band)"),
-    "selector_reps": (int, 100, "replicates per candidate in block-length selection"),
-    "allow_failures": (int, 0, "tolerated failed replicates (non-finite loss or forecast) before aborting"),
-    "dump_replicates": (bool, False, "also write the M x T replicate prediction matrix"),
-}
-
-_BAND_OPTS = {**_PARALLEL_OPTS, **_METHOD_OPT, **_COMPARE_OPTS}
+_COMPARE_OPTS = {**_PARALLEL_OPTS, **_PIPELINE_OPTS}
+_BAND_OPTS = {**_PARALLEL_OPTS, **_METHOD_OPT, **_PIPELINE_OPTS}
 
 
 def _add_opts(parser: argparse.ArgumentParser, opts: dict) -> None:
@@ -203,6 +210,8 @@ def _resolve_seed(res: _Resolver) -> int:
         seed = int.from_bytes(os.urandom(6), "big")
         print(f"seed: {seed}")
         res.resolved["seed"] = seed
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
     return seed
 
 
@@ -219,12 +228,6 @@ def _resolve_jobs(res: _Resolver) -> int:
     return jobs
 
 
-def _out_dir(res: _Resolver) -> Path:
-    out = Path(res.get("output_dir"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _identity_config(res: _Resolver) -> dict:
     """The resolved settings that determine artifact bytes.
 
@@ -235,8 +238,41 @@ def _identity_config(res: _Resolver) -> dict:
     return {k: v for k, v in res.resolved.items() if k not in ("output_dir", "jobs")}
 
 
+def _execute(args: argparse.Namespace) -> int:
+    """Resolve the options, make the output directory, load the input, run the body, write the manifest."""
+    res = _Resolver(args, args.opts)
+    seed = _resolve_seed(res)
+    jobs = _resolve_jobs(res) if "jobs" in args.opts else 1
+    out = Path(res.get("output_dir"))
+    out.mkdir(parents=True, exist_ok=True)
+    prices = load_csv(args.input, res.get("column"))
+    manifest = RunManifest(
+        command=args.command, config={}, input_path=str(args.input),
+        input_sha256=sha256_of(args.input), seed=seed, jobs=jobs,
+    )
+    args.func(res, prices, out, manifest)
+    manifest.config = _identity_config(res)
+    manifest.write(out / "manifest.json")
+    return EXIT_OK
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def _selector_config(res: _Resolver, method: str, reps: int, seed: int) -> SelectorConfig:
+    return SelectorConfig(
+        method=method, reps=reps, l_min=res.get("lmin"), l_max=res.get("lmax"),
+        t=res.get("t"), locality=res.get("locality"), seed=seed,
+    )
+
+
+def _train_config(res: _Resolver, seed: int) -> TrainConfig:
+    return TrainConfig(
+        lookback=res.get("lookback"), batch_size=res.get("batch_size"),
+        epochs=res.get("epochs"), dropout_rate=res.get("dropout"), l2_coeff=res.get("l2"),
+        hidden_size=res.get("hidden"), learning_rate=res.get("learning_rate"), seed=seed,
+    )
 
 
 def _pipeline_config(res: _Resolver, method: str, seed: int) -> PipelineConfig:
@@ -245,25 +281,8 @@ def _pipeline_config(res: _Resolver, method: str, seed: int) -> PipelineConfig:
         train_len=res.get("train_len"),
         reps=res.get("reps"),
         alpha=res.get("alpha"),
-        selector=SelectorConfig(
-            method=BootstrapMethod(method),
-            reps=res.get("selector_reps"),
-            l_min=res.get("lmin"),
-            l_max=res.get("lmax"),
-            t=res.get("t"),
-            locality=res.get("locality"),
-            seed=derive_seed(seed, 1),
-        ),
-        train=TrainConfig(
-            lookback=res.get("lookback"),
-            batch_size=res.get("batch_size"),
-            epochs=res.get("epochs"),
-            dropout_rate=res.get("dropout"),
-            l2_coeff=res.get("l2"),
-            hidden_size=res.get("hidden"),
-            learning_rate=res.get("learning_rate"),
-            seed=derive_seed(seed, 2),
-        ),
+        selector=_selector_config(res, method, res.get("selector_reps"), derive_seed(seed, 1)),
+        train=_train_config(res, derive_seed(seed, 2)),
         seed=seed,
         scale_window=res.get("scale_window"),
         allow_failures=res.get("allow_failures"),
@@ -279,22 +298,13 @@ def _write_replicate_matrix(path: Path, result) -> None:
             w.writerow([rid] + [repr(float(v)) for v in row])
 
 
-def cmd_resample(args: argparse.Namespace) -> int:
-    res = _Resolver(args, _RESAMPLE_OPTS)
-    seed = _resolve_seed(res)
-    out = _out_dir(res)
+def cmd_resample(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
     method = res.get("method")
     block_len = res.get("block_len")
     space = res.get("space")
-    prices = load_csv(args.input, res.get("column"))
-
-    manifest = RunManifest(
-        command="resample", config={}, input_path=str(args.input),
-        input_sha256=sha256_of(args.input), seed=seed,
-    )
     locality = res.get("locality") if method == "lbb" else None
     plan = BlockPlan(method=BootstrapMethod(method), block_len=block_len,
-                     locality=locality, seed=seed)
+                     locality=locality, seed=manifest.seed)
     with timed(manifest.timings, "resample"):
         if space == "log-return":
             draws, starts = batch_resample(to_log_returns(prices.values), plan, res.get("count"))
@@ -312,64 +322,32 @@ def cmd_resample(args: argparse.Namespace) -> int:
             "method": method, "block_len": block_len, "space": space,
             "starts": [row.tolist() for row in starts],
         })
-    manifest.config = _identity_config(res)
-    manifest.write(out / "manifest.json")
-    return EXIT_OK
 
 
-def cmd_select_block(args: argparse.Namespace) -> int:
-    res = _Resolver(args, _SELECT_BLOCK_OPTS)
-    seed = _resolve_seed(res)
-    out = _out_dir(res)
-    prices = load_csv(args.input, res.get("column"))
+def cmd_select_block(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
     train_len = res.get("train_len")
     if train_len is not None and not 1 < train_len <= len(prices):
         raise ValidationError(f"--train-len {train_len} must lie in (1, {len(prices)}]")
     method = res.get("method")
     returns = to_log_returns(prices.values[:train_len])
-
-    cfg = SelectorConfig(
-        method=BootstrapMethod(method), reps=res.get("reps"), l_min=res.get("lmin"),
-        l_max=res.get("lmax"), t=res.get("t"), locality=res.get("locality"), seed=seed,
-    )
-    manifest = RunManifest(
-        command="select-block", config={}, input_path=str(args.input),
-        input_sha256=sha256_of(args.input), seed=seed,
-    )
+    cfg = _selector_config(res, method, res.get("reps"), manifest.seed)
     with timed(manifest.timings, "select"):
         l_opt, curve = select_block_length(returns, cfg)
     curve.to_csv(out / "selector_curve.csv")
     _write_json(out / "selection.json", {
-        "method": method, "l_opt": l_opt, "reps": cfg.reps, "t": cfg.t, "seed": seed,
+        "method": method, "l_opt": l_opt, "reps": cfg.reps, "t": cfg.t, "seed": manifest.seed,
         "n_returns": len(returns),
     })
-    manifest.config = _identity_config(res)
-    manifest.write(out / "manifest.json")
-    return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    res = _Resolver(args, _TRAIN_CMD_OPTS)
-    seed = _resolve_seed(res)
-    out = _out_dir(res)
-    prices = load_csv(args.input, res.get("column"))
+def cmd_train(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
     n = len(prices)
     train_len = res.get("train_len")
     if not 0 < train_len < n:
         raise ValidationError(f"--train-len {train_len} must lie in (0, {n}) for this input")
-
-    cfg = TrainConfig(
-        lookback=res.get("lookback"), batch_size=res.get("batch_size"),
-        epochs=res.get("epochs"), dropout_rate=res.get("dropout"), l2_coeff=res.get("l2"),
-        hidden_size=res.get("hidden"), learning_rate=res.get("learning_rate"), seed=seed,
-    )
-    manifest = RunManifest(
-        command="train", config={}, input_path=str(args.input),
-        input_sha256=sha256_of(args.input), seed=seed,
-    )
-    scale_window = res.get("scale_window")
+    cfg = _train_config(res, manifest.seed)
     with timed(manifest.timings, "scale"):
-        scaled, scale = window_minmax_scale(prices.values, scale_window)
+        scaled, scale = window_minmax_scale(prices.values, res.get("scale_window"))
     with timed(manifest.timings, "fit"):
         group, traces, diverged = fit(scaled[:train_len, None], cfg, [cfg.seed], epoch_rmse=True)
     if diverged:
@@ -404,56 +382,30 @@ def cmd_train(args: argparse.Namespace) -> int:
         "test_rmse_scaled": rmse(test_scaled, scaled[train_len:]),
         "test_rmse_price": rmse(test_price, prices.values[train_len:]),
         "final_epoch_rmse_scaled": rmse_trace[-1],
-        "seed": seed,
+        "seed": manifest.seed,
     })
-    manifest.config = _identity_config(res)
-    manifest.write(out / "manifest.json")
-    return EXIT_OK
 
 
-def cmd_band(args: argparse.Namespace) -> int:
-    res = _Resolver(args, _BAND_OPTS)
-    seed = _resolve_seed(res)
-    jobs = _resolve_jobs(res)
-    out = _out_dir(res)
-    prices = load_csv(args.input, res.get("column"))
-    cfg = _pipeline_config(res, res.get("method"), seed)
-
-    manifest = RunManifest(
-        command="band", config={}, input_path=str(args.input),
-        input_sha256=sha256_of(args.input), seed=seed, jobs=jobs,
-    )
+def cmd_band(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
+    cfg = _pipeline_config(res, res.get("method"), manifest.seed)
     with timed(manifest.timings, "pipeline"):
-        result = run(prices, cfg, jobs=jobs)
+        result = run(prices, cfg, jobs=manifest.jobs)
     manifest.timings.update(result.timings)
     with timed(manifest.timings, "write"):
         result.band.to_csv(out / "band.csv", actual=result.actual)
         result.curve.to_csv(out / "selector_curve.csv")
         _write_json(out / "report.json", {
-            **result.report(seed), "alpha": cfg.alpha,
+            **result.report(manifest.seed), "alpha": cfg.alpha,
             "runtime_seconds": manifest.timings.get("pipeline"),
         })
         if res.get("dump_replicates"):
             _write_replicate_matrix(out / "replicates.csv", result)
-    manifest.config = _identity_config(res)
-    manifest.write(out / "manifest.json")
-    return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    res = _Resolver(args, _COMPARE_OPTS)
-    seed = _resolve_seed(res)
-    jobs = _resolve_jobs(res)
-    out = _out_dir(res)
-    prices = load_csv(args.input, res.get("column"))
-    cfg = _pipeline_config(res, "lbb", seed)
-
-    manifest = RunManifest(
-        command="compare", config={}, input_path=str(args.input),
-        input_sha256=sha256_of(args.input), seed=seed, jobs=jobs,
-    )
+def cmd_compare(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
+    cfg = _pipeline_config(res, "lbb", manifest.seed)
     with timed(manifest.timings, "compare"):
-        comparison = compare_methods(prices, cfg, jobs=jobs)
+        comparison = compare_methods(prices, cfg, jobs=manifest.jobs)
     for method, result in comparison.results.items():
         for stage, seconds in result.timings.items():
             manifest.timings[f"{method.value}:{stage}"] = seconds
@@ -465,14 +417,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if res.get("dump_replicates"):
                 _write_replicate_matrix(out / f"replicates_{method.value}.csv", result)
         _write_json(out / "report.json", {
-            "ranking": comparison.report(seed=seed),
+            "ranking": comparison.report(seed=manifest.seed),
             "best_method": comparison.ranking[0].value,
-            "seed": seed,
+            "seed": manifest.seed,
             "runtime_seconds": manifest.timings.get("compare"),
         })
-    manifest.config = _identity_config(res)
-    manifest.write(out / "manifest.json")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bootband {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, opts, help_ in (
+    for name, body, opts, help_ in (
         ("resample", cmd_resample, _RESAMPLE_OPTS, "draw block-bootstrap pseudo-series"),
         ("select-block", cmd_select_block, _SELECT_BLOCK_OPTS,
          "choose the block length by the penalized objective"),
@@ -496,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="dated CSV of prices")
         p.add_argument("--config", default=None, help="key = value config file")
         _add_opts(p, opts)
-        p.set_defaults(func=func)
+        p.set_defaults(func=body, opts=opts)
 
     return parser
 
@@ -508,7 +457,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _execute(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -377,6 +377,8 @@ def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMetho
         raise ValidationError(
             f"training length {train_len} must exceed lookback + 1 = {cfg.train.lookback + 1}"
         )
+    # block-length bounds beyond the training returns fail before any selection runs
+    cfg.selector.resolved_l_max(train_len - 1)
     labels = [method.value if len(methods) > 1 else None for method in methods]
     # every method's config is checked before any selection runs
     cfgs = [replace(cfg, selector=replace(cfg.selector, method=method)) for method in methods]

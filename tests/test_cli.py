@@ -14,6 +14,7 @@ import pytest
 import bootband
 import bootband.cli as cli
 import bootband.pipeline as pl
+from bootband import PipelineConfig, SelectorConfig, TrainConfig
 from bootband.cli import main
 from conftest import gbm_prices, strip_volatile, write_price_csv
 
@@ -157,6 +158,29 @@ class TestBadLocality:
         flags = ["--method", method, "--locality", "0", "--jobs", "1"]
         assert main(["band", "--input", csv90, *fast_flags(out, flags)]) == 0
         assert (out / "band.csv").exists()
+
+
+class TestBlockLengthBounds:
+    @pytest.mark.parametrize("command,flags,message", [
+        ("band", ["--method", "nbb", "--lmax", "500"], "l_max 500 exceeds series length 59"),
+        ("band", ["--method", "nbb", "--lmin", "400"], "l_min 400 exceeds series length 59"),
+        ("compare", ["--lmax", "500"], "l_max 500 exceeds series length 59"),
+        ("compare", ["--lmin", "400"], "l_min 400 exceeds series length 59"),
+        ("select-block", ["--method", "nbb", "--lmax", "500"], "l_max 500 exceeds series length 59"),
+        ("select-block", ["--method", "nbb", "--lmin", "400"], "l_min 400 exceeds series length 59"),
+    ])
+    def test_exit_4_before_any_selection(self, csv90, tmp_path, monkeypatch, capsys,
+                                         command, flags, message):
+        # band and compare check the bounds against the training returns before
+        # they select; select-block checks them as its selection starts
+        monkeypatch.setattr(pl, "select_block_length", None)
+        out = tmp_path / "out"
+        jobs = [] if command == "select-block" else ["--jobs", "1"]
+        code = main([command, "--input", csv90, "--output-dir", str(out), "--train-len", "60",
+                     "--seed", "3", *jobs, *flags])
+        assert code == 4
+        assert capsys.readouterr().err == f"error[data]: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestSelectBlock:
@@ -476,6 +500,26 @@ class TestSeedHandling:
         manifest = read_json(out / "manifest.json")
         assert manifest["seed"] == seed
 
+    @pytest.mark.parametrize("command", [
+        ["resample", "--method", "nbb", "--block-len", "4"],
+        ["select-block", "--method", "mbb"],
+        ["train"],
+        ["band", "--method", "nbb"],
+        ["compare"],
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_a_usage_error(self, csv90, tmp_path, capsys, command, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            seed = ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = -1\n")
+            seed = ["--config", str(tmp_path / "run.cfg")]
+        code = main([*command, "--input", csv90, "--output-dir", str(out), *seed])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert not out.exists()
+
     def test_manifest_reproduces_run(self, csv90, tmp_path):
         # re-invoking with the manifest's recorded config reproduces artifacts
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -510,8 +554,28 @@ class TestHelp:
         assert {n for n, t in tables.items() if "jobs" in t} == {"band", "compare"}
 
     def test_help_documents_defaults(self, capsys):
-        assert main(["band", "--help"]) == 0
-        text = capsys.readouterr().out
-        for needle in ("default: 5", "default: 15", "default: 19", "default: 0.2",
-                       "default: 1000", "default: 0.05", "default: 2.0"):
-            assert needle in text
+        # every default the help states is the library's own
+        train, selector = TrainConfig(), SelectorConfig()
+        training = {
+            "lookback": train.lookback, "batch-size": train.batch_size, "epochs": train.epochs,
+            "dropout": train.dropout_rate, "l2": train.l2_coeff, "hidden": train.hidden_size,
+            "learning-rate": train.learning_rate, "scale-window": PipelineConfig.scale_window,
+        }
+        selection = {"t": selector.t, "lmin": selector.l_min, "locality": selector.locality}
+        pipeline = {
+            **training, **selection, "reps": PipelineConfig.reps, "alpha": PipelineConfig.alpha,
+            "selector-reps": selector.reps, "allow-failures": PipelineConfig.allow_failures,
+        }
+        expected = {
+            "train": training,
+            "select-block": {**selection, "reps": selector.reps},
+            "band": pipeline,
+            "compare": pipeline,
+        }
+        for command, defaults in expected.items():
+            assert main([command, "--help"]) == 0
+            # one entry per option, its help text unwrapped
+            text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+            entries = {entry.split()[0]: entry for entry in re.split(r" (?=--[a-z])", text)}
+            for flag, value in defaults.items():
+                assert entries["--" + flag].endswith(f"(default: {value})"), (command, flag)

@@ -398,13 +398,23 @@ class TestRun:
         assert np.all(paths[:, 0] == prices.values[0])
         assert np.all(paths > 0)
 
-    def test_stage_tagged_errors(self):
-        # selector config invalid for this n -> failure carries the stage name
+    def test_stage_tagged_errors(self, monkeypatch):
+        # a failure inside selection carries the stage name
+        def failing_selection(returns, cfg):
+            raise ValidationError("no candidate length")
+
+        monkeypatch.setattr(pl, "select_block_length", failing_selection)
+        with pytest.raises(PipelineError) as err:
+            run(price_series(gbm_prices(60, seed=4)), small_cfg(40))
+        assert err.value.stage == "block-length-selection"
+
+    def test_selector_bounds_beyond_training_fail_before_selection(self, monkeypatch):
+        # selector config invalid for the 39 training returns -> a plain ValidationError
+        monkeypatch.setattr(pl, "select_block_length", None)
         prices = price_series(gbm_prices(60, seed=4))
         cfg = replace(small_cfg(40), selector=SelectorConfig(reps=5, l_max=45, seed=1))
-        with pytest.raises(PipelineError) as err:
+        with pytest.raises(ValidationError, match="l_max 45 exceeds series length 39"):
             run(prices, cfg)
-        assert err.value.stage == "block-length-selection"
 
 
 class TestCompareMethods:
