@@ -17,8 +17,8 @@ Row ``k`` of a batch is drawn from the sub-stream keyed by
 ``(plan.seed, k)``, so every row is reproducible on its own regardless of
 the batch size.  The drawn block starts are returned next to the value
 matrix for audit.  :func:`draw_starts` draws the starts from generators the
-caller passes, so block-length selection can rewind one set of generators
-for every candidate length.
+caller passes, so block-length selection can redraw one row from a saved
+generator state.
 """
 
 from __future__ import annotations
@@ -56,7 +56,17 @@ class BlockPlan:
             if self.locality is None:
                 raise ValidationError("LBB requires a locality fraction")
             if not 0 < self.locality <= 1:
-                raise ValidationError("locality must lie in (0, 1]")
+                raise ValidationError(f"locality must lie in (0, 1], got {self.locality}")
+
+
+def lbb_halo(n: int, locality: float) -> int:
+    """The LBB start-window half-width ``floor(n * B)``; it must be at least 1."""
+    halo = math.floor(n * locality + 1e-9)
+    if halo < 1:
+        raise ValidationError(
+            f"locality {locality} gives floor(n*B) = {halo}; need >= 1 for n = {n}"
+        )
+    return halo
 
 
 def lbb_start_windows(n: int, l: int, halo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,12 +106,7 @@ def draw_starts(rngs, n: int, plan: BlockPlan) -> list[np.ndarray]:
         return rows
     if plan.method is BootstrapMethod.MBB:
         return [rng.integers(0, n - l + 1, size=-(-n // l)) for rng in rngs]
-    halo = math.floor(n * plan.locality + 1e-9)
-    if halo < 1:
-        raise ValidationError(
-            f"locality {plan.locality} gives floor(n*B) = {halo}; need >= 1 for n = {n}"
-        )
-    lo, hi = lbb_start_windows(n, l, halo)
+    lo, hi = lbb_start_windows(n, l, lbb_halo(n, plan.locality))
     stop = hi + 1
     return [rng.integers(lo, stop) for rng in rngs]
 

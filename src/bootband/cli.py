@@ -113,7 +113,7 @@ _PIPELINE_OPTS = {
 _RESAMPLE_OPTS = {
     **_COMMON_OPTS, **_METHOD_OPT,
     "block_len": (int, _REQUIRED, "block length l"),
-    "locality": (float, SelectorConfig.locality, "LBB locality fraction B"),
+    "locality": _SELECTOR_OPTS["locality"],
     "count": (int, 1, "number of pseudo-series"),
     "space": (["log-return", "price"], "log-return",
               "'log-return' (reverse-transformed to prices) or 'price'"),

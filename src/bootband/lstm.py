@@ -200,8 +200,11 @@ def _forward_pass(
     for t in range(lookback):
         old, new = (t, t + 1) if keep_cache else (t % 2, (t + 1) % 2)
         # in place: each (batch, 4H) temporary adds to the peak memory of a fit
-        a = h[old] @ U
-        a += windows[..., t, None] * W
+        if t:
+            a = h[old] @ U
+            a += windows[..., t, None] * W
+        else:  # h[0] is zero
+            a = windows[..., 0, None] * W
         a += b
         g = gates[t if keep_cache else 0]
         # logistic sigmoid as 0.5 * tanh(a / 2) + 0.5, which cannot overflow,
@@ -312,10 +315,11 @@ def backward(
         da[..., 2 * hidden : s] = do * o * (1.0 - o)
         da[..., s:] = dc * i * (1.0 - c_tilde**2)
         gW += (cache.windows[..., None, :, t] @ da)[..., 0, :]
-        gU += cache.h[t].swapaxes(-1, -2) @ da
         gb += da.sum(axis=-2)
-        dh = da @ Ut
-        dc_carry = dc * f
+        if t:  # h[0] is zero, and nothing reads dh or dc_carry after step 0
+            gU += cache.h[t].swapaxes(-1, -2) @ da
+            dh = da @ Ut
+            dc_carry = dc * f
 
     if l2_coeff:
         # the penalty covers W and dense_w: see kernel_mask

@@ -16,7 +16,8 @@ from bootband.blocklen import (
     length_penalty,
     select_block_length,
 )
-from bootband.bootstrap import BlockPlan, batch_resample
+from bootband._rng import substream
+from bootband.bootstrap import BlockPlan, batch_resample, draw_starts
 from bootband.errors import ValidationError
 from conftest import ar1_series
 
@@ -271,6 +272,82 @@ class TestScoringFromStarts:
         assert built == [(k,) for k in range(cfg.reps)]
 
     @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
+    def test_forced_rejection_redraws_the_row_exactly(self, monkeypatch, method):
+        # flag row 3 of every mapped draw as rejected: the row must be redrawn
+        # from its saved generator state and score as before
+        redrawn = []
+
+        def rejecting(words, bound, out):
+            rejected = real_draws(words, bound, out)
+            rejected[3:4] = True
+            return rejected
+
+        def counting(rngs, n, plan):
+            redrawn.append(plan.block_len)
+            return real_starts(rngs, n, plan)
+
+        real_draws, real_starts = blocklen._lemire_draws, blocklen.draw_starts
+        monkeypatch.setattr(blocklen, "_lemire_draws", rejecting)
+        monkeypatch.setattr(blocklen, "draw_starts", counting)
+        x, l_min, l_max, locality = SCORING_CASES["short-head"]
+        cfg = SelectorConfig(
+            method=method, reps=20, l_min=l_min, l_max=l_max, locality=locality, seed=3
+        )
+        _, curve = select_block_length(x, cfg)
+        assert set(redrawn) == set(range(l_min, l_max + 1))
+        assert curve.distances.tolist() == laid_out_distances(x, cfg)
+
+    @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
+    @pytest.mark.parametrize("n,seed", [(3000, 5), (4999, 123)])
+    def test_start_matrix_equals_draw_starts(self, method, n, seed):
+        # at seed 123 and n = 4999, MBB row 35 rejects a word at l = 10
+        rngs = [substream(seed, k) for k in range(100)]
+        states = [rng.bit_generator.state for rng in rngs]
+        words = blocklen._read_words(rngs, n + blocklen._TOPUP_WORDS)
+        for l in (1, 2, 7, 10, 49, n // 3, n):
+            plan = BlockPlan(method=method, block_len=l, locality=0.1, seed=seed)
+            starts = blocklen._start_matrix(words, rngs, states, n, plan)
+            assert starts.flags.c_contiguous and starts.dtype == np.int64
+            fresh = draw_starts([substream(seed, k) for k in range(len(rngs))], n, plan)
+            for row, expected in zip(starts, fresh):
+                assert row[: expected.size].tolist() == expected.tolist()
+                assert not row[expected.size :].any()
+
+    def test_rows_past_their_topup_words_are_redrawn(self, monkeypatch):
+        # n = 11, l = 10: the one-value short block can be drawn again and
+        # again, so some rows need more top-ups than the words read for them
+        monkeypatch.setattr(blocklen, "_TOPUP_WORDS", 1)
+        rngs = [substream(4, k) for k in range(200)]
+        states = [rng.bit_generator.state for rng in rngs]
+        words = blocklen._read_words(rngs, 2 + blocklen._TOPUP_WORDS)
+        plan = BlockPlan(method="nbb", block_len=10, seed=4)
+        starts = blocklen._start_matrix(words, rngs, states, 11, plan)
+        fresh = draw_starts([substream(4, k) for k in range(len(rngs))], 11, plan)
+        assert starts.shape[1] == max(row.size for row in fresh) > 3
+        for row, expected in zip(starts, fresh):
+            assert row[: expected.size].tolist() == expected.tolist()
+            assert not row[expected.size :].any()
+
+    def test_rejections_happen_at_selection_scale(self):
+        n, l = 4999, 10
+        words = blocklen._read_words([substream(123, k) for k in range(100)], n)
+        out = np.empty((100, -(-n // l)), dtype=np.uint64)
+        rejected = blocklen._lemire_draws(words[:, : out.shape[1]], n - l + 1, out)
+        assert np.flatnonzero(rejected).tolist() == [35]
+
+    def test_unit_candidate_peaks_below_three_replicate_matrices(self):
+        # at l = 1 every row holds n starts and n block means
+        x = ar1_series(3999, 0.5, seed=3, sigma=0.01)
+        cfg = SelectorConfig(method="mbb", reps=100, l_min=1, l_max=1, seed=1)
+        tracemalloc.start()
+        try:
+            select_block_length(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * cfg.reps * x.size * 8
+
+    @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
     def test_long_candidate_peaks_below_one_replicate_matrix(self, method):
         x = ar1_series(4000, 0.5, seed=3, sigma=0.01)
         cfg = SelectorConfig(method=method, reps=100, l_min=2000, l_max=2000, seed=1)
@@ -317,3 +394,64 @@ def test_distance_zero_iff_equal_block_means(seed, n):
     # a shifted replicate with different block means is strictly positive
     shifted = x + 1.0
     assert distance(x, block_means(shifted[None, :], l), l) > 0.0
+
+
+def numpy_bounded_draws(stream, pos, bounds):
+    """numpy's bounded draws, word by word: the values and the position after them."""
+    values = []
+    for bound in bounds:
+        if bound == 1:  # numpy reads no word
+            values.append(0)
+            continue
+        while True:
+            m = int(stream[pos]) * bound
+            pos += 1
+            if m & 0xFFFFFFFF >= (2**32 - bound) % bound:
+                break
+        values.append(m >> 32)
+    return values, pos
+
+
+# bounds near 2**31 reject about half of their words
+_BOUNDS = st.one_of(
+    st.integers(1, 60), st.just(1), st.integers(2**31 - 8, 2**31 + 8), st.integers(2, 2**32)
+)
+_CALLS = st.lists(
+    st.one_of(
+        st.tuples(_BOUNDS, st.integers(1, 9)),  # a scalar bound and a size
+        st.lists(_BOUNDS, min_size=1, max_size=9),  # one bound per draw
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(st.integers(0, 2**32), _CALLS)
+@settings(max_examples=200, deadline=None)
+def test_lemire_draws_match_generator_integers(seed, calls):
+    # consecutive calls on one generator: a call that reads an odd number of
+    # words leaves the high half of its last output for the next call
+    rng = substream(seed)
+    stream = blocklen._read_words([substream(seed)], 64 * (9 * len(calls) + 1))[0]
+    pos = 0
+    for call in calls:
+        if isinstance(call, tuple):
+            bound, size = call
+            drawn = rng.integers(0, bound, size=size).tolist()
+            bounds = [bound] * size
+        else:
+            bound = np.array(call)
+            drawn = rng.integers(0, bound).tolist()
+            bounds = call
+        start = pos
+        values, pos = numpy_bounded_draws(stream, pos, bounds)
+        assert values == drawn
+        # the vectorized draw reads one word per draw with a bound above 1
+        reads = np.array(bounds) > 1
+        words = np.zeros((1, len(bounds)), dtype=np.uint32)
+        words[0, reads] = stream[start : start + np.count_nonzero(reads)]
+        out = np.empty(words.shape, dtype=np.uint64)
+        rejected = blocklen._lemire_draws(words, bound, out)[0]
+        assert rejected == (pos - start > np.count_nonzero(reads))
+        if not rejected:
+            assert out[0].tolist() == drawn

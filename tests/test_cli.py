@@ -152,6 +152,22 @@ class TestBadLocality:
         assert err == f"error[data]: locality must lie in (0, 1], got {float(value)}\n"
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("value", ["0", "2", "nan"])
+    def test_resample_names_the_value(self, csv90, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        code = main(["resample", "--input", csv90, "--method", "lbb", "--block-len", "4",
+                     "--locality", value, "--output-dir", str(out), "--seed", "3"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == f"error[data]: locality must lie in (0, 1], got {float(value)}\n"
+        assert not (out / "pseudo_series.csv").exists()
+
+    def test_every_help_states_the_range(self, capsys):
+        for command in ("resample", "select-block", "band", "compare"):
+            assert main([command, "--help"]) == 0
+            text = " ".join(capsys.readouterr().out.split())
+            assert "--locality LOCALITY LBB locality fraction B in (0, 1] (default: 0.1)" in text
+
     @pytest.mark.parametrize("method", ["nbb", "mbb"])
     def test_other_methods_ignore_it(self, csv90, tmp_path, method):
         out = tmp_path / "out"
