@@ -80,7 +80,7 @@ class SelectorConfig:
     def __post_init__(self):
         object.__setattr__(self, "method", BootstrapMethod(self.method))
         if self.reps < 1:
-            raise ValidationError("reps must be >= 1")
+            raise ValidationError(f"selector reps must be >= 1, got {self.reps}")
         if not (math.isfinite(self.t) and self.t > 0):  # NaN fails too
             raise ValidationError(f"penalty exponent t must be finite and > 0, got {self.t}")
         if self.l_min < 1:

@@ -26,6 +26,18 @@ cannot leak into the others.  :func:`fit` always trains such a group, from a
 time-major ``(n, R)`` series and one seed per column; one network is a group
 of one.
 
+A fit allocates its step arrays once, in a workspace sized by its first
+(widest) minibatch: the states ``h`` and ``c``, the activated gates, stored
+gate-major as ``(lookback, 4, R, batch, H)`` so that each gate is one
+contiguous block, ``tanh(c)``, the ``(R, batch, 4H)`` pre-activation block
+(which backward reuses for d(pre-activation)), the gradient and Adam's
+scratch.  The forward pass, :func:`backward` and the Adam update write into
+it, and Adam updates ``theta`` and its moments in place.  A shorter last
+batch or a group that lost a diverged row uses leading slices of the same
+buffers, and each minibatch gathers its windows from a view of the series.
+Called on their own, :func:`loss`, :func:`backward` and :func:`adam_step`
+run the same code on a fresh workspace or on copies.
+
 During training an inverted-dropout mask is applied to the final hidden
 state only, and an L2 penalty is applied to the input kernels and dense
 weights (not the recurrent matrices or biases).  All arithmetic is float64.
@@ -56,9 +68,11 @@ MODEL_FORMAT_VERSION = 1
 
 # Inference passes (prediction, and the epoch-end RMSE of fit(epoch_rmse=True))
 # keep no BPTT cache and run in row slices of at most this many (window, gate)
-# pre-activations, about 1 MB: at the reference shapes (795 windows, hidden 32)
-# one row at a time.
-_INFER_ELEMENTS = 1 << 17
+# pre-activations, 0.5 MB; a slice's states, gates and scratch take about 3.5
+# times that.  At the reference shapes (795 windows, hidden 32) that is one
+# row at a time, and a wide hidden-8 group predicts its 100-step test horizon
+# in slices of 20 rows, so that its prediction does not peak above its fit.
+_INFER_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,8 +97,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lookback, self.batch_size, self.epochs, self.hidden_size) < 1:
-            raise ValidationError("lookback, batch_size, epochs, hidden_size must be >= 1")
+        for name in ("lookback", "batch_size", "epochs", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.dropout_rate < 1:
             raise ValidationError("dropout_rate must lie in [0, 1)")
         # written so that NaN fails every check
@@ -156,13 +171,40 @@ def kernel_mask(hidden_size: int) -> np.ndarray:
     return mask
 
 
+class _Workspace:
+    """Reusable float64 buffers of a forward, backward and Adam step, one per name.
+
+    :meth:`take` hands out the leading ``prod(shape)`` elements of a buffer as
+    a C-contiguous array of that shape, so a smaller step (the short last
+    batch, a group that lost a diverged row) reuses the memory of the widest
+    one and keeps the strides of a freshly allocated array.  A buffer grows
+    only when a request exceeds it; :func:`fit` asks for its widest step
+    first.  Contents carry over between requests: callers overwrite or zero
+    what they read.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.pop(name, None)
+        if buf is None or buf.size < size:
+            buf = None  # release the smaller buffer before allocating
+            buf = np.empty(size)
+        self._buffers[name] = buf
+        return buf[:size].reshape(shape)
+
+
 @dataclass
 class ForwardCache:
     """Activations of a batched forward pass, for backprop.
 
     ``h[t]`` and ``c[t]`` are the states after ``t`` steps (``h[0]`` is zero);
-    ``gates[t]`` holds step ``t``'s activated f, i, o and c_tilde side by side.
-    Every array after the time axis has the leading axes of ``theta``.
+    ``gates[t]`` holds step ``t``'s activated f, i, o and c_tilde gate-major,
+    so ``gates[t, k]`` is gate ``k`` over the whole batch.  Every array after
+    the time and gate axes has the leading axes of ``theta``.  The arrays live
+    in ``ws``, which :func:`backward` takes its own buffers from.
     """
 
     windows: np.ndarray
@@ -173,59 +215,81 @@ class ForwardCache:
     masks: np.ndarray | None
     h_dropped: np.ndarray
     preds: np.ndarray
+    ws: _Workspace
+
+
+def _gate_blocks(block: np.ndarray) -> np.ndarray:
+    """The ``(4, ..., H)`` gate-major view of a ``(..., 4H)`` gate-interleaved block."""
+    return np.moveaxis(block.reshape(*block.shape[:-1], 4, -1), -2, 0)
 
 
 def _forward_pass(
-    theta: np.ndarray, windows: np.ndarray, masks: np.ndarray | None, keep_cache: bool = True
+    theta: np.ndarray,
+    windows: np.ndarray,
+    masks: np.ndarray | None,
+    keep_cache: bool = True,
+    ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Unroll the cell over ``(..., batch, lookback)`` windows from zero state.
 
     ``theta`` is ``(P,)`` or ``(R, P)``; ``windows`` either carries the same
-    leading axis or is shared by every row.  Without ``keep_cache`` the states
-    live in two rolling slots and no cache is returned.
+    leading axis or is shared by every row.  Every activation is written into
+    ``ws`` (a fresh workspace by default), the returned predictions too.
+    Without ``keep_cache`` the states live in two rolling slots and no cache
+    is returned.
     """
     W, U, b, dense_w, dense_b = param_views(theta)
     windows = np.asarray(windows, dtype=np.float64)
+    ws = _Workspace() if ws is None else ws
     lookback = windows.shape[-1]
     hidden = dense_w.shape[-1]
-    shape = (*theta.shape[:-1], windows.shape[-2])
-    s = 3 * hidden  # the sigmoid gates f, i, o precede the tanh candidate
+    shape = (*theta.shape[:-1], windows.shape[-2], hidden)
     slots = lookback if keep_cache else 1
-    h = np.zeros((slots + 1, *shape, hidden))
-    c = np.zeros((slots + 1, *shape, hidden))
-    gates = np.empty((slots, *shape, 4 * hidden))
-    tanh_c = np.empty((slots, *shape, hidden))
+    h = ws.take("h", (slots + 1, *shape))
+    c = ws.take("c", (slots + 1, *shape))
+    h[0] = c[0] = 0.0
+    gates = ws.take("gates", (slots, 4, *shape))
+    tanh_c = ws.take("tanh_c", (slots, *shape))
+    a = ws.take("pre", (*shape[:-1], 4 * hidden))
+    a_gates = _gate_blocks(a)
+    fc = ws.take("tmp", shape)
     W, b = W[..., None, :], b[..., None, :]
     new = 0
     for t in range(lookback):
         old, new = (t, t + 1) if keep_cache else (t % 2, (t + 1) % 2)
-        # in place: each (batch, 4H) temporary adds to the peak memory of a fit
-        if t:
-            a = h[old] @ U
-            a += windows[..., t, None] * W
-        else:  # h[0] is zero
-            a = windows[..., 0, None] * W
-        a += b
         g = gates[t if keep_cache else 0]
+        if t:
+            np.matmul(h[old], U, out=a)
+            # the step's gate block holds x * W until the activations overwrite it
+            a += np.multiply(windows[..., t, None], W, out=g.reshape(a.shape))
+        else:  # h[0] is zero
+            np.multiply(windows[..., 0, None], W, out=a)
+        a += b
+        f, i, o, c_tilde = g
         # logistic sigmoid as 0.5 * tanh(a / 2) + 0.5, which cannot overflow,
-        # over the whole contiguous block (cheaper than over the strided f, i,
-        # o columns); then the candidate columns are overwritten with tanh
-        np.multiply(a, 0.5, out=g)
-        np.tanh(g, out=g)
-        g *= 0.5
-        g += 0.5
-        np.tanh(a[..., s:], out=g[..., s:])
-        c[new] = g[..., hidden : 2 * hidden] * g[..., s:] + g[..., :hidden] * c[old]
+        # over the contiguous f, i, o blocks; tanh over the candidate
+        sig = g[:3]
+        np.multiply(a_gates[:3], 0.5, out=sig)
+        np.tanh(sig, out=sig)
+        sig *= 0.5
+        sig += 0.5
+        np.tanh(a_gates[3], out=c_tilde)
+        # the f * c[0] term at t = 0 fixes the sign of a zero cell
+        np.multiply(i, c_tilde, out=c[new])
+        c[new] += np.multiply(f, c[old], out=fc)
         tc = tanh_c[t if keep_cache else 0]
         np.tanh(c[new], out=tc)
-        h[new] = g[..., 2 * hidden : s] * tc
-    h_dropped = h[new] if masks is None else h[new] * masks
-    preds = (h_dropped @ dense_w[..., None])[..., 0] + dense_b[..., None]
+        np.multiply(o, tc, out=h[new])
+    h_dropped = h[new]
+    if masks is not None:
+        h_dropped = np.multiply(h_dropped, masks, out=ws.take("h_dropped", shape))
+    preds = np.matmul(h_dropped, dense_w[..., None], out=ws.take("head", (*shape[:-1], 1)))[..., 0]
+    preds += dense_b[..., None]
     if not keep_cache:
         return preds, None
     cache = ForwardCache(
         windows=windows, h=h, c=c, gates=gates, tanh_c=tanh_c,
-        masks=masks, h_dropped=h_dropped, preds=preds,
+        masks=masks, h_dropped=h_dropped, preds=preds, ws=ws,
     )
     return preds, cache
 
@@ -236,10 +300,12 @@ def _infer(theta: np.ndarray, windows: np.ndarray) -> np.ndarray:
     batch = windows.shape[-2]
     rows = max(1, _INFER_ELEMENTS // (batch * 4 * param_views(group)[3].shape[-1]))
     preds = np.empty((len(group), batch))
+    ws = _Workspace()
     for lo in range(0, len(group), rows):
         part = slice(lo, lo + rows)
         preds[part] = _forward_pass(
-            group[part], windows if windows.ndim == 2 else windows[part], None, keep_cache=False
+            group[part], windows if windows.ndim == 2 else windows[part], None,
+            keep_cache=False, ws=ws,
         )[0]
     return preds.reshape(*theta.shape[:-1], batch)
 
@@ -251,6 +317,7 @@ def _loss(
     masks: np.ndarray | None,
     l2_coeff: float,
     kernel: np.ndarray,
+    ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Batch loss of each row of ``theta`` and the forward cache its gradient needs.
 
@@ -259,7 +326,7 @@ def _loss(
     targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     if targets.shape[-1] == 0:
         raise ValidationError("empty batch")
-    preds, cache = _forward_pass(theta, windows, masks)
+    preds, cache = _forward_pass(theta, windows, masks, ws=ws)
     value = np.mean((preds - targets) ** 2, axis=-1)
     if l2_coeff:
         value = value + l2_coeff * np.sum(np.take(theta, kernel, axis=-1) ** 2, axis=-1)
@@ -283,43 +350,70 @@ def backward(
     targets: np.ndarray,
     cache: ForwardCache,
     l2_coeff: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact gradient of :func:`loss` with respect to ``theta``, via BPTT, row by row."""
+    """Exact gradient of :func:`loss` with respect to ``theta``, via BPTT, row by row.
+
+    The gradient goes into ``out`` if given, else into a new array; every
+    per-step block comes from the cache's workspace.
+    """
     _, U, _, dense_w, _ = param_views(theta)
-    grad = np.zeros_like(theta)
+    grad = np.empty_like(theta) if out is None else out
+    grad[...] = 0.0
     gW, gU, gb, gdense_w, gdense_b = param_views(grad)
     targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     batch = targets.shape[-1]
-    hidden = dense_w.shape[-1]
-    s = 3 * hidden
+    ws = cache.ws
+    shape = cache.h.shape[1:]  # (..., batch, H)
     Ut = U.swapaxes(-1, -2)
 
     dpred = 2.0 * (cache.preds - targets) / batch
     gdense_w[...] = (cache.h_dropped.swapaxes(-1, -2) @ dpred[..., None])[..., 0]
     gdense_b[...] = dpred.sum(axis=-1)
-    dh = dpred[..., None] * dense_w[..., None, :]
+    dh = np.multiply(dpred[..., None], dense_w[..., None, :], out=ws.take("dh", shape))
     if cache.masks is not None:
-        dh = dh * cache.masks
-    dc_carry = np.zeros(dh.shape)
-    da = np.empty((*dh.shape[:-1], 4 * hidden))
+        dh *= cache.masks
+    dc_carry = ws.take("dc_carry", shape)
+    dc_carry[...] = 0.0
+    dc, tmp = ws.take("dc", shape), ws.take("tmp", shape)
+    # the forward pass's pre-activation block, free once its gates are activated
+    da = ws.take("pre", (*shape[:-1], 4 * U.shape[-2]))
+    da_f, da_i, da_o, da_c = _gate_blocks(da)
+    # gU in two dimensions: an in-place add into the 3-D view would copy it first
+    gU_rows = gU.reshape(*gU.shape[:-2], -1)
+    dU = ws.take("scratch", gU.shape)
 
     for t in reversed(range(cache.gates.shape[0])):
-        g = cache.gates[t]
-        f, i = g[..., :hidden], g[..., hidden : 2 * hidden]
-        o, c_tilde = g[..., 2 * hidden : s], g[..., s:]
+        f, i, o, c_tilde = cache.gates[t]
         tanh_c = cache.tanh_c[t]
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c**2) + dc_carry
-        da[..., :hidden] = dc * cache.c[t] * f * (1.0 - f)
-        da[..., hidden : 2 * hidden] = dc * c_tilde * i * (1.0 - i)
-        da[..., 2 * hidden : s] = do * o * (1.0 - o)
-        da[..., s:] = dc * i * (1.0 - c_tilde**2)
+        # dc = dh * o * (1 - tanh_c**2) + dc_carry
+        np.multiply(dh, o, out=dc)
+        dc *= np.subtract(1.0, np.square(tanh_c, out=tmp), out=tmp)
+        dc += dc_carry
+        # da_f = dc * c[t] * f * (1 - f)
+        np.multiply(dc, cache.c[t], out=da_f)
+        da_f *= f
+        da_f *= np.subtract(1.0, f, out=tmp)
+        # da_i = dc * c_tilde * i * (1 - i)
+        np.multiply(dc, c_tilde, out=da_i)
+        da_i *= i
+        da_i *= np.subtract(1.0, i, out=tmp)
+        # da_o = do * o * (1 - o), where do = dh * tanh_c
+        np.multiply(dh, tanh_c, out=da_o)
+        da_o *= o
+        da_o *= np.subtract(1.0, o, out=tmp)
+        # da_c = dc * i * (1 - c_tilde**2)
+        np.multiply(dc, i, out=da_c)
+        da_c *= np.subtract(1.0, np.square(c_tilde, out=tmp), out=tmp)
+        # the window operand keeps its per-slice strides: a contiguous copy
+        # takes another matmul path, with other rounding
         gW += (cache.windows[..., None, :, t] @ da)[..., 0, :]
         gb += da.sum(axis=-2)
         if t:  # h[0] is zero, and nothing reads dh or dc_carry after step 0
-            gU += cache.h[t].swapaxes(-1, -2) @ da
-            dh = da @ Ut
-            dc_carry = dc * f
+            np.matmul(cache.h[t].swapaxes(-1, -2), da, out=dU)
+            gU_rows += dU.reshape(gU_rows.shape)
+            np.matmul(da, Ut, out=dh)
+            np.multiply(dc, f, out=dc_carry)
 
     if l2_coeff:
         # the penalty covers W and dense_w: see kernel_mask
@@ -327,6 +421,44 @@ def backward(
         gW += 2.0 * l2_coeff * W
         gdense_w += 2.0 * l2_coeff * dense_w
     return grad
+
+
+def _adam_update(
+    theta: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    step_index: int,
+    scratch: np.ndarray,
+    *,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+) -> None:
+    """Bias-corrected Adam update of ``theta``, ``m`` and ``v`` in place.
+
+    ``grad`` and ``scratch``, arrays of ``theta``'s shape, are overwritten.
+    ``step_index`` is 1-based.
+    """
+    if step_index < 1:
+        raise ValidationError("step_index is 1-based")
+    # m = beta1 * m + (1 - beta1) * grad
+    m *= beta1
+    m += np.multiply(grad, 1.0 - beta1, out=scratch)
+    # v = beta2 * v + (1 - beta2) * grad * grad
+    g2 = np.multiply(grad, 1.0 - beta2, out=scratch)
+    g2 *= grad
+    v *= beta2
+    v += g2
+    # theta -= lr * m_hat / (sqrt(v_hat) + eps), the step built in grad's buffer
+    step = np.divide(m, 1.0 - beta1**step_index, out=grad)
+    step *= lr
+    denom = np.divide(v, 1.0 - beta2**step_index, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    theta -= step
 
 
 def adam_step(
@@ -341,24 +473,14 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bias-corrected Adam update; returns the new (theta, m, v).  ``step_index`` is 1-based."""
-    if step_index < 1:
-        raise ValidationError("step_index is 1-based")
-    # theta - lr * m_hat / (sqrt(v_hat) + eps), with as few temporaries as
-    # the same rounding allows: a group's moments are (R, P) matrices
-    m = beta1 * m
-    m += (1.0 - beta1) * grad
-    g2 = (1.0 - beta2) * grad
-    g2 *= grad
-    v = beta2 * v
-    v += g2
-    step = m / (1.0 - beta1**step_index)
-    step *= lr
-    denom = np.divide(v, 1.0 - beta2**step_index, out=g2)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    step /= denom
-    return theta - step, m, v
+    """Bias-corrected Adam update; returns the new (theta, m, v).  ``step_index`` is 1-based.
+
+    The arguments are left as they were: the update runs on copies.
+    """
+    theta, grad, m, v = (np.array(x, dtype=np.float64) for x in (theta, grad, m, v))
+    _adam_update(theta, grad, m, v, step_index, np.empty_like(theta),
+                 lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return theta, m, v
 
 
 @dataclass
@@ -373,14 +495,15 @@ def make_windows(series: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndar
     """Slide a lookback window over the series: (windows, next values).
 
     A time-major ``(n, R)`` series gives ``(R, n - lookback, lookback)``
-    windows and ``(R, n - lookback)`` next values, one row per column.
+    windows and ``(R, n - lookback)`` next values, one row per column.  Both
+    are read-only views of the series: the windows are not copied.
     """
     series = np.asarray(series, dtype=np.float64)
     if len(series) <= lookback:
         raise ValidationError(f"series length {len(series)} must exceed lookback {lookback}")
     rows = series.T
     windows = np.lib.stride_tricks.sliding_window_view(rows, lookback, axis=-1)[..., :-1, :]
-    return np.ascontiguousarray(windows), rows[..., lookback:]
+    return windows, rows[..., lookback:]
 
 
 def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
@@ -411,6 +534,7 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     rngs = [substream(seed, 0) for seed in seeds]
     theta = np.stack([init_params(hidden, rng) for rng in rngs])
     kernel = np.flatnonzero(kernel_mask(hidden))
+    ws = _Workspace()  # the first batch is the widest step
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     live = np.arange(n_rows)  # group rows still training, in order
@@ -422,7 +546,6 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = np.stack([rng.permutation(n_pairs) for rng in rngs])
-            ep_windows = windows[np.arange(len(live))[:, None], order]
             ep_targets = np.take_along_axis(targets, order, axis=1)
             ep_kept = None
             if cfg.dropout_rate > 0:
@@ -434,9 +557,15 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
             for b, start in enumerate(range(0, n_pairs, cfg.batch_size)):
                 batch = slice(start, start + cfg.batch_size)
                 while live.size:  # until every live row has a finite loss
-                    masks = None if ep_kept is None else ep_kept[:, batch] / (1.0 - cfg.dropout_rate)
+                    masks = None
+                    if ep_kept is not None:
+                        kept = ep_kept[:, batch]
+                        masks = np.divide(kept, 1.0 - cfg.dropout_rate,
+                                          out=ws.take("masks", kept.shape))
+                    # each batch gathers its own windows: no (R, pairs, lookback) copy
+                    batch_windows = windows[np.arange(len(live))[:, None], order[:, batch]]
                     batch_loss, cache = _loss(
-                        theta, ep_windows[:, batch], ep_targets[:, batch], masks, cfg.l2_coeff, kernel
+                        theta, batch_windows, ep_targets[:, batch], masks, cfg.l2_coeff, kernel, ws
                     )
                     bad = ~np.isfinite(batch_loss)
                     if not bad.any():
@@ -447,26 +576,26 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
                     ok = ~bad
                     live = live[ok]
                     rngs = [rng for rng, k in zip(rngs, ok) if k]
-                    theta, m, v, windows, targets, ep_windows, ep_targets = (
-                        x[ok] for x in (theta, m, v, windows, targets, ep_windows, ep_targets)
+                    theta, m, v, windows, targets, order, ep_targets = (
+                        x[ok] for x in (theta, m, v, windows, targets, order, ep_targets)
                     )
                     if ep_kept is not None:
                         ep_kept = ep_kept[ok]
                 if not live.size:
                     break
-                grad = backward(theta, ep_targets[:, batch], cache, cfg.l2_coeff)
-                del cache  # free before Adam's temporaries and the next forward pass
+                grad = backward(theta, ep_targets[:, batch], cache, cfg.l2_coeff,
+                                out=ws.take("grad", theta.shape))
                 step += 1
-                theta, m, v = adam_step(
-                    theta, grad, m, v, step,
+                _adam_update(
+                    theta, grad, m, v, step, ws.take("scratch", theta.shape),
                     lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
                 )
-                del grad
             if not live.size:
                 break
             if epoch_rmse:
                 preds = _infer(theta, windows)
                 rmse[live, epoch] = np.sqrt(np.mean((preds - targets) ** 2, axis=-1))
+    del m, v  # free Adam's moments before the result matrix
     weights = np.full((n_rows, theta.shape[-1]), np.nan)
     weights[live] = theta
     return LstmModel(theta=weights, cfg=cfg), rmse, diverged

@@ -27,15 +27,22 @@ any ``jobs`` value.  A replicate whose loss or test predictions turn
 non-finite, or whose group runs out of memory, is recorded as failed by
 index, with its cause.
 
+A group's width is set by its pre-activation count, not its row count: a
+minibatch step of ``rows`` networks computes ``rows * batch_size * 4 *
+hidden_size`` gate pre-activations.  :data:`GROUP_ELEMENTS` caps that
+count, so a group has at most ``cap`` rows: 16 at the reference shape
+(batch 15, hidden 32), 64 at hidden 8.  The rows split into
+``jobs * ceil(rows / (jobs * cap))`` contiguous groups whose widths differ
+by at most one, so every worker gets as many groups.
+
 A run is three phases: each method's checks and draw (steps 1-3), one
 shared training phase (step 4), and each method's finish (failure check,
 steps 5-6).  :func:`run` is the one-method case.  :func:`compare_methods`
 is the three-method case: it selects and draws for NBB, MBB and LBB first,
 then trains all ``3 * reps`` rows, in (method, replicate) order, as one set
-of groups of at most ``min(GROUP_SIZE, ceil(rows / jobs))`` rows on one
-pool, so a group may span two methods.  Row ``m`` of every method is
-replicate ``m`` with the seed ``derive_seed(train.seed, m)``, and outcomes
-go back to their method by position.  Each method's result times its own
+of groups on one pool, so a group may span two methods.  Row ``m`` of every
+method is replicate ``m`` with the seed ``derive_seed(train.seed, m)``, and
+outcomes go back to their method by position.  Each method's result times its own
 stages with :func:`bootband.manifest.timed`; the shared ``train-predict``
 seconds are timed once (a single-method run adds them to its result).
 """
@@ -71,14 +78,15 @@ from .timeseries import (
     window_minmax_scale,
 )
 
-# Most replicates trained in lockstep per group.  Stacking amortizes the
-# per-call numpy overhead of a minibatch step.  On a 2-CPU VM, a step of 8 to
-# 32 rows at hidden 8 costs about a quarter of as many solo steps per row, and
-# band-many-small ran 13% faster with 16 than with 8.  At hidden 32 the
-# arithmetic dominates (about two thirds of a solo step per row at any width
-# from 4 to 32) and each row adds 0.3 to 0.5 MB of peak memory, so wider
-# groups only cost memory (a group of 16 peaks about 5 MB above one replicate).
-GROUP_SIZE = 16
+# Most gate pre-activations (rows x batch x 4 x hidden) a lockstep group
+# computes per minibatch step: 16 rows at the reference shape (batch 15,
+# hidden 32).  Stacking amortizes the per-call numpy overhead of a step, which
+# dominates small steps: on a 2-CPU VM, 152 hidden-8 replicates (200 points,
+# 3 epochs) train in 0.35 s in groups of 38 and in 0.40 s in groups of 16.
+# At hidden 32 the arithmetic dominates and each row adds 0.3 to 0.5 MB of
+# peak memory, so wider groups would only cost memory.  A cap in elements
+# serves both with one constant.
+GROUP_ELEMENTS = 16 * 15 * 128
 
 
 @dataclass(frozen=True)
@@ -270,6 +278,19 @@ def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None) -> _Draw:
     return _Draw(cfg=cfg, l_opt=l_opt, curve=curve, pseudo_paths=pseudo_paths, timings=timings)
 
 
+def _group_spans(rows: int, jobs: int, cap: int) -> list[range]:
+    """The contiguous groups, in row order, that ``rows`` replicates train in.
+
+    ``jobs * ceil(rows / (jobs * cap))`` groups (one per row if that is
+    more than ``rows``), whose widths differ by at most one, the wider first:
+    each of ``jobs`` workers gets as many groups, and none exceeds ``cap`` rows.
+    """
+    count = min(rows, jobs * math.ceil(rows / (jobs * cap)))
+    base, extra = divmod(rows, count)
+    starts = [k * base + min(k, extra) for k in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+
+
 def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.ndarray],
                    labels: list[str | None], jobs: int) -> list[list[tuple]]:
     """Train every row of every path set in contiguous lockstep groups on one pool.
@@ -284,13 +305,14 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.
     positions = np.arange(cfg.train_len, len(prices))
     scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
     rows = [(m, paths[m]) for paths in path_sets for m in range(cfg.reps)]
-    width = min(GROUP_SIZE, math.ceil(len(rows) / jobs))
+    cap = max(1, GROUP_ELEMENTS // (cfg.train.batch_size * 4 * cfg.train.hidden_size))
+    spans = _group_spans(len(rows), jobs, cap)
     tasks = []
-    for lo in range(0, len(rows), width):
-        ids = [m for m, _ in rows[lo : lo + width]]
+    for span in spans:
+        ids = [rows[k][0] for k in span]
         tasks.append((
             ids,
-            [path for _, path in rows[lo : lo + width]],
+            [rows[k][1] for k in span],
             scaled_actual,
             scale_actual,
             cfg.train,
@@ -306,8 +328,8 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.
                     groups.append(group)
         except BrokenProcessPool as exc:
             lost: dict = {}  # path set label -> replicate ids of the first lost group
-            for k, m in enumerate(tasks[len(groups)][0], start=len(groups) * width):
-                lost.setdefault(labels[k // cfg.reps], []).append(str(m))
+            for k in spans[len(groups)]:
+                lost.setdefault(labels[k // cfg.reps], []).append(str(rows[k][0]))
             named = "; ".join(", ".join(ids) if label is None else f"{label} {', '.join(ids)}"
                               for label, ids in lost.items())
             raise PipelineError(

@@ -176,6 +176,29 @@ class TestBadLocality:
         assert (out / "band.csv").exists()
 
 
+class TestSizeChecks:
+    @pytest.mark.parametrize("command,flag,message", [
+        ("band", "--epochs", "epochs must be >= 1, got 0"),
+        ("band", "--hidden", "hidden_size must be >= 1, got 0"),
+        ("band", "--batch-size", "batch_size must be >= 1, got 0"),
+        ("band", "--lookback", "lookback must be >= 1, got 0"),
+        ("band", "--selector-reps", "selector reps must be >= 1, got 0"),
+        ("compare", "--selector-reps", "selector reps must be >= 1, got 0"),
+        ("select-block", "--reps", "selector reps must be >= 1, got 0"),
+    ])
+    def test_zero_names_the_field_and_value(self, csv90, tmp_path, capsys, command, flag, message):
+        out = tmp_path / "out"
+        if command == "select-block":
+            extra = ["--method", "mbb", "--output-dir", str(out), "--seed", "3", flag, "0"]
+        else:
+            method = ["--method", "mbb"] if command == "band" else []
+            extra = fast_flags(out, [*method, "--jobs", "1", flag, "0"])
+        code = main([command, "--input", csv90, *extra])
+        assert code == 4
+        assert capsys.readouterr().err == f"error[data]: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestBlockLengthBounds:
     @pytest.mark.parametrize("command,flags,message", [
         ("band", ["--method", "nbb", "--lmax", "500"], "l_max 500 exceeds series length 59"),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +43,7 @@ def random_params(hidden, seed):
 
 def gate_slices(cache, t):
     """Activated (f, i, o, c_tilde) of step ``t`` from a forward cache."""
-    return tuple(np.split(cache.gates[t], 4, axis=1))
+    return tuple(cache.gates[t])
 
 
 def numeric_gradients(theta, windows, targets, l2, masks, step=1e-5):
@@ -348,6 +349,8 @@ PINNED_FITS = [
      "73eb86665f41f8d7df2599052d3f16d3fff07fc0f1f063a3b818eb33fb4507e2"),
     (8, 0.2, 4, 100, 4, 10, 12,
      "c815a41241dee6e749f29760789044c4c7bcbd4c153a43744b0585a62c55afe7"),
+    (8, 0.2, 38, 200, 5, 15, 13,
+     "180326efdd0be86e84ca257e67276aadedb083c7f9e5a1289fdec5cd029fa744"),
 ]
 
 
@@ -359,6 +362,21 @@ def test_pinned_fit_weights(hidden, dropout, rows, points, lookback, batch, seed
     model, _, diverged = fit(group_series(points, rows, seed=seed), cfg, seeds)
     assert diverged == {}
     assert hashlib.sha256(model.theta.tobytes()).hexdigest() == digest
+
+
+def test_reference_group_fit_peak_memory():
+    # a 16-row hidden-32 group at the reference lookback and batch, with
+    # dropout: the step workspace lives through the whole fit, so its traced
+    # peak must stay within the 6.54 MB of allocating every step afresh
+    series = group_series(120, 16, seed=14)
+    cfg = TrainConfig(epochs=2, hidden_size=32, dropout_rate=0.2)
+    tracemalloc.start()
+    try:
+        fit(series, cfg, list(range(16)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.54e6
 
 
 def group_series(n, count, seed):

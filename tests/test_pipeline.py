@@ -38,6 +38,11 @@ def small_train(**train_kw):
     return TrainConfig(**{**defaults, **train_kw})
 
 
+def cap_group_rows(monkeypatch, rows):
+    """Cap lockstep groups at ``rows`` rows at the small_train shape (batch 10, hidden 4)."""
+    monkeypatch.setattr(pl, "GROUP_ELEMENTS", rows * 10 * 4 * 4)
+
+
 def small_cfg(train_len, method="mbb", reps=4, seed=11, **train_kw):
     return PipelineConfig(
         train_len=train_len,
@@ -203,8 +208,8 @@ class TestRun:
     def test_group_size_does_not_change_predictions(self, monkeypatch, jobs, group_size):
         prices = price_series(gbm_prices(100, seed=6))
         cfg = small_cfg(70, reps=5)
-        solo = run(prices, cfg, jobs=1)  # groups of min(GROUP_SIZE, 5) = 5
-        monkeypatch.setattr(pl, "GROUP_SIZE", group_size)
+        solo = run(prices, cfg, jobs=1)  # one group of 5
+        cap_group_rows(monkeypatch, group_size)
         grouped = run(prices, cfg, jobs=jobs)
         assert grouped.predictions.tobytes() == solo.predictions.tobytes()
         assert grouped.replicate_ids == solo.replicate_ids == tuple(range(5))
@@ -220,11 +225,11 @@ class TestRun:
 
         monkeypatch.setattr(pl, "_group_task", recording)
         monkeypatch.setattr(pl, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(pl, "GROUP_SIZE", 3)
+        cap_group_rows(monkeypatch, 3)
         run(prices, small_cfg(70, reps=7), jobs=1)
-        assert seen == [(0, 1, 2), (3, 4, 5), (6,)]
-        # ceil(reps / jobs) caps the width below GROUP_SIZE
-        monkeypatch.setattr(pl, "GROUP_SIZE", 16)
+        assert seen == [(0, 1, 2), (3, 4), (5, 6)]
+        # with a cap above ceil(reps / jobs), one group per job
+        cap_group_rows(monkeypatch, 16)
         seen.clear()
         run(prices, small_cfg(70, reps=7), jobs=2)
         assert seen == [(0, 1, 2, 3), (4, 5, 6)]
@@ -244,9 +249,9 @@ class TestRun:
             return real_infer(theta, windows)
 
         monkeypatch.setattr(lstm, "_infer", counting)
-        monkeypatch.setattr(pl, "GROUP_SIZE", 3)
+        cap_group_rows(monkeypatch, 3)
         run(prices, small_cfg(70, reps=7, epochs=3), jobs=1)
-        assert calls == [3, 3, 1]
+        assert calls == [3, 2, 2]
 
     def test_quantile_sandwich_against_replicates(self):
         prices = price_series(gbm_prices(110, seed=9))
@@ -326,7 +331,7 @@ class TestRun:
             preds[2, 5] = np.inf
             return preds
 
-        monkeypatch.setattr(pl, "GROUP_SIZE", 4)
+        cap_group_rows(monkeypatch, 4)
         monkeypatch.setattr(pl, "predict_series", overflowing)
         with pytest.raises(ReplicateFailureError) as err:
             run(prices, cfg)
@@ -371,7 +376,7 @@ class TestRun:
                 raise MemoryError
             return real_fit(series, train_cfg, seeds)
 
-        monkeypatch.setattr(pl, "GROUP_SIZE", 2)
+        cap_group_rows(monkeypatch, 2)
         monkeypatch.setattr(pl, "fit", short_of_memory)
         result = run(prices, cfg)
         assert result.failed_ids == (2, 3)
@@ -457,6 +462,21 @@ class TestCompareMethods:
         assert [m.value for m in comparison.ranking] == ["lbb", "mbb", "nbb"]
 
 
+@given(st.integers(1, 500), st.integers(1, 8), st.integers(1, 80))
+@settings(max_examples=200)
+def test_group_spans_rule(rows, jobs, cap):
+    spans = pl._group_spans(rows, jobs, cap)
+    # contiguous and in order, covering every row once
+    assert [k for span in spans for k in span] == list(range(rows))
+    widths = [len(span) for span in spans]
+    assert min(widths) >= 1 and max(widths) - min(widths) <= 1 and max(widths) <= cap
+    if rows >= jobs:
+        # a multiple of jobs, unless one-row groups run out of rows first
+        assert len(spans) % jobs == 0 or widths == [1] * rows
+        # the fewest groups of at most cap rows whose count is a multiple of jobs
+        assert len(spans) == jobs or (len(spans) - jobs) * cap < rows
+
+
 class TestSharedTraining:
     """compare_methods trains the replicates of all three methods as one set of groups."""
 
@@ -470,7 +490,7 @@ class TestSharedTraining:
     @pytest.mark.parametrize("group_size", [1, 3, 16])
     def test_equals_one_run_per_method(self, case, monkeypatch, jobs, group_size):
         prices, cfg, solo = case
-        monkeypatch.setattr(pl, "GROUP_SIZE", group_size)
+        cap_group_rows(monkeypatch, group_size)
         comparison = compare_methods(prices, cfg, jobs=jobs)
         assert tuple(comparison.results) == METHODS
         for method in METHODS:
@@ -507,7 +527,7 @@ class TestSharedTraining:
         monkeypatch.setattr(pl, "from_log_returns", recording_paths)
         monkeypatch.setattr(pl, "_group_task", recording_task)
         monkeypatch.setattr(pl, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(pl, "GROUP_SIZE", group_size)
+        cap_group_rows(monkeypatch, group_size)
         SerialPool.opened = 0
         compare_methods(prices, small_cfg(70, reps=reps), jobs=jobs)
         assert SerialPool.opened == (1 if jobs > 1 else 0)
@@ -533,7 +553,7 @@ class TestSharedTraining:
                 outcomes.append((idx, None, "forced divergence") if forced else (idx, preds, err))
             return outcomes
 
-        monkeypatch.setattr(pl, "GROUP_SIZE", 3)
+        cap_group_rows(monkeypatch, 3)
         monkeypatch.setattr(pl, "_group_task", flaky)
         comparison = compare_methods(prices, cfg)
         for method in METHODS:
