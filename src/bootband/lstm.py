@@ -30,11 +30,12 @@ A fit allocates its step arrays once, in a workspace sized by its first
 (widest) minibatch: the states ``h`` and ``c``, the activated gates, stored
 gate-major as ``(lookback, 4, R, batch, H)`` so that each gate is one
 contiguous block, ``tanh(c)``, the ``(R, batch, 4H)`` pre-activation block
-(which backward reuses for d(pre-activation)), the gradient and Adam's
-scratch.  The forward pass, :func:`backward` and the Adam update write into
-it, and Adam updates ``theta`` and its moments in place.  A shorter last
-batch or a group that lost a diverged row uses leading slices of the same
-buffers, and each minibatch gathers its windows from a view of the series.
+(which backward reuses for d(pre-activation), built gate-major in a block of
+its own first), the gradient and Adam's scratch.  The forward pass,
+:func:`backward` and the Adam update write into it, and Adam updates
+``theta`` and its moments in place.  A shorter last batch or a group that
+lost a diverged row uses leading slices of the same buffers, and each
+minibatch gathers its windows from a view of the series.
 Called on their own, :func:`loss`, :func:`backward` and :func:`adam_step`
 run the same code on a fresh workspace or on copies.
 
@@ -378,7 +379,11 @@ def backward(
     dc, tmp = ws.take("dc", shape), ws.take("tmp", shape)
     # the forward pass's pre-activation block, free once its gates are activated
     da = ws.take("pre", (*shape[:-1], 4 * U.shape[-2]))
-    da_f, da_i, da_o, da_c = _gate_blocks(da)
+    # each gate's d(pre-activation) is built in a contiguous gate-major block
+    # and copied into da once per step: a ufunc writing a strided gate view
+    # costs more than the copy
+    dgates = ws.take("dgates", (4, *shape))
+    da_f, da_i, da_o, da_c = dgates
     # gU in two dimensions: an in-place add into the 3-D view would copy it first
     gU_rows = gU.reshape(*gU.shape[:-2], -1)
     dU = ws.take("scratch", gU.shape)
@@ -405,6 +410,7 @@ def backward(
         # da_c = dc * i * (1 - c_tilde**2)
         np.multiply(dc, i, out=da_c)
         da_c *= np.subtract(1.0, np.square(c_tilde, out=tmp), out=tmp)
+        np.copyto(_gate_blocks(da), dgates)
         # the window operand keeps its per-slice strides: a contiguous copy
         # takes another matmul path, with other rounding
         gW += (cache.windows[..., None, :, t] @ da)[..., 0, :]

@@ -30,10 +30,10 @@ index, with its cause.
 A group's width is set by its pre-activation count, not its row count: a
 minibatch step of ``rows`` networks computes ``rows * batch_size * 4 *
 hidden_size`` gate pre-activations.  :data:`GROUP_ELEMENTS` caps that
-count, so a group has at most ``cap`` rows: 16 at the reference shape
-(batch 15, hidden 32), 64 at hidden 8.  The rows split into
-``jobs * ceil(rows / (jobs * cap))`` contiguous groups whose widths differ
-by at most one, so every worker gets as many groups.
+count and :data:`GROUP_ROWS` the rows, so a group has at most ``cap``
+rows: 16 at the reference shape (batch 15, hidden 32), 38 at hidden 8.
+The rows split into ``jobs * ceil(rows / (jobs * cap))`` contiguous groups
+whose widths differ by at most one, so every worker gets as many groups.
 
 A run is three phases: each method's checks and draw (steps 1-3), one
 shared training phase (step 4), and each method's finish (failure check,
@@ -87,6 +87,15 @@ from .timeseries import (
 # peak memory, so wider groups would only cost memory.  A cap in elements
 # serves both with one constant.
 GROUP_ELEMENTS = 16 * 15 * 128
+
+# Most rows in a group, the widest measured (band-many-small's).  A row's
+# parameters, Adam moments and dropout masks do not shrink with the batch, so
+# without this cap batch 1 at hidden 32 would make groups of 240 rows.
+# Trained in one process on a 2-CPU VM, 76 replicates (200 points) took about
+# 23% less CPU time in two groups of 38 than in groups of 16, both at hidden 8
+# (3 epochs, peak RSS 0.5 MB higher) and at hidden 32 with batch 1 (1 epoch,
+# peak RSS 2.2 MB higher); BENCH_16.json's group_width block.
+GROUP_ROWS = 38
 
 
 @dataclass(frozen=True)
@@ -278,6 +287,14 @@ def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None) -> _Draw:
     return _Draw(cfg=cfg, l_opt=l_opt, curve=curve, pseudo_paths=pseudo_paths, timings=timings)
 
 
+def _group_cap(train: TrainConfig) -> int:
+    """Most rows a lockstep group of ``train``'s shape holds.
+
+    See :data:`GROUP_ELEMENTS` and :data:`GROUP_ROWS`.
+    """
+    return max(1, min(GROUP_ROWS, GROUP_ELEMENTS // (train.batch_size * 4 * train.hidden_size)))
+
+
 def _group_spans(rows: int, jobs: int, cap: int) -> list[range]:
     """The contiguous groups, in row order, that ``rows`` replicates train in.
 
@@ -289,6 +306,20 @@ def _group_spans(rows: int, jobs: int, cap: int) -> list[range]:
     base, extra = divmod(rows, count)
     starts = [k * base + min(k, extra) for k in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+
+
+def _span_paths(path_sets: list[np.ndarray], span: range):
+    """The pseudo paths of rows ``span`` of the path sets laid end to end.
+
+    One ``(rows, n)`` view when the rows lie in one set, else the list of
+    rows; neither copies a path.  A pool pickles the view as one block, which
+    takes the sending process less transfer memory than one array per row.
+    """
+    reps = len(path_sets[0])
+    (first, lo), (last, hi) = divmod(span.start, reps), divmod(span.stop - 1, reps)
+    if first == last:
+        return path_sets[first][lo : hi + 1]
+    return [path_sets[k // reps][k % reps] for k in span]
 
 
 def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.ndarray],
@@ -304,15 +335,13 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.
     """
     positions = np.arange(cfg.train_len, len(prices))
     scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
-    rows = [(m, paths[m]) for paths in path_sets for m in range(cfg.reps)]
-    cap = max(1, GROUP_ELEMENTS // (cfg.train.batch_size * 4 * cfg.train.hidden_size))
-    spans = _group_spans(len(rows), jobs, cap)
+    spans = _group_spans(len(path_sets) * cfg.reps, jobs, _group_cap(cfg.train))
     tasks = []
     for span in spans:
-        ids = [rows[k][0] for k in span]
+        ids = [k % cfg.reps for k in span]
         tasks.append((
             ids,
-            [rows[k][1] for k in span],
+            _span_paths(path_sets, span),
             scaled_actual,
             scale_actual,
             cfg.train,
@@ -329,7 +358,7 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.
         except BrokenProcessPool as exc:
             lost: dict = {}  # path set label -> replicate ids of the first lost group
             for k in spans[len(groups)]:
-                lost.setdefault(labels[k // cfg.reps], []).append(str(rows[k][0]))
+                lost.setdefault(labels[k // cfg.reps], []).append(str(k % cfg.reps))
             named = "; ".join(", ".join(ids) if label is None else f"{label} {', '.join(ids)}"
                               for label, ids in lost.items())
             raise PipelineError(

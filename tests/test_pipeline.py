@@ -477,6 +477,33 @@ def test_group_spans_rule(rows, jobs, cap):
         assert len(spans) == jobs or (len(spans) - jobs) * cap < rows
 
 
+@pytest.mark.parametrize("batch_size, hidden_size, cap", [
+    (15, 32, 16),    # the reference group
+    (15, 8, 38),     # band-many-small: 64 by pre-activations, held at GROUP_ROWS
+    (1, 32, 38),     # 240 by pre-activations
+    (250, 4, 7),     # select-long
+    (1000, 64, 1),   # wider than GROUP_ELEMENTS: one row per group
+])
+def test_group_cap(batch_size, hidden_size, cap):
+    train = small_train(batch_size=batch_size, hidden_size=hidden_size)
+    assert pl._group_cap(train) == cap
+
+
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+def test_span_paths_are_the_stacked_rows(sets, reps, data):
+    path_sets = [np.arange(reps * 5, dtype=float).reshape(reps, 5) + 100 * s for s in range(sets)]
+    start = data.draw(st.integers(0, sets * reps - 1))
+    span = range(start, data.draw(st.integers(start + 1, sets * reps)))
+    paths = pl._span_paths(path_sets, span)
+    assert np.array_equal(np.array(paths), np.vstack(path_sets)[span.start : span.stop])
+    # one view of its path set when the span lies in one, else views of the rows
+    if span.start // reps == (span.stop - 1) // reps:
+        assert isinstance(paths, np.ndarray)
+        assert np.shares_memory(paths, path_sets[span.start // reps])
+    else:
+        assert all(row.base is path_sets[k // reps] for k, row in zip(span, paths))
+
+
 class TestSharedTraining:
     """compare_methods trains the replicates of all three methods as one set of groups."""
 
