@@ -18,8 +18,8 @@ from them in one vectorized pass by the multiply-shift rule that
 ``Generator.integers`` applies (Lemire 2019, "Fast Random Integer Generation
 in an Interval", ACM TOMACS 29(1)).  A row where that rule would reject a
 word, or whose NBB top-ups run past the words read, is redrawn exactly by
-:func:`draw_starts` from its saved generator state, so every start equals
-:func:`batch_resample`'s.  A candidate is scored from the block starts it
+:func:`draw_starts` from a fresh generator of its sub-stream, so every start
+equals :func:`batch_resample`'s.  A candidate is scored from the block starts it
 draws, not from laid-out replicates: a replicate block is a source window
 wherever the blocks before it all have full length, so its mean is read off
 the means of the drawn windows, and only rows laid after a short NBB grid
@@ -159,16 +159,16 @@ def distance(x, replicate_means, l: int) -> float:
     return float(np.add.accumulate((l / x.size) * sq)[-1]) / len(replicate_means)
 
 
-def _read_words(rngs, count: int) -> np.ndarray:
-    """At least ``count`` 32-bit words of each fresh generator, one row each.
+def _read_words(seed: int, reps: int, count: int) -> np.ndarray:
+    """At least ``count`` 32-bit words of sub-stream ``(seed, k)`` in row ``k < reps``.
 
     A word is one half of a raw 64-bit output, the low half first: the order
     in which ``Generator.integers`` reads them for bounds up to ``2**32``.
     """
     pairs = -(-count // 2)
-    words = np.empty((len(rngs), 2 * pairs), dtype=np.uint32)
-    for row, rng in zip(words, rngs):
-        raw = rng.bit_generator.random_raw(pairs)
+    words = np.empty((reps, 2 * pairs), dtype=np.uint32)
+    for k, row in enumerate(words):
+        raw = substream(seed, k).bit_generator.random_raw(pairs)
         row[0::2] = raw & 0xFFFFFFFF
         row[1::2] = raw >> 32
     return words
@@ -199,14 +199,15 @@ def _lemire_draws(words, bound, out) -> np.ndarray:
     return rejected
 
 
-def _start_matrix(words, rngs, states, n: int, plan: BlockPlan) -> np.ndarray:
+def _start_matrix(words, n: int, plan: BlockPlan) -> np.ndarray:
     """Every row's :func:`draw_starts` starts as one C-contiguous int64 matrix.
 
-    Row ``k`` is mapped from its words ``words[k]`` by :func:`_lemire_draws`;
-    a row with a rejection, or with more than ``_TOPUP_WORDS`` NBB top-ups,
-    is redrawn by :func:`draw_starts` from generator ``rngs[k]`` rewound to
-    ``states[k]``.  NBB rows are padded with zeros after their last start;
-    a row's own starts already cover the ``n`` values it lays.
+    Row ``k`` is mapped from its words ``words[k]``, read from sub-stream
+    ``(plan.seed, k)``, by :func:`_lemire_draws`; a row with a rejection, or
+    with more than ``_TOPUP_WORDS`` NBB top-ups, is redrawn by
+    :func:`draw_starts` from a fresh generator of that sub-stream.  NBB rows
+    are padded with zeros after their last start; a row's own starts already
+    cover the ``n`` values it lays.
     """
     l = plan.block_len
     big_l = -(-n // l)
@@ -237,8 +238,7 @@ def _start_matrix(words, rngs, states, n: int, plan: BlockPlan) -> np.ndarray:
     elif plan.method is BootstrapMethod.NBB:
         starts *= l
     for k in np.flatnonzero(redraw).tolist():
-        rngs[k].bit_generator.state = states[k]
-        row = draw_starts([rngs[k]], n, plan)[0]
+        row = draw_starts([substream(plan.seed, k)], n, plan)[0]
         if row.size > starts.shape[1]:
             starts = np.pad(starts, ((0, 0), (0, row.size - starts.shape[1])))
         starts[k] = 0
@@ -332,12 +332,10 @@ def select_block_length(x, cfg: SelectorConfig) -> tuple[int, SelectorCurve]:
     dists = np.empty(len(lengths))
     pens = np.empty(len(lengths))
     # every candidate maps row k from the same words of sub-stream (seed, k)
-    rngs = [substream(cfg.seed, k) for k in range(cfg.reps)]
-    states = [rng.bit_generator.state for rng in rngs]
-    words = _read_words(rngs, -(-n // cfg.l_min) + _TOPUP_WORDS)
+    words = _read_words(cfg.seed, cfg.reps, -(-n // cfg.l_min) + _TOPUP_WORDS)
     for j, l in enumerate(lengths.tolist()):
         plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
-        means = _replicate_block_means(x, _start_matrix(words, rngs, states, n, plan), l)
+        means = _replicate_block_means(x, _start_matrix(words, n, plan), l)
         dists[j], pens[j] = distance(x, means, l), length_penalty(n, l, cfg.t)
         del means  # before the next candidate draws its starts
     objs = dists + pens

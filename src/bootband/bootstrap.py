@@ -17,8 +17,8 @@ Row ``k`` of a batch is drawn from the sub-stream keyed by
 ``(plan.seed, k)``, so every row is reproducible on its own regardless of
 the batch size.  The drawn block starts are returned next to the value
 matrix for audit.  :func:`draw_starts` draws the starts from generators the
-caller passes, so block-length selection can redraw one row from a saved
-generator state.
+caller passes, so block-length selection can redraw one row from a fresh
+generator of its sub-stream.
 """
 
 from __future__ import annotations

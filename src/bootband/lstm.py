@@ -22,7 +22,7 @@ leading axis (``U`` is ``(R, H, 4H)``, a minibatch of windows is
 ``(R, batch, lookback)``).  Each product is one stacked ``np.matmul`` and
 every other operation works row by row, so a row's numbers are bit-identical
 to those of the same network trained alone, and a row that turns non-finite
-cannot leak into the others.  :func:`fit` always trains such a group, from a
+trains on with the others without leaking into them.  :func:`fit` always trains such a group, from a
 time-major ``(n, R)`` series and one seed per column; one network is a group
 of one.
 
@@ -33,9 +33,9 @@ contiguous block, ``tanh(c)``, the ``(R, batch, 4H)`` pre-activation block
 (which backward reuses for d(pre-activation), built gate-major in a block of
 its own first), the gradient and Adam's scratch.  The forward pass,
 :func:`backward` and the Adam update write into it, and Adam updates
-``theta`` and its moments in place.  A shorter last batch or a group that
-lost a diverged row uses leading slices of the same buffers, and each
-minibatch gathers its windows from a view of the series.
+``theta`` and its moments in place.  A shorter last batch uses leading
+slices of the same buffers, and each minibatch gathers its windows from a
+view of the series.
 Called on their own, :func:`loss`, :func:`backward` and :func:`adam_step`
 run the same code on a fresh workspace or on copies.
 
@@ -177,9 +177,9 @@ class _Workspace:
 
     :meth:`take` hands out the leading ``prod(shape)`` elements of a buffer as
     a C-contiguous array of that shape, so a smaller step (the short last
-    batch, a group that lost a diverged row) reuses the memory of the widest
-    one and keeps the strides of a freshly allocated array.  A buffer grows
-    only when a request exceeds it; :func:`fit` asks for its widest step
+    batch, an inference pass's last row slice) reuses the memory of the
+    widest one and keeps the strides of a freshly allocated array.  A buffer
+    grows only when a request exceeds it; :func:`fit` asks for its widest step
     first.  Contents carry over between requests: callers overwrite or zero
     what they read.
     """
@@ -518,13 +518,14 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     Column ``r`` trains from ``seeds[r]``; the config's ``seed`` is not read.
     Returns ``(model, rmse, diverged)``: ``model.theta`` is ``(R, P)`` and
     ``diverged`` maps each row whose batch loss turned non-finite to its
-    cause, ``non-finite loss at epoch E, batch B``.  That row's weights are
-    NaN, and it stops training without touching the other rows.  ``rmse`` is
-    ``None`` unless ``epoch_rmse`` is set; then it is ``(R, epochs)``, the
-    training RMSE in scaled space computed in inference mode after each
-    epoch (NaN for a diverged row).  That pass writes only ``rmse``, so the
-    weights are the same either way.  Every row ends bit-identical to the
-    same column and seed trained as a group of one.
+    first such batch, ``non-finite loss at epoch E, batch B``.  That row
+    trains on with the group, and its weights end NaN; the fit stops early
+    only once every row has diverged.  ``rmse`` is ``None`` unless
+    ``epoch_rmse`` is set; then it is ``(R, epochs)``, the training RMSE in
+    scaled space computed in inference mode after each epoch (all NaN for a
+    diverged row).  That pass writes only ``rmse``, so the weights are the
+    same either way.  Every row ends bit-identical to the same column and
+    seed trained as a group of one.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
@@ -543,12 +544,12 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     ws = _Workspace()  # the first batch is the widest step
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    live = np.arange(n_rows)  # group rows still training, in order
+    rows = np.arange(n_rows)[:, None]
     diverged: dict[int, str] = {}
     rmse = np.full((n_rows, cfg.epochs), np.nan) if epoch_rmse else None
     step = 0
-    # a diverging row overflows on its way to a non-finite loss, which
-    # np.isfinite catches below, so its floating-point warnings carry nothing
+    # a diverged row keeps training on non-finite numbers until the fit ends,
+    # isolated from its mates, so its floating-point warnings carry nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = np.stack([rng.permutation(n_pairs) for rng in rngs])
@@ -557,37 +558,24 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
             if cfg.dropout_rate > 0:
                 # one draw per epoch yields the doubles of one draw per batch
                 draws = np.empty((n_pairs, hidden))
-                ep_kept = np.empty((len(live), n_pairs, hidden), dtype=bool)
+                ep_kept = np.empty((n_rows, n_pairs, hidden), dtype=bool)
                 for rng, kept in zip(rngs, ep_kept):
                     np.greater_equal(rng.random(out=draws), cfg.dropout_rate, out=kept)
             for b, start in enumerate(range(0, n_pairs, cfg.batch_size)):
                 batch = slice(start, start + cfg.batch_size)
-                while live.size:  # until every live row has a finite loss
-                    masks = None
-                    if ep_kept is not None:
-                        kept = ep_kept[:, batch]
-                        masks = np.divide(kept, 1.0 - cfg.dropout_rate,
-                                          out=ws.take("masks", kept.shape))
-                    # each batch gathers its own windows: no (R, pairs, lookback) copy
-                    batch_windows = windows[np.arange(len(live))[:, None], order[:, batch]]
-                    batch_loss, cache = _loss(
-                        theta, batch_windows, ep_targets[:, batch], masks, cfg.l2_coeff, kernel, ws
-                    )
-                    bad = ~np.isfinite(batch_loss)
-                    if not bad.any():
-                        break
-                    for row in live[bad]:
-                        diverged[int(row)] = f"non-finite loss at epoch {epoch}, batch {b}"
-                    # drop the failed rows; the others' numbers do not change
-                    ok = ~bad
-                    live = live[ok]
-                    rngs = [rng for rng, k in zip(rngs, ok) if k]
-                    theta, m, v, windows, targets, order, ep_targets = (
-                        x[ok] for x in (theta, m, v, windows, targets, order, ep_targets)
-                    )
-                    if ep_kept is not None:
-                        ep_kept = ep_kept[ok]
-                if not live.size:
+                masks = None
+                if ep_kept is not None:
+                    kept = ep_kept[:, batch]
+                    masks = np.divide(kept, 1.0 - cfg.dropout_rate,
+                                      out=ws.take("masks", kept.shape))
+                # each batch gathers its own windows: no (R, pairs, lookback) copy
+                batch_loss, cache = _loss(
+                    theta, windows[rows, order[:, batch]], ep_targets[:, batch], masks,
+                    cfg.l2_coeff, kernel, ws,
+                )
+                for row in np.flatnonzero(~np.isfinite(batch_loss)).tolist():
+                    diverged.setdefault(row, f"non-finite loss at epoch {epoch}, batch {b}")
+                if len(diverged) == n_rows:
                     break
                 grad = backward(theta, ep_targets[:, batch], cache, cfg.l2_coeff,
                                 out=ws.take("grad", theta.shape))
@@ -596,15 +584,16 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
                     theta, grad, m, v, step, ws.take("scratch", theta.shape),
                     lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
                 )
-            if not live.size:
+            if len(diverged) == n_rows:
                 break
             if epoch_rmse:
                 preds = _infer(theta, windows)
-                rmse[live, epoch] = np.sqrt(np.mean((preds - targets) ** 2, axis=-1))
-    del m, v  # free Adam's moments before the result matrix
-    weights = np.full((n_rows, theta.shape[-1]), np.nan)
-    weights[live] = theta
-    return LstmModel(theta=weights, cfg=cfg), rmse, diverged
+                rmse[:, epoch] = np.sqrt(np.mean((preds - targets) ** 2, axis=-1))
+    failed = list(diverged)
+    theta[failed] = np.nan
+    if epoch_rmse:
+        rmse[failed] = np.nan
+    return LstmModel(theta=theta, cfg=cfg), rmse, diverged
 
 
 def predict_series(model: LstmModel, context, positions) -> np.ndarray:

@@ -21,11 +21,11 @@ Replicates are independent given their derived seeds.  They are trained in
 groups: a group is a contiguous run of rows that :func:`bootband.lstm.fit`
 trains in lockstep, one stacked forward, backward and Adam step per
 minibatch for the whole group.  Every row of a group is bit-identical to the
-same replicate trained alone, so ``jobs`` worker processes take whole groups
-and results are assembled in row order, keeping runs bit-reproducible for
-any ``jobs`` value.  A replicate whose loss or test predictions turn
-non-finite, or whose group runs out of memory, is recorded as failed by
-index, with its cause.
+same replicate trained alone, so ``jobs`` worker processes (no more than
+there are groups) take whole groups and results are assembled in row order,
+keeping runs bit-reproducible for any ``jobs`` value.  A replicate whose
+loss or test predictions turn non-finite, or whose group runs out of
+memory, is recorded as failed by index, with its cause.
 
 A group's width is set by its pre-activation count, not its row count: a
 minibatch step of ``rows`` networks computes ``rows * batch_size * 4 *
@@ -37,10 +37,12 @@ whose widths differ by at most one, so every worker gets as many groups.
 
 A run is three phases: each method's checks and draw (steps 1-3), one
 shared training phase (step 4), and each method's finish (failure check,
-steps 5-6).  :func:`run` is the one-method case.  :func:`compare_methods`
-is the three-method case: it selects and draws for NBB, MBB and LBB first,
-then trains all ``3 * reps`` rows, in (method, replicate) order, as one set
-of groups on one pool, so a group may span two methods.  Row ``m`` of every
+steps 5-6).  The draws write one replicate matrix, a block of ``reps``
+pseudo paths per method in (method, replicate) order, and every group is a
+fixed row slice of it.  :func:`run` is the one-method case.
+:func:`compare_methods` is the three-method case: it selects and draws for
+NBB, MBB and LBB first, then trains all ``3 * reps`` rows as one set of
+groups on one pool, so a group may span two methods.  Row ``m`` of every
 method is replicate ``m`` with the seed ``derive_seed(train.seed, m)``, and
 outcomes go back to their method by position.  Each method's result times its own
 stages with :func:`bootband.manifest.timed`; the shared ``train-predict``
@@ -254,17 +256,20 @@ def _group_task(args):
 
 @dataclass(frozen=True)
 class _Draw:
-    """One method's work before training: its block length, curve and pseudo price paths."""
+    """One method's block length and curve; its pseudo paths are rows of the replicate matrix."""
 
     cfg: PipelineConfig
     l_opt: int
     curve: SelectorCurve
-    pseudo_paths: np.ndarray         # (reps, train_len)
     timings: dict
 
 
-def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None) -> _Draw:
-    """Log-returns, block-length selection and the replicate draw for ``cfg.method``."""
+def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None,
+          paths: np.ndarray) -> _Draw:
+    """Log-returns, block-length selection and the replicate draw for ``cfg.method``.
+
+    The ``cfg.reps`` pseudo price paths are written into ``paths``.
+    """
     timings: dict = {}
     with timed(timings, "log-returns"):
         returns = to_log_returns(prices.values[: cfg.train_len])
@@ -280,11 +285,12 @@ def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None) -> _Draw:
             plan = BlockPlan(
                 method=cfg.method, block_len=l_opt, locality=cfg.selector.locality, seed=cfg.seed
             )
-            pseudo_returns, _ = batch_resample(returns, plan, cfg.reps)
-            pseudo_paths = from_log_returns(pseudo_returns, prices.values[0])
+            # only the values: the drawn starts would add to the peak memory of this step
+            pseudo_returns = batch_resample(returns, plan, cfg.reps)[0]
+            paths[...] = from_log_returns(pseudo_returns, prices.values[0])
         except BootbandError as exc:
             raise PipelineError("bootstrap", str(exc), label) from exc
-    return _Draw(cfg=cfg, l_opt=l_opt, curve=curve, pseudo_paths=pseudo_paths, timings=timings)
+    return _Draw(cfg=cfg, l_opt=l_opt, curve=curve, timings=timings)
 
 
 def _group_cap(train: TrainConfig) -> int:
@@ -308,40 +314,27 @@ def _group_spans(rows: int, jobs: int, cap: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
 
-def _span_paths(path_sets: list[np.ndarray], span: range):
-    """The pseudo paths of rows ``span`` of the path sets laid end to end.
-
-    One ``(rows, n)`` view when the rows lie in one set, else the list of
-    rows; neither copies a path.  A pool pickles the view as one block, which
-    takes the sending process less transfer memory than one array per row.
-    """
-    reps = len(path_sets[0])
-    (first, lo), (last, hi) = divmod(span.start, reps), divmod(span.stop - 1, reps)
-    if first == last:
-        return path_sets[first][lo : hi + 1]
-    return [path_sets[k // reps][k % reps] for k in span]
-
-
-def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.ndarray],
+def _train_predict(prices: PriceSeries, cfg: PipelineConfig, paths: np.ndarray,
                    labels: list[str | None], jobs: int) -> list[list[tuple]]:
-    """Train every row of every path set in contiguous lockstep groups on one pool.
+    """Train every row of the replicate matrix ``paths`` in contiguous lockstep groups.
 
-    The rows are laid out in (path set, replicate) order, so a group may span
-    two path sets.  Row ``m`` of every set is replicate ``m`` with seed
-    ``derive_seed(cfg.train.seed, m)``.  Returns the outcomes of each path
-    set, split back by position: the sets share their replicate ids.  If a
-    worker dies, the error names the first group without a result by the
-    ``labels`` of its path sets and its replicate ids.
+    ``paths`` holds a block of ``cfg.reps`` rows per method, so a group, one
+    row slice, may span two methods.  Row ``m`` of every block is replicate
+    ``m`` with seed ``derive_seed(cfg.train.seed, m)``.  The groups run on
+    ``min(jobs, groups)`` worker processes, in process if that is one.
+    Returns the outcomes of each block, split back by position.  If a worker
+    dies, the error names the first group without a result by the ``labels``
+    of its methods and its replicate ids.
     """
     positions = np.arange(cfg.train_len, len(prices))
     scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
-    spans = _group_spans(len(path_sets) * cfg.reps, jobs, _group_cap(cfg.train))
+    spans = _group_spans(len(paths), jobs, _group_cap(cfg.train))
     tasks = []
     for span in spans:
         ids = [k % cfg.reps for k in span]
         tasks.append((
             ids,
-            _span_paths(path_sets, span),
+            paths[span.start : span.stop],
             scaled_actual,
             scale_actual,
             cfg.train,
@@ -349,14 +342,15 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, path_sets: list[np.
             cfg.scale_window,
             positions,
         ))
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         groups = []
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for group in pool.map(_group_task, tasks):
                     groups.append(group)
         except BrokenProcessPool as exc:
-            lost: dict = {}  # path set label -> replicate ids of the first lost group
+            lost: dict = {}  # method label -> replicate ids of the first lost group
             for k in spans[len(groups)]:
                 lost.setdefault(labels[k // cfg.reps], []).append(str(k % cfg.reps))
             named = "; ".join(", ".join(ids) if label is None else f"{label} {', '.join(ids)}"
@@ -433,10 +427,13 @@ def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMetho
     labels = [method.value if len(methods) > 1 else None for method in methods]
     # every method's config is checked before any selection runs
     cfgs = [replace(cfg, selector=replace(cfg.selector, method=method)) for method in methods]
-    draws = [_draw(prices, method_cfg, label) for method_cfg, label in zip(cfgs, labels)]
+    # one replicate matrix, a block of reps rows per method, written in place
+    paths = np.empty((len(methods) * cfg.reps, train_len))
+    draws = [_draw(prices, method_cfg, label, paths[k * cfg.reps : (k + 1) * cfg.reps])
+             for k, (method_cfg, label) in enumerate(zip(cfgs, labels))]
     shared: dict = {}
     with timed(shared, "train-predict"):
-        outcomes = _train_predict(prices, cfg, [draw.pseudo_paths for draw in draws], labels, jobs)
+        outcomes = _train_predict(prices, cfg, paths, labels, jobs)
     results = [_finish(prices, draw, rows, label)
                for draw, rows, label in zip(draws, outcomes, labels)]
     return results, shared

@@ -129,10 +129,11 @@ def from_log_returns(returns: np.ndarray, anchor_price: float) -> np.ndarray:
     caller owns any date index.
     """
     returns = np.asarray(returns, dtype=np.float64)
+    # one matrix: the steps are exponentiated into it and multiplied up in place
     steps = np.empty(returns.shape[:-1] + (returns.shape[-1] + 1,))
     steps[..., 0] = anchor_price
-    steps[..., 1:] = np.exp(returns)
-    return np.multiply.accumulate(steps, axis=-1)
+    np.exp(returns, out=steps[..., 1:])
+    return np.multiply.accumulate(steps, axis=-1, out=steps)
 
 
 @dataclass(frozen=True)

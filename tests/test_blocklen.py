@@ -274,7 +274,7 @@ class TestScoringFromStarts:
     @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
     def test_forced_rejection_redraws_the_row_exactly(self, monkeypatch, method):
         # flag row 3 of every mapped draw as rejected: the row must be redrawn
-        # from its saved generator state and score as before
+        # from a fresh generator of its sub-stream and score as before
         redrawn = []
 
         def rejecting(words, bound, out):
@@ -301,14 +301,12 @@ class TestScoringFromStarts:
     @pytest.mark.parametrize("n,seed", [(3000, 5), (4999, 123)])
     def test_start_matrix_equals_draw_starts(self, method, n, seed):
         # at seed 123 and n = 4999, MBB row 35 rejects a word at l = 10
-        rngs = [substream(seed, k) for k in range(100)]
-        states = [rng.bit_generator.state for rng in rngs]
-        words = blocklen._read_words(rngs, n + blocklen._TOPUP_WORDS)
+        words = blocklen._read_words(seed, 100, n + blocklen._TOPUP_WORDS)
         for l in (1, 2, 7, 10, 49, n // 3, n):
             plan = BlockPlan(method=method, block_len=l, locality=0.1, seed=seed)
-            starts = blocklen._start_matrix(words, rngs, states, n, plan)
+            starts = blocklen._start_matrix(words, n, plan)
             assert starts.flags.c_contiguous and starts.dtype == np.int64
-            fresh = draw_starts([substream(seed, k) for k in range(len(rngs))], n, plan)
+            fresh = draw_starts([substream(seed, k) for k in range(100)], n, plan)
             for row, expected in zip(starts, fresh):
                 assert row[: expected.size].tolist() == expected.tolist()
                 assert not row[expected.size :].any()
@@ -317,12 +315,10 @@ class TestScoringFromStarts:
         # n = 11, l = 10: the one-value short block can be drawn again and
         # again, so some rows need more top-ups than the words read for them
         monkeypatch.setattr(blocklen, "_TOPUP_WORDS", 1)
-        rngs = [substream(4, k) for k in range(200)]
-        states = [rng.bit_generator.state for rng in rngs]
-        words = blocklen._read_words(rngs, 2 + blocklen._TOPUP_WORDS)
+        words = blocklen._read_words(4, 200, 2 + blocklen._TOPUP_WORDS)
         plan = BlockPlan(method="nbb", block_len=10, seed=4)
-        starts = blocklen._start_matrix(words, rngs, states, 11, plan)
-        fresh = draw_starts([substream(4, k) for k in range(len(rngs))], 11, plan)
+        starts = blocklen._start_matrix(words, 11, plan)
+        fresh = draw_starts([substream(4, k) for k in range(200)], 11, plan)
         assert starts.shape[1] == max(row.size for row in fresh) > 3
         for row, expected in zip(starts, fresh):
             assert row[: expected.size].tolist() == expected.tolist()
@@ -330,7 +326,7 @@ class TestScoringFromStarts:
 
     def test_rejections_happen_at_selection_scale(self):
         n, l = 4999, 10
-        words = blocklen._read_words([substream(123, k) for k in range(100)], n)
+        words = blocklen._read_words(123, 100, n)
         out = np.empty((100, -(-n // l)), dtype=np.uint64)
         rejected = blocklen._lemire_draws(words[:, : out.shape[1]], n - l + 1, out)
         assert np.flatnonzero(rejected).tolist() == [35]
@@ -431,8 +427,8 @@ _CALLS = st.lists(
 def test_lemire_draws_match_generator_integers(seed, calls):
     # consecutive calls on one generator: a call that reads an odd number of
     # words leaves the high half of its last output for the next call
-    rng = substream(seed)
-    stream = blocklen._read_words([substream(seed)], 64 * (9 * len(calls) + 1))[0]
+    rng = substream(seed, 0)
+    stream = blocklen._read_words(seed, 1, 64 * (9 * len(calls) + 1))[0]
     pos = 0
     for call in calls:
         if isinstance(call, tuple):

@@ -440,6 +440,43 @@ class TestGroupFit:
             assert np.array_equal(model.theta[row], solo.theta)
             assert np.array_equal(rmse[row], trace)
 
+    def test_late_divergence_leaves_group_mates_unchanged(self):
+        # each of column 1's two last values squares below the float64 limit
+        # and two of them sum above it, so its loss overflows first in the
+        # batch that draws both targets: epoch 1 at its seed
+        series = group_series(60, 3, seed=5)
+        series[-2:, 1] = 1.2e154
+        cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4, dropout_rate=0.2)
+        seeds = [3, 4, 5]
+        model, rmse, diverged = fit(series, cfg, seeds, epoch_rmse=True)
+        assert diverged == {1: "non-finite loss at epoch 1, batch 4"}
+        assert diverged[1] == fit_one(series[:, 1], cfg, 4)[2]
+        # the whole row fails, not only the epochs after its divergence
+        assert np.all(np.isnan(model.theta[1])) and np.all(np.isnan(rmse[1]))
+        for row in (0, 2):
+            solo, trace, cause = fit_one(series[:, row], cfg, seeds[row])
+            assert cause is None and np.all(np.isfinite(trace))
+            assert np.array_equal(model.theta[row], solo.theta)
+            assert np.array_equal(rmse[row], trace)
+
+    def test_fit_stops_once_every_row_has_diverged(self, monkeypatch):
+        import bootband.lstm as lstm
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_loss(*args, **kwargs)
+
+        real_loss = lstm._loss
+        monkeypatch.setattr(lstm, "_loss", counting)
+        series = group_series(60, 3, seed=4) * 1e300
+        cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4)
+        model, rmse, diverged = fit(series, cfg, [5, 6, 7], epoch_rmse=True)
+        assert diverged == {row: "non-finite loss at epoch 0, batch 0" for row in range(3)}
+        assert calls == [(3, param_count(4))]
+        assert np.all(np.isnan(model.theta)) and np.all(np.isnan(rmse))
+
     def test_late_divergence_matches_solo_location(self):
         # the rate only overflows after some steps; each row reports the
         # epoch and batch its own group of one reports

@@ -153,12 +153,15 @@ class TestComparingFactor:
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: maps in process and counts the pools opened."""
+    """Stands in for ProcessPoolExecutor: maps in process, counts the pools opened
+    and records the workers the last one asked for."""
 
     opened = 0
+    max_workers = None
 
     def __init__(self, max_workers):
         SerialPool.opened += 1
+        SerialPool.max_workers = max_workers
 
     def __enter__(self):
         return self
@@ -489,21 +492,6 @@ def test_group_cap(batch_size, hidden_size, cap):
     assert pl._group_cap(train) == cap
 
 
-@given(st.integers(1, 4), st.integers(1, 6), st.data())
-def test_span_paths_are_the_stacked_rows(sets, reps, data):
-    path_sets = [np.arange(reps * 5, dtype=float).reshape(reps, 5) + 100 * s for s in range(sets)]
-    start = data.draw(st.integers(0, sets * reps - 1))
-    span = range(start, data.draw(st.integers(start + 1, sets * reps)))
-    paths = pl._span_paths(path_sets, span)
-    assert np.array_equal(np.array(paths), np.vstack(path_sets)[span.start : span.stop])
-    # one view of its path set when the span lies in one, else views of the rows
-    if span.start // reps == (span.stop - 1) // reps:
-        assert isinstance(paths, np.ndarray)
-        assert np.shares_memory(paths, path_sets[span.start // reps])
-    else:
-        assert all(row.base is path_sets[k // reps] for k, row in zip(span, paths))
-
-
 class TestSharedTraining:
     """compare_methods trains the replicates of all three methods as one set of groups."""
 
@@ -536,6 +524,7 @@ class TestSharedTraining:
         (7, 1, 3, [3] * 7),
         (5, 2, 16, [8, 7]),
         (4, 1, 16, [12]),
+        (2, 8, 16, [1] * 6),          # more jobs than rows: one worker per group
     ])
     def test_groups_are_contiguous_rows_of_all_methods(self, monkeypatch, reps, jobs,
                                                        group_size, widths):
@@ -548,21 +537,24 @@ class TestSharedTraining:
             return drawn[-1]
 
         def recording_task(args):
-            groups.append((list(args[0]), np.array(args[1])))
+            groups.append((list(args[0]), args[1]))
             return real_task(args)
 
         monkeypatch.setattr(pl, "from_log_returns", recording_paths)
         monkeypatch.setattr(pl, "_group_task", recording_task)
         monkeypatch.setattr(pl, "ProcessPoolExecutor", SerialPool)
         cap_group_rows(monkeypatch, group_size)
-        SerialPool.opened = 0
+        SerialPool.opened, SerialPool.max_workers = 0, None
         compare_methods(prices, small_cfg(70, reps=reps), jobs=jobs)
         assert SerialPool.opened == (1 if jobs > 1 else 0)
+        assert SerialPool.max_workers == (min(jobs, len(widths)) if jobs > 1 else None)
         assert [len(ids) for ids, _ in groups] == widths
         # rows in (method, replicate) order: NBB's replicates, then MBB's, then LBB's
         assert [m for ids, _ in groups for m in ids] == list(range(reps)) * 3
         assert len(drawn) == 3
         assert np.array_equal(np.vstack([paths for _, paths in groups]), np.vstack(drawn))
+        # every group's paths are a row slice of one replicate matrix
+        assert len({id(paths.base) for _, paths in groups}) == 1
 
     def test_one_method_failure_stays_with_its_method(self, monkeypatch):
         # fail MBB's replicate 1, the row at position reps + 1
