@@ -384,6 +384,7 @@ def backward(
     # costs more than the copy
     dgates = ws.take("dgates", (4, *shape))
     da_f, da_i, da_o, da_c = dgates
+    da_gates = _gate_blocks(da)
     # gU in two dimensions: an in-place add into the 3-D view would copy it first
     gU_rows = gU.reshape(*gU.shape[:-2], -1)
     dU = ws.take("scratch", gU.shape)
@@ -410,7 +411,7 @@ def backward(
         # da_c = dc * i * (1 - c_tilde**2)
         np.multiply(dc, i, out=da_c)
         da_c *= np.subtract(1.0, np.square(c_tilde, out=tmp), out=tmp)
-        np.copyto(_gate_blocks(da), dgates)
+        np.copyto(da_gates, dgates)
         # the window operand keeps its per-slice strides: a contiguous copy
         # takes another matmul path, with other rounding
         gW += (cache.windows[..., None, :, t] @ da)[..., 0, :]
@@ -612,7 +613,7 @@ def predict_series(model: LstmModel, context, positions) -> np.ndarray:
         raise ValidationError(
             f"positions must lie in [{lookback}, {context.size}] to have full history"
         )
-    windows = np.stack([context[p - lookback : p] for p in positions])
+    windows = np.lib.stride_tricks.sliding_window_view(context, lookback)[positions - lookback]
     return _infer(model.theta, windows)
 
 

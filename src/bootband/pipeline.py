@@ -22,10 +22,10 @@ groups: a group is a contiguous run of rows that :func:`bootband.lstm.fit`
 trains in lockstep, one stacked forward, backward and Adam step per
 minibatch for the whole group.  Every row of a group is bit-identical to the
 same replicate trained alone, so ``jobs`` worker processes (no more than
-there are groups) take whole groups and results are assembled in row order,
-keeping runs bit-reproducible for any ``jobs`` value.  A replicate whose
-loss or test predictions turn non-finite, or whose group runs out of
-memory, is recorded as failed by index, with its cause.
+there are groups) take whole groups, keeping runs bit-reproducible for any
+``jobs`` value.  A replicate whose loss or test predictions turn
+non-finite, or whose group runs out of memory, is recorded as failed by
+index, with its cause.
 
 A group's width is set by its pre-activation count, not its row count: a
 minibatch step of ``rows`` networks computes ``rows * batch_size * 4 *
@@ -38,15 +38,16 @@ whose widths differ by at most one, so every worker gets as many groups.
 A run is three phases: each method's checks and draw (steps 1-3), one
 shared training phase (step 4), and each method's finish (failure check,
 steps 5-6).  The draws write one replicate matrix, a block of ``reps``
-pseudo paths per method in (method, replicate) order, and every group is a
-fixed row slice of it.  :func:`run` is the one-method case.
+pseudo paths per method in (method, replicate) order.  Every group scales
+and trains one row slice of it and returns one prediction block, written at
+the same rows of one prediction matrix.  :func:`run` is the one-method case.
 :func:`compare_methods` is the three-method case: it selects and draws for
 NBB, MBB and LBB first, then trains all ``3 * reps`` rows as one set of
 groups on one pool, so a group may span two methods.  Row ``m`` of every
 method is replicate ``m`` with the seed ``derive_seed(train.seed, m)``, and
-outcomes go back to their method by position.  Each method's result times its own
-stages with :func:`bootband.manifest.timed`; the shared ``train-predict``
-seconds are timed once (a single-method run adds them to its result).
+each method keeps the trained rows of its block.  Each method's result times
+its own stages with :func:`bootband.manifest.timed`; the shared
+``train-predict`` seconds are timed once (a single-method run adds them).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -232,26 +234,20 @@ def percentile_band(samples: np.ndarray, alpha: float) -> tuple[np.ndarray, np.n
 def _group_task(args):
     """Train one group of replicates in lockstep and predict the test horizon in price units.
 
-    Module-level so process pools can pickle it.  Returns one
-    (index, predictions | None, error message | None) per replicate.  A group
-    that runs out of memory fails every one of its replicates.
+    Module-level so process pools can pickle it.  Returns the ``(rows,
+    test_len)`` prediction block (``None`` if the group ran out of memory)
+    and one failure cause per row, ``None`` for a trained row.
     """
-    (ids, pseudo_paths, scaled_actual, scale_actual, train_cfg, seeds, scale_window, positions) = args
+    (paths, seeds, scaled_actual, scale_actual, train_cfg, scale_window, positions) = args
     try:
-        scaled = np.column_stack([window_minmax_scale(path, scale_window)[0] for path in pseudo_paths])
-        model, _, diverged = fit(scaled, train_cfg, seeds)
+        scaled = window_minmax_scale(paths, scale_window)[0]
+        model, _, diverged = fit(scaled.T, train_cfg, seeds)
         preds = scale_actual.denormalize(predict_series(model, scaled_actual, positions), positions)
     except MemoryError:
-        return [(idx, None, "out of memory") for idx in ids]
-    outcomes = []
-    for row, idx in enumerate(ids):
-        if row in diverged:
-            outcomes.append((idx, None, diverged[row]))
-        elif not np.all(np.isfinite(preds[row])):
-            outcomes.append((idx, None, "non-finite test prediction"))
-        else:
-            outcomes.append((idx, preds[row], None))
-    return outcomes
+        return None, ["out of memory"] * len(paths)
+    finite = np.isfinite(preds).all(axis=1)
+    return preds, [diverged.get(row, None if finite[row] else "non-finite test prediction")
+                   for row in range(len(paths))]
 
 
 @dataclass(frozen=True)
@@ -315,66 +311,64 @@ def _group_spans(rows: int, jobs: int, cap: int) -> list[range]:
 
 
 def _train_predict(prices: PriceSeries, cfg: PipelineConfig, paths: np.ndarray,
-                   labels: list[str | None], jobs: int) -> list[list[tuple]]:
+                   labels: list[str | None], jobs: int) -> tuple[np.ndarray, list[str | None]]:
     """Train every row of the replicate matrix ``paths`` in contiguous lockstep groups.
 
     ``paths`` holds a block of ``cfg.reps`` rows per method, so a group, one
     row slice, may span two methods.  Row ``m`` of every block is replicate
     ``m`` with seed ``derive_seed(cfg.train.seed, m)``.  The groups run on
     ``min(jobs, groups)`` worker processes, in process if that is one.
-    Returns the outcomes of each block, split back by position.  If a worker
-    dies, the error names the first group without a result by the ``labels``
-    of its methods and its replicate ids.
+    Returns the prediction matrix, each group's block written at its rows as
+    it arrives (NaN where a group returned none), and one failure cause per
+    row, ``None`` for a trained row.  If a worker dies, the error names the
+    first group without a result by the ``labels`` of its methods and its
+    replicate ids.
     """
     positions = np.arange(cfg.train_len, len(prices))
     scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
     spans = _group_spans(len(paths), jobs, _group_cap(cfg.train))
-    tasks = []
-    for span in spans:
-        ids = [k % cfg.reps for k in span]
-        tasks.append((
-            ids,
-            paths[span.start : span.stop],
-            scaled_actual,
-            scale_actual,
-            cfg.train,
-            [derive_seed(cfg.train.seed, m) for m in ids],
-            cfg.scale_window,
-            positions,
-        ))
+    tasks = [(paths[span.start : span.stop],
+              [derive_seed(cfg.train.seed, k % cfg.reps) for k in span],
+              scaled_actual, scale_actual, cfg.train, cfg.scale_window, positions)
+             for span in spans]
+    predictions = np.full((len(paths), len(positions)), np.nan)
+    causes: list[str | None] = []
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        groups = []
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for group in pool.map(_group_task, tasks):
-                    groups.append(group)
-        except BrokenProcessPool as exc:
-            lost: dict = {}  # method label -> replicate ids of the first lost group
-            for k in spans[len(groups)]:
-                lost.setdefault(labels[k // cfg.reps], []).append(str(k % cfg.reps))
-            named = "; ".join(", ".join(ids) if label is None else f"{label} {', '.join(ids)}"
-                              for label, ids in lost.items())
-            raise PipelineError(
-                "train", f"a worker process died: first group without a result: {named}"
-            ) from exc
-    else:
-        groups = [_group_task(t) for t in tasks]
-    outcomes = [outcome for group in groups for outcome in group]
-    return [outcomes[lo : lo + cfg.reps] for lo in range(0, len(outcomes), cfg.reps)]
+    try:
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+            results = map(_group_task, tasks) if pool is None else pool.map(_group_task, tasks)
+            for span, (block, group_causes) in zip(spans, results):
+                if block is not None:
+                    predictions[span.start : span.stop] = block
+                causes += group_causes
+    except BrokenProcessPool as exc:
+        # the first group without a result starts at the first row without a cause
+        lost: dict = {}  # method label -> replicate ids of that group
+        for k in next(span for span in spans if span.start == len(causes)):
+            lost.setdefault(labels[k // cfg.reps], []).append(str(k % cfg.reps))
+        named = "; ".join(", ".join(ids) if label is None else f"{label} {', '.join(ids)}"
+                          for label, ids in lost.items())
+        raise PipelineError(
+            "train", f"a worker process died: first group without a result: {named}"
+        ) from exc
+    return predictions, causes
 
 
-def _finish(prices: PriceSeries, draw: _Draw, outcomes: list[tuple],
-            label: str | None) -> PipelineResult:
-    """Check one method's failures, then take its quantile band."""
+def _finish(prices: PriceSeries, draw: _Draw, predictions: np.ndarray,
+            causes: list[str | None], label: str | None) -> PipelineResult:
+    """Check one method's failures, then take its quantile band over its trained rows.
+
+    With no failure, ``predictions``, the method's rows of the prediction matrix, is kept as is.
+    """
     cfg = draw.cfg
-    succeeded = [(idx, preds) for idx, preds, err in outcomes if err is None]
-    failed = {idx: err for idx, _, err in outcomes if err is not None}
+    failed = {idx: cause for idx, cause in enumerate(causes) if cause is not None}
     if len(failed) > cfg.allow_failures:
         raise ReplicateFailureError(failed, cfg.allow_failures, label)
-    if len(succeeded) < 2:
-        raise PipelineError("train", f"only {len(succeeded)} replicate(s) trained; need >= 2", label)
-    predictions = np.vstack([preds for _, preds in succeeded])
+    trained = [idx for idx, cause in enumerate(causes) if cause is None]
+    if len(trained) < 2:
+        raise PipelineError("train", f"only {len(trained)} replicate(s) trained; need >= 2", label)
+    if failed:
+        predictions = predictions[trained]
     actual_test = prices.values[cfg.train_len :]
 
     timings = dict(draw.timings)
@@ -390,14 +384,14 @@ def _finish(prices: PriceSeries, draw: _Draw, outcomes: list[tuple],
             upper=upper,
             method=cfg.method,
             block_len=draw.l_opt,
-            reps=len(succeeded),
+            reps=len(trained),
         )
         coverage = float(np.mean((actual_test >= lower) & (actual_test <= upper)))
     return PipelineResult(
         band=band,
         curve=draw.curve,
         predictions=predictions,
-        replicate_ids=tuple(idx for idx, _ in succeeded),
+        replicate_ids=tuple(trained),
         failed_ids=tuple(failed),
         actual=actual_test,
         coverage=coverage,
@@ -427,15 +421,16 @@ def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMetho
     labels = [method.value if len(methods) > 1 else None for method in methods]
     # every method's config is checked before any selection runs
     cfgs = [replace(cfg, selector=replace(cfg.selector, method=method)) for method in methods]
-    # one replicate matrix, a block of reps rows per method, written in place
+    # one replicate matrix and one prediction matrix, a block of reps rows per method
+    blocks = [slice(k * cfg.reps, (k + 1) * cfg.reps) for k in range(len(methods))]
     paths = np.empty((len(methods) * cfg.reps, train_len))
-    draws = [_draw(prices, method_cfg, label, paths[k * cfg.reps : (k + 1) * cfg.reps])
-             for k, (method_cfg, label) in enumerate(zip(cfgs, labels))]
+    draws = [_draw(prices, method_cfg, label, paths[rows])
+             for method_cfg, label, rows in zip(cfgs, labels, blocks)]
     shared: dict = {}
     with timed(shared, "train-predict"):
-        outcomes = _train_predict(prices, cfg, paths, labels, jobs)
-    results = [_finish(prices, draw, rows, label)
-               for draw, rows, label in zip(draws, outcomes, labels)]
+        predictions, causes = _train_predict(prices, cfg, paths, labels, jobs)
+    results = [_finish(prices, draw, predictions[rows], causes[rows], label)
+               for draw, rows, label in zip(draws, blocks, labels)]
     return results, shared
 
 

@@ -141,7 +141,8 @@ class WindowScale:
     """Per-segment (min, max) records from :func:`window_minmax_scale`.
 
     Segment ``k`` covers positions ``[k * window_len, (k + 1) * window_len)``
-    of the original sequence; the last segment may be shorter.
+    of each series; the last segment may be shorter.  A matrix of series
+    has one row of records per series.
     """
 
     window_len: int
@@ -159,30 +160,31 @@ class WindowScale:
         if positions.size and (positions.min() < 0 or positions.max() >= self.n):
             raise ValidationError("positions outside the scaled range")
         seg = positions // self.window_len
-        lo, hi = self.mins[seg], self.maxs[seg]
+        lo, hi = self.mins[..., seg], self.maxs[..., seg]
         return np.asarray(scaled, dtype=np.float64) * (hi - lo) + lo
 
 
 def window_minmax_scale(x, window_len: int) -> tuple[np.ndarray, WindowScale]:
     """Scale each consecutive ``window_len`` segment to [0, 1] by its own min/max.
 
-    A degenerate segment (max == min) maps to all zeros; the recorded pair
-    still denormalizes back to the constant.  Returns the scaled sequence
-    and the per-segment scale records needed to undo the mapping.
+    ``x`` is one series or a ``(k, n)`` matrix, one series per row.  A
+    degenerate segment (max == min) maps to all zeros; the recorded pair
+    still denormalizes back to the constant.  Returns the scaled values and
+    the per-segment scale records needed to undo the mapping.
     """
     x = np.asarray(x, dtype=np.float64)
     if window_len < 1:
         raise ValidationError("window_len must be >= 1")
-    n = len(x)
-    n_seg = -(-n // window_len) if n else 0
-    mins = np.empty(n_seg)
-    maxs = np.empty(n_seg)
-    scaled = np.empty(n)
+    n = x.shape[-1]
+    n_seg = -(-n // window_len)
+    mins, maxs = np.empty((2, *x.shape[:-1], n_seg))
+    scaled = np.zeros_like(x)
     for k in range(n_seg):
-        seg = x[k * window_len : (k + 1) * window_len]
-        lo, hi = seg.min(), seg.max()
-        mins[k], maxs[k] = lo, hi
-        scaled[k * window_len : (k + 1) * window_len] = (
-            np.zeros(len(seg)) if hi == lo else (seg - lo) / (hi - lo)
-        )
+        cols = slice(k * window_len, (k + 1) * window_len)
+        seg, out = x[..., cols], scaled[..., cols]
+        lo, hi = seg.min(axis=-1, keepdims=True), seg.max(axis=-1, keepdims=True)
+        mins[..., k], maxs[..., k] = lo[..., 0], hi[..., 0]
+        live = hi != lo  # a degenerate segment stays zero: 0 / 0 would warn
+        np.subtract(seg, lo, out=out, where=live)
+        np.divide(out, hi - lo, out=out, where=live)
     return scaled, WindowScale(window_len=window_len, mins=mins, maxs=maxs, n=n)

@@ -549,7 +549,8 @@ class TestPredict:
         cfg = TrainConfig(lookback=4, epochs=2, hidden_size=3)
         context = (np.cos(np.linspace(0, 7, 50)) + 1) / 2
         model, _, _ = fit_one(context[:40], cfg, 7)
-        positions = np.arange(40, 50)
+        # both ends of the admitted range: lookback and len(context)
+        positions = np.arange(4, 51)
         preds = predict_series(model, context, positions)
         replay = np.array(
             [_forward_pass(model.theta, context[None, p - 4 : p], None)[0][0] for p in positions]

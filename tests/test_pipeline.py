@@ -43,6 +43,12 @@ def cap_group_rows(monkeypatch, rows):
     monkeypatch.setattr(pl, "GROUP_ELEMENTS", rows * 10 * 4 * 4)
 
 
+def task_replicates(args, reps):
+    """The replicate ids of a group task's rows, read from its seeds (small_train's seed)."""
+    ids = {derive_seed(small_train().seed, m): m for m in range(reps)}
+    return [ids[seed] for seed in args[1]]
+
+
 def small_cfg(train_len, method="mbb", reps=4, seed=11, **train_kw):
     return PipelineConfig(
         train_len=train_len,
@@ -223,7 +229,7 @@ class TestRun:
         real_task = pl._group_task
 
         def recording(args):
-            seen.append(tuple(args[0]))
+            seen.append(tuple(task_replicates(args, 7)))
             return real_task(args)
 
         monkeypatch.setattr(pl, "_group_task", recording)
@@ -313,8 +319,9 @@ class TestRun:
         real_task = pl._group_task
 
         def flaky(args):
-            return [(idx, None, "forced divergence") if idx == 2 else (idx, preds, err)
-                    for idx, preds, err in real_task(args)]
+            preds, causes = real_task(args)
+            return preds, ["forced divergence" if idx == 2 else cause
+                           for idx, cause in zip(task_replicates(args, cfg.reps), causes)]
 
         monkeypatch.setattr(pl, "_group_task", flaky)
         result = run(prices, cfg)
@@ -348,8 +355,8 @@ class TestRun:
 
     def test_one_replicate_diverging_leaves_the_others(self, monkeypatch):
         # a pseudo path blown up by 1e300 scales like any other, so blow up
-        # the scaled series of replicate 1: the third scaling, after the
-        # actual prices and replicate 0
+        # the scaled series of replicate 1: row 1 of the group's scaled block,
+        # the second scaling, after the actual prices
         prices = price_series(gbm_prices(100, seed=8))
         cfg = small_cfg(70, reps=3)
         real_scale = pl.window_minmax_scale
@@ -357,8 +364,11 @@ class TestRun:
 
         def blown_up(x, window_len):
             scaled, scale = real_scale(x, window_len)
-            calls.append(len(x))
-            return (scaled * 1e300 if len(calls) == 3 else scaled), scale
+            calls.append(np.shape(x))
+            if len(calls) == 2:
+                assert scaled.shape == (3, 70)
+                scaled[1] *= 1e300
+            return scaled, scale
 
         clean = run(prices, cfg)
         monkeypatch.setattr(pl, "window_minmax_scale", blown_up)
@@ -537,7 +547,7 @@ class TestSharedTraining:
             return drawn[-1]
 
         def recording_task(args):
-            groups.append((list(args[0]), args[1]))
+            groups.append((task_replicates(args, reps), args[0]))
             return real_task(args)
 
         monkeypatch.setattr(pl, "from_log_returns", recording_paths)
@@ -545,7 +555,7 @@ class TestSharedTraining:
         monkeypatch.setattr(pl, "ProcessPoolExecutor", SerialPool)
         cap_group_rows(monkeypatch, group_size)
         SerialPool.opened, SerialPool.max_workers = 0, None
-        compare_methods(prices, small_cfg(70, reps=reps), jobs=jobs)
+        comparison = compare_methods(prices, small_cfg(70, reps=reps), jobs=jobs)
         assert SerialPool.opened == (1 if jobs > 1 else 0)
         assert SerialPool.max_workers == (min(jobs, len(widths)) if jobs > 1 else None)
         assert [len(ids) for ids, _ in groups] == widths
@@ -555,6 +565,16 @@ class TestSharedTraining:
         assert np.array_equal(np.vstack([paths for _, paths in groups]), np.vstack(drawn))
         # every group's paths are a row slice of one replicate matrix
         assert len({id(paths.base) for _, paths in groups}) == 1
+        # no row failed: each method's predictions are its row block of one
+        # prediction matrix, in (method, replicate) order
+        blocks = [comparison.results[method].predictions for method in METHODS]
+        matrix = blocks[0].base
+        assert matrix.shape == (3 * reps, 30)
+        for k, block in enumerate(blocks):
+            assert block.base is matrix
+            assert block.shape == (reps, 30)
+            assert (block.__array_interface__["data"][0]
+                    == matrix.__array_interface__["data"][0] + k * block.nbytes)
 
     def test_one_method_failure_stays_with_its_method(self, monkeypatch):
         # fail MBB's replicate 1, the row at position reps + 1
@@ -565,12 +585,12 @@ class TestSharedTraining:
         position = []
 
         def flaky(args):
-            outcomes = []
-            for idx, preds, err in real_task(args):
-                position.append(idx)
-                forced = len(position) - 1 == cfg.reps + 1
-                outcomes.append((idx, None, "forced divergence") if forced else (idx, preds, err))
-            return outcomes
+            preds, causes = real_task(args)
+            forced = []
+            for cause in causes:
+                position.append(len(position))
+                forced.append("forced divergence" if position[-1] == cfg.reps + 1 else cause)
+            return preds, forced
 
         cap_group_rows(monkeypatch, 3)
         monkeypatch.setattr(pl, "_group_task", flaky)

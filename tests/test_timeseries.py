@@ -4,7 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bootband.errors import (
@@ -231,6 +231,35 @@ class TestWindowScale:
         scaled, scale = window_minmax_scale(x, window_len)
         back = scale.denormalize(scaled, np.arange(len(x)))
         assert np.all(np.abs(back - x) <= 1e-12)
+
+
+scale_values = st.floats(-1e8, 1e8, allow_nan=False)
+# 1 to 5 rows of one length, some of them constant
+scale_matrices = st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.one_of(st.lists(scale_values, min_size=n, max_size=n), scale_values.map(lambda v: [v] * n)),
+    min_size=1,
+    max_size=5,
+))
+
+
+class TestWindowScaleMatrix:
+    @given(scale_matrices, st.integers(1, 50))
+    @example([[1.0, 5.0, 2.0, 4.0, 3.0], [7.0] * 5], 2)   # a constant row, a short last segment
+    @example([[3.0, 1.0, 2.0], [2.0, 2.0, 2.0]], 8)       # a window longer than the series
+    @settings(max_examples=150)
+    def test_matrix_equals_row_by_row(self, rows, window_len):
+        x = np.array(rows)
+        scaled, scale = window_minmax_scale(x, window_len)
+        positions = np.arange(x.shape[1])
+        back = scale.denormalize(scaled, positions)
+        assert scaled.shape == back.shape == x.shape
+        assert scale.mins.shape == scale.maxs.shape == (len(x), -(-x.shape[1] // window_len))
+        for k, row in enumerate(x):
+            row_scaled, row_scale = window_minmax_scale(row, window_len)
+            assert scaled[k].tobytes() == row_scaled.tobytes()
+            assert scale.mins[k].tobytes() == row_scale.mins.tobytes()
+            assert scale.maxs[k].tobytes() == row_scale.maxs.tobytes()
+            assert back[k].tobytes() == row_scale.denormalize(row_scaled, positions).tobytes()
 
 
 class TestInvariantsAndExport:
