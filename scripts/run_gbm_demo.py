@@ -7,6 +7,7 @@ settings, and prints the ranked report.  Artifacts land in --output-dir.
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,9 @@ def main():
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "gbm.csv"
+    # the child imports bootband from this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
 
     subprocess.run(
         [sys.executable, str(here / "make_gbm_csv.py"), "--out", str(csv_path),
@@ -42,7 +46,7 @@ def main():
          "--hidden", str(args.hidden),
          "--seed", str(args.seed),
          "--output-dir", str(out)],
-        check=True,
+        check=True, env=env,
     )
 
     report = json.loads((out / "report.json").read_text())

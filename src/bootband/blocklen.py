@@ -32,7 +32,6 @@ objective of every candidate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +44,7 @@ from .bootstrap import BlockPlan, BootstrapMethod, draw_starts, lbb_halo, lbb_st
 # this name here
 from .bootstrap import batch_resample  # noqa: F401
 from .errors import ValidationError
-from .timeseries import _freeze
+from .timeseries import _freeze, write_csv
 
 # Window means are averaged in gathered slices of at most this many values
 # (1 MB), so a long candidate length allocates no (n - l + 1, l) matrix.
@@ -116,11 +115,9 @@ class SelectorCurve:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["l", "distance", "penalty", "objective"])
-            for l, d, p, o in zip(self.lengths, self.distances, self.penalties, self.objectives):
-                w.writerow([int(l), repr(float(d)), repr(float(p)), repr(float(o))])
+        write_csv(path, ["l", "distance", "penalty", "objective"],
+                  ([int(l), repr(float(d)), repr(float(p)), repr(float(o))]
+                   for l, d, p, o in zip(self.lengths, self.distances, self.penalties, self.objectives)))
 
 
 def block_means(x, l: int) -> np.ndarray:

@@ -1,28 +1,32 @@
 """Command-line interface: resample, select-block, train, band, compare.
 
 Every subcommand reads a dated CSV, writes UTF-8 CSV/JSON artifacts into
-``--output-dir``, and drops a ``manifest.json`` recording the fully resolved
-configuration, the input hash, and per-stage timings (the command's own
-stages, timed with :func:`bootband.manifest.timed`, plus the pipeline's;
-``compare`` names each method's own stages ``<method>:<stage>`` and records
-the ``train-predict`` stage its three methods share once).  One runner,
-:func:`_execute`, resolves the options, picks the seed, loads the input and
-writes the manifest; each subcommand body only computes its artifacts.
-Configuration precedence is CLI flags > ``--config`` file (``key = value``
-lines, ``#`` comments) > defaults, which are those of :class:`TrainConfig`,
-:class:`SelectorConfig` and :class:`PipelineConfig`.  All randomness derives
-from the single ``--seed``; when omitted a random seed is chosen, printed,
-and recorded.
+``--output-dir``, and drops a ``manifest.json`` recording the input hash,
+per-stage timings (the command's own stages, timed with
+:func:`bootband.manifest.timed`, plus the pipeline's; ``compare`` names each
+method's own stages ``<method>:<stage>`` and records the ``train-predict``
+stage its three methods share once) and, as its ``config``, every option of
+the command after resolution except ``output_dir`` and ``jobs``.  Each
+subcommand has one option table, which drives its parser, its resolution and
+the configs it builds: a table entry that sets a field of :class:`TrainConfig`,
+:class:`SelectorConfig` or :class:`PipelineConfig` names that field and takes
+its default from it, so a new option is one table entry plus its dataclass
+field.  One runner, :func:`_execute`, resolves the whole table into one dict
+before the body runs, picks the seed, loads the input and writes the
+manifest; each subcommand body only computes its artifacts.  Configuration
+precedence is CLI flags > ``--config`` file (``key = value`` lines, ``#``
+comments) > defaults.  All randomness derives from the single ``--seed``;
+when omitted a random seed is chosen, printed, and recorded.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .errors import DataError, PipelineError, ValidationError
 from .lstm import LstmModel, TrainConfig, fit, predict_series, save_model
 from .manifest import RunManifest, sha256_of, timed
 from .pipeline import PipelineConfig, compare_methods, run
-from .timeseries import PriceSeries, from_log_returns, load_csv, to_log_returns, window_minmax_scale
+from .timeseries import PriceSeries, from_log_returns, load_csv, to_log_returns, window_minmax_scale, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,71 +62,89 @@ def _bool_from(text: str) -> bool:
     raise UsageError(f"not a boolean: {text!r}")
 
 
-# name -> (converter, default, help); None default means "resolved at runtime"
-# (seed: random; jobs: usable CPUs; lmax: min(50, n // 4)).  _REQUIRED marks a
-# value a flag or the config file must give.  A list converter is a list of
-# choices.  Defaults are read off the config dataclasses, so each is stated once.
+# _REQUIRED marks a value a flag or the config file must give.
 _REQUIRED = object()
 
+
+class _Opt(NamedTuple):
+    """One table entry: converter, default, help, and the config field it sets, if any.
+
+    A list converter is a list of choices.  A None default means "resolved at
+    runtime" (seed: random; jobs: usable CPUs; lmax: min(50, n // 4)).
+    """
+
+    conv: object
+    default: object
+    help: str | None
+    cls: type | None = None
+    field: str | None = None
+
+
+def _sets(conv, cls: type, field: str, help_: str | None, default=None) -> _Opt:
+    """An option that sets ``cls.field``; its default is the dataclass's unless given."""
+    return _Opt(conv, getattr(cls, field) if default is None else default, help_, cls, field)
+
+
 _COMMON_OPTS = {
-    "column": (str, "Close", "CSV column with the closing price"),
-    "output_dir": (str, ".", "directory for artifacts"),
-    "seed": (int, None, "master seed (default: random, printed and recorded)"),
+    "column": _Opt(str, "Close", "CSV column with the closing price"),
+    "output_dir": _Opt(str, ".", "directory for artifacts"),
+    "seed": _Opt(int, None, "master seed (default: random, printed and recorded)"),
 }
 
 # only band and compare train replicates, so only they take a worker count
 _PARALLEL_OPTS = {
     **_COMMON_OPTS,
-    "jobs": (int, None, "max parallel workers (default: available CPUs); outputs are identical for any value"),
+    "jobs": _Opt(int, None, "max parallel workers (default: available CPUs); outputs are identical for any value"),
 }
 
 _SELECTOR_OPTS = {
-    "t": (float, SelectorConfig.t, "penalty exponent"),
-    "lmin": (int, SelectorConfig.l_min, "smallest candidate block length"),
-    "lmax": (int, None, "largest candidate block length (default: min(50, n // 4))"),
-    "locality": (float, SelectorConfig.locality, "LBB locality fraction B in (0, 1]"),
+    "t": _sets(float, SelectorConfig, "t", "penalty exponent"),
+    "lmin": _sets(int, SelectorConfig, "l_min", "smallest candidate block length"),
+    "lmax": _sets(int, SelectorConfig, "l_max", "largest candidate block length (default: min(50, n // 4))"),
+    "locality": _sets(float, SelectorConfig, "locality", "LBB locality fraction B in (0, 1]"),
 }
 
 _TRAIN_OPTS = {
     # PipelineConfig has no default training length; 800 is the reference split
-    "train_len": (int, 800, "number of leading observations used for training"),
-    "lookback": (int, TrainConfig.lookback, "window length fed to the LSTM"),
-    "batch_size": (int, TrainConfig.batch_size, "minibatch size"),
-    "epochs": (int, TrainConfig.epochs, "training epochs"),
-    "dropout": (float, TrainConfig.dropout_rate, "dropout rate on the final hidden state"),
-    "l2": (float, TrainConfig.l2_coeff, "L2 coefficient on input kernels and dense weights"),
-    "hidden": (int, TrainConfig.hidden_size, "LSTM hidden size"),
-    "learning_rate": (float, TrainConfig.learning_rate, "Adam learning rate"),
-    "scale_window": (int, PipelineConfig.scale_window, "segment length for window min-max scaling"),
+    "train_len": _sets(int, PipelineConfig, "train_len", "number of leading observations used for training",
+                       default=800),
+    "lookback": _sets(int, TrainConfig, "lookback", "window length fed to the LSTM"),
+    "batch_size": _sets(int, TrainConfig, "batch_size", "minibatch size"),
+    "epochs": _sets(int, TrainConfig, "epochs", "training epochs"),
+    "dropout": _sets(float, TrainConfig, "dropout_rate", "dropout rate on the final hidden state"),
+    "l2": _sets(float, TrainConfig, "l2_coeff", "L2 coefficient on input kernels and dense weights"),
+    "hidden": _sets(int, TrainConfig, "hidden_size", "LSTM hidden size"),
+    "learning_rate": _sets(float, TrainConfig, "learning_rate", "Adam learning rate"),
+    "scale_window": _sets(int, PipelineConfig, "scale_window", "segment length for window min-max scaling"),
 }
 
-_METHOD_OPT = {"method": (METHOD_CHOICES, _REQUIRED, None)}
+_METHOD_OPT = {"method": _sets(METHOD_CHOICES, SelectorConfig, "method", None, default=_REQUIRED)}
 
 # the options of one band construction, shared by band and compare
 _PIPELINE_OPTS = {
     **_SELECTOR_OPTS, **_TRAIN_OPTS,
-    "reps": (int, PipelineConfig.reps, "bootstrap replicates M"),
-    "alpha": (float, PipelineConfig.alpha, "miscoverage level (0.05 gives a 95 percent band)"),
-    "selector_reps": (int, SelectorConfig.reps, "replicates per candidate in block-length selection"),
-    "allow_failures": (int, PipelineConfig.allow_failures,
-                       "tolerated failed replicates (non-finite loss or forecast) before aborting"),
-    "dump_replicates": (bool, False, "also write the M x T replicate prediction matrix"),
+    "reps": _sets(int, PipelineConfig, "reps", "bootstrap replicates M"),
+    "alpha": _sets(float, PipelineConfig, "alpha", "miscoverage level (0.05 gives a 95 percent band)"),
+    "selector_reps": _sets(int, SelectorConfig, "reps", "replicates per candidate in block-length selection"),
+    "allow_failures": _sets(int, PipelineConfig, "allow_failures",
+                            "tolerated failed replicates (non-finite loss or forecast) before aborting"),
+    "dump_replicates": _Opt(bool, False, "also write the M x T replicate prediction matrix"),
 }
 
-# one table per subcommand: it drives both the parser and the config resolver
+# one table per subcommand: it drives the parser, the resolution and the configs
 _RESAMPLE_OPTS = {
     **_COMMON_OPTS, **_METHOD_OPT,
-    "block_len": (int, _REQUIRED, "block length l"),
+    "block_len": _Opt(int, _REQUIRED, "block length l"),
     "locality": _SELECTOR_OPTS["locality"],
-    "count": (int, 1, "number of pseudo-series"),
-    "space": (["log-return", "price"], "log-return",
-              "'log-return' (reverse-transformed to prices) or 'price'"),
+    "count": _Opt(int, 1, "number of pseudo-series"),
+    "space": _Opt(["log-return", "price"], "log-return",
+                  "'log-return' (reverse-transformed to prices) or 'price'"),
 }
 
 _SELECT_BLOCK_OPTS = {
     **_COMMON_OPTS, **_METHOD_OPT, **_SELECTOR_OPTS,
-    "reps": (int, SelectorConfig.reps, "bootstrap replicates per candidate length"),
-    "train_len": (int, None, "restrict to the first train-len prices (default: whole series)"),
+    "reps": _sets(int, SelectorConfig, "reps", "bootstrap replicates per candidate length"),
+    "train_len": _Opt(int, None, "restrict to the first train-len prices (default: whole series)"),
 }
 
 _TRAIN_CMD_OPTS = {**_COMMON_OPTS, **_TRAIN_OPTS}
@@ -131,7 +153,7 @@ _BAND_OPTS = {**_PARALLEL_OPTS, **_METHOD_OPT, **_PIPELINE_OPTS}
 
 
 def _add_opts(parser: argparse.ArgumentParser, opts: dict) -> None:
-    for name, (conv, default, help_) in opts.items():
+    for name, (conv, default, help_, *_) in opts.items():
         flag = "--" + name.replace("_", "-")
         suffix = "" if default is None or default is _REQUIRED else f" (default: {default})"
         if conv is bool:
@@ -172,51 +194,29 @@ def _from_file(name: str, conv, raw: str):
         raise UsageError(f"config {name} = {raw!r}: not a valid {conv.__name__}") from None
 
 
-class _Resolver:
-    """Applies flag > config-file > default precedence and records the result."""
+def _resolve(args: argparse.Namespace, table: dict) -> dict:
+    """Every option of ``table`` by flag > config-file > default precedence.
 
-    def __init__(self, args: argparse.Namespace, opts: dict):
-        self.args = args
-        self.opts = opts
-        raw_values = _read_config_file(args.config) if args.config else {}
-        for key in raw_values:
-            if key not in opts:
-                raise UsageError(f"unknown config key {key!r}")
-        # a bad file value or a missing required value fails before the
-        # command does any work
-        self.file_values = {key: _from_file(key, opts[key][0], raw)
-                            for key, raw in raw_values.items()}
-        self.resolved: dict = {}
-        for name, (_, default, _) in opts.items():
-            if default is _REQUIRED:
-                self.get(name)
-
-    def get(self, name):
-        _, default, _ = self.opts[name]
-        value = getattr(self.args, name, None)
+    A bad file value or a missing required value fails here, before the
+    command does any work.
+    """
+    raw_values = _read_config_file(args.config) if args.config else {}
+    for key in raw_values:
+        if key not in table:
+            raise UsageError(f"unknown config key {key!r}")
+    file_values = {key: _from_file(key, table[key].conv, raw) for key, raw in raw_values.items()}
+    opts = {}
+    for name, opt in table.items():
+        value = getattr(args, name)
         if value is None:
-            value = self.file_values.get(name)
-        if value is None:
-            if default is _REQUIRED:
-                raise UsageError(f"--{name.replace('_', '-')} is required, as a flag or in --config")
-            value = default
-        self.resolved[name] = value
-        return value
+            value = file_values.get(name, opt.default)
+        if value is _REQUIRED:
+            raise UsageError(f"--{name.replace('_', '-')} is required, as a flag or in --config")
+        opts[name] = value
+    return opts
 
 
-def _resolve_seed(res: _Resolver) -> int:
-    seed = res.get("seed")
-    if seed is None:
-        seed = int.from_bytes(os.urandom(6), "big")
-        print(f"seed: {seed}")
-        res.resolved["seed"] = seed
-    if seed < 0:
-        raise UsageError("--seed must be >= 0")
-    return seed
-
-
-def _resolve_jobs(res: _Resolver) -> int:
-    jobs = res.get("jobs")
+def _resolve_jobs(jobs: int | None) -> int:
     if jobs is None:
         # the CPUs this process may run on, which respects affinity masks
         if hasattr(os, "sched_getaffinity"):
@@ -228,30 +228,28 @@ def _resolve_jobs(res: _Resolver) -> int:
     return jobs
 
 
-def _identity_config(res: _Resolver) -> dict:
-    """The resolved settings that determine artifact bytes.
-
-    Output location and worker count are execution details: they never
-    change what gets computed, so they stay out of the reproducibility
-    identity (jobs is recorded in the manifest's execution block).
-    """
-    return {k: v for k, v in res.resolved.items() if k not in ("output_dir", "jobs")}
-
-
 def _execute(args: argparse.Namespace) -> int:
     """Resolve the options, make the output directory, load the input, run the body, write the manifest."""
-    res = _Resolver(args, args.opts)
-    seed = _resolve_seed(res)
-    jobs = _resolve_jobs(res) if "jobs" in args.opts else 1
-    out = Path(res.get("output_dir"))
+    opts = _resolve(args, args.opts)
+    if opts["seed"] is None:
+        opts["seed"] = int.from_bytes(os.urandom(6), "big")
+        print(f"seed: {opts['seed']}")
+    if opts["seed"] < 0:
+        raise UsageError("--seed must be >= 0")
+    jobs = _resolve_jobs(opts["jobs"]) if "jobs" in opts else 1
+    out = Path(opts["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    prices = load_csv(args.input, res.get("column"))
+    prices = load_csv(args.input, opts["column"])
+    # Output location and worker count never change what gets computed, so
+    # they stay out of the reproducibility identity (jobs is recorded in the
+    # manifest's execution block).
     manifest = RunManifest(
-        command=args.command, config={}, input_path=str(args.input),
-        input_sha256=sha256_of(args.input), seed=seed, jobs=jobs,
+        command=args.command,
+        config={k: v for k, v in opts.items() if k not in ("output_dir", "jobs")},
+        input_path=str(args.input), input_sha256=sha256_of(args.input),
+        seed=opts["seed"], jobs=jobs,
     )
-    args.func(res, prices, out, manifest)
-    manifest.config = _identity_config(res)
+    args.func(opts, prices, out, manifest)
     manifest.write(out / "manifest.json")
     return EXIT_OK
 
@@ -260,94 +258,71 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _selector_config(res: _Resolver, method: str, reps: int, seed: int) -> SelectorConfig:
-    return SelectorConfig(
-        method=method, reps=reps, l_min=res.get("lmin"), l_max=res.get("lmax"),
-        t=res.get("t"), locality=res.get("locality"), seed=seed,
-    )
+def _config(cls: type, opts: dict, table: dict, **given):
+    """Build ``cls`` from every option whose table entry sets one of its fields, plus ``given``."""
+    fields = {opt.field: opts[name] for name, opt in table.items() if opt.cls is cls}
+    return cls(**fields, **given)
 
 
-def _train_config(res: _Resolver, seed: int) -> TrainConfig:
-    return TrainConfig(
-        lookback=res.get("lookback"), batch_size=res.get("batch_size"),
-        epochs=res.get("epochs"), dropout_rate=res.get("dropout"), l2_coeff=res.get("l2"),
-        hidden_size=res.get("hidden"), learning_rate=res.get("learning_rate"), seed=seed,
-    )
-
-
-def _pipeline_config(res: _Resolver, method: str, seed: int) -> PipelineConfig:
+def _pipeline_config(opts: dict, table: dict, seed: int, **selector) -> PipelineConfig:
     """Assemble the pipeline config; sub-seeds derive from the master seed."""
-    return PipelineConfig(
-        train_len=res.get("train_len"),
-        reps=res.get("reps"),
-        alpha=res.get("alpha"),
-        selector=_selector_config(res, method, res.get("selector_reps"), derive_seed(seed, 1)),
-        train=_train_config(res, derive_seed(seed, 2)),
-        seed=seed,
-        scale_window=res.get("scale_window"),
-        allow_failures=res.get("allow_failures"),
+    return _config(
+        PipelineConfig, opts, table, seed=seed,
+        selector=_config(SelectorConfig, opts, table, seed=derive_seed(seed, 1), **selector),
+        train=_config(TrainConfig, opts, table, seed=derive_seed(seed, 2)),
     )
 
 
 def _write_replicate_matrix(path: Path, result) -> None:
     """M x T audit dump: one row per replicate, one column per test date."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate"] + [ts.isoformat() for ts in result.band.timestamps])
-        for rid, row in zip(result.replicate_ids, result.predictions):
-            w.writerow([rid] + [repr(float(v)) for v in row])
+    write_csv(path, ["replicate"] + [ts.isoformat() for ts in result.band.timestamps],
+              ([rid] + [repr(float(v)) for v in row]
+               for rid, row in zip(result.replicate_ids, result.predictions)))
 
 
-def cmd_resample(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
-    method = res.get("method")
-    block_len = res.get("block_len")
-    space = res.get("space")
-    locality = res.get("locality") if method == "lbb" else None
+def cmd_resample(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
+    method, block_len, space = opts["method"], opts["block_len"], opts["space"]
     plan = BlockPlan(method=BootstrapMethod(method), block_len=block_len,
-                     locality=locality, seed=manifest.seed)
+                     locality=opts["locality"] if method == "lbb" else None, seed=manifest.seed)
     with timed(manifest.timings, "resample"):
         if space == "log-return":
-            draws, starts = batch_resample(to_log_returns(prices.values), plan, res.get("count"))
+            draws, starts = batch_resample(to_log_returns(prices.values), plan, opts["count"])
             paths = from_log_returns(draws, prices.values[0])
         else:
-            paths, starts = batch_resample(prices.values, plan, res.get("count"))
+            paths, starts = batch_resample(prices.values, plan, opts["count"])
 
     with timed(manifest.timings, "write"):
-        with open(out / "pseudo_series.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"rep_{k}" for k in range(len(paths))])
-            for t, column in enumerate(paths.T.tolist()):
-                w.writerow([t] + [repr(v) for v in column])
+        write_csv(out / "pseudo_series.csv", ["t"] + [f"rep_{k}" for k in range(len(paths))],
+                  ([t] + [repr(v) for v in column] for t, column in enumerate(paths.T.tolist())))
         _write_json(out / "starts.json", {
             "method": method, "block_len": block_len, "space": space,
             "starts": [row.tolist() for row in starts],
         })
 
 
-def cmd_select_block(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
-    train_len = res.get("train_len")
+def cmd_select_block(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
+    train_len = opts["train_len"]
     if train_len is not None and not 1 < train_len <= len(prices):
         raise ValidationError(f"--train-len {train_len} must lie in (1, {len(prices)}]")
-    method = res.get("method")
     returns = to_log_returns(prices.values[:train_len])
-    cfg = _selector_config(res, method, res.get("reps"), manifest.seed)
+    cfg = _config(SelectorConfig, opts, _SELECT_BLOCK_OPTS, seed=manifest.seed)
     with timed(manifest.timings, "select"):
         l_opt, curve = select_block_length(returns, cfg)
     curve.to_csv(out / "selector_curve.csv")
     _write_json(out / "selection.json", {
-        "method": method, "l_opt": l_opt, "reps": cfg.reps, "t": cfg.t, "seed": manifest.seed,
+        "method": opts["method"], "l_opt": l_opt, "reps": cfg.reps, "t": cfg.t, "seed": manifest.seed,
         "n_returns": len(returns),
     })
 
 
-def cmd_train(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
+def cmd_train(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
     n = len(prices)
-    train_len = res.get("train_len")
+    train_len = opts["train_len"]
     if not 0 < train_len < n:
         raise ValidationError(f"--train-len {train_len} must lie in (0, {n}) for this input")
-    cfg = _train_config(res, manifest.seed)
+    cfg = _config(TrainConfig, opts, _TRAIN_CMD_OPTS, seed=manifest.seed)
     with timed(manifest.timings, "scale"):
-        scaled, scale = window_minmax_scale(prices.values, res.get("scale_window"))
+        scaled, scale = window_minmax_scale(prices.values, opts["scale_window"])
     with timed(manifest.timings, "fit"):
         group, traces, diverged = fit(scaled[:train_len, None], cfg, [cfg.seed], epoch_rmse=True)
     if diverged:
@@ -366,16 +341,12 @@ def cmd_train(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManif
         return float(np.sqrt(np.mean((np.asarray(a) - np.asarray(b)) ** 2)))
 
     save_model(model, out / "model.json")
-    with open(out / "rmse_log.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "train_rmse_scaled"])
-        for e, v in enumerate(rmse_trace, start=1):
-            w.writerow([e, repr(v)])
-    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "actual", "predicted"])
-        for ts, act, pred in zip(prices.timestamps[train_len:], prices.values[train_len:], test_price):
-            w.writerow([ts.isoformat(), repr(float(act)), repr(float(pred))])
+    write_csv(out / "rmse_log.csv", ["epoch", "train_rmse_scaled"],
+              ([e, repr(v)] for e, v in enumerate(rmse_trace, start=1)))
+    write_csv(out / "predictions.csv", ["date", "actual", "predicted"],
+              ([ts.isoformat(), repr(float(act)), repr(float(pred))]
+               for ts, act, pred in zip(prices.timestamps[train_len:], prices.values[train_len:],
+                                        test_price)))
     _write_json(out / "metrics.json", {
         "train_rmse_scaled": rmse(train_scaled, scaled[cfg.lookback:train_len]),
         "train_rmse_price": rmse(train_price, prices.values[cfg.lookback:train_len]),
@@ -386,8 +357,8 @@ def cmd_train(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManif
     })
 
 
-def cmd_band(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
-    cfg = _pipeline_config(res, res.get("method"), manifest.seed)
+def cmd_band(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
+    cfg = _pipeline_config(opts, _BAND_OPTS, manifest.seed)
     with timed(manifest.timings, "pipeline"):
         result = run(prices, cfg, jobs=manifest.jobs)
     manifest.timings.update(result.timings)
@@ -398,12 +369,13 @@ def cmd_band(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManife
             **result.report(manifest.seed), "alpha": cfg.alpha,
             "runtime_seconds": manifest.timings.get("pipeline"),
         })
-        if res.get("dump_replicates"):
+        if opts["dump_replicates"]:
             _write_replicate_matrix(out / "replicates.csv", result)
 
 
-def cmd_compare(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
-    cfg = _pipeline_config(res, "lbb", manifest.seed)
+def cmd_compare(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
+    # compare_methods sets each method itself; LBB here validates --locality up front
+    cfg = _pipeline_config(opts, _COMPARE_OPTS, manifest.seed, method="lbb")
     with timed(manifest.timings, "compare"):
         comparison = compare_methods(prices, cfg, jobs=manifest.jobs)
     for method, result in comparison.results.items():
@@ -414,7 +386,7 @@ def cmd_compare(res: _Resolver, prices: PriceSeries, out: Path, manifest: RunMan
         for method, result in comparison.results.items():
             result.band.to_csv(out / f"band_{method.value}.csv", actual=result.actual)
             result.curve.to_csv(out / f"selector_curve_{method.value}.csv")
-            if res.get("dump_replicates"):
+            if opts["dump_replicates"]:
                 _write_replicate_matrix(out / f"replicates_{method.value}.csv", result)
         _write_json(out / "report.json", {
             "ranking": comparison.report(seed=manifest.seed),

@@ -52,7 +52,6 @@ its own stages with :func:`bootband.manifest.timed`; the shared
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -80,6 +79,7 @@ from .timeseries import (
     from_log_returns,
     to_log_returns,
     window_minmax_scale,
+    write_csv,
 )
 
 # Most gate pre-activations (rows x batch x 4 x hidden) a lockstep group
@@ -163,15 +163,9 @@ class ConfidenceBand:
 
     def to_csv(self, path: str | Path, actual: np.ndarray) -> None:
         """Write ``date,lower,median,upper,actual`` rows at full float precision."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["date", "lower", "median", "upper", "actual"])
-            for ts, lo, med, hi, act in zip(
-                self.timestamps, self.lower, self.point, self.upper, actual
-            ):
-                w.writerow(
-                    [ts.isoformat(), repr(float(lo)), repr(float(med)), repr(float(hi)), repr(float(act))]
-                )
+        write_csv(path, ["date", "lower", "median", "upper", "actual"],
+                  ([ts.isoformat(), repr(float(lo)), repr(float(med)), repr(float(hi)), repr(float(act))]
+                   for ts, lo, med, hi, act in zip(self.timestamps, self.lower, self.point, self.upper, actual)))
 
 
 @dataclass(frozen=True)

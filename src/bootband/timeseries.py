@@ -115,6 +115,14 @@ def load_csv(path: str | Path, column: str) -> PriceSeries:
     )
 
 
+def write_csv(path: str | Path, header: list, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as one UTF-8 CSV line, cells as given."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def to_log_returns(prices: np.ndarray) -> np.ndarray:
     """ln(p[t+1] / p[t]) for consecutive prices; ``prices[0]`` is the anchor."""
     return np.diff(np.log(prices))

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -14,7 +15,8 @@ import pytest
 import bootband
 import bootband.cli as cli
 import bootband.pipeline as pl
-from bootband import PipelineConfig, SelectorConfig, TrainConfig
+from bootband import BootstrapMethod, PipelineConfig, SelectorConfig, TrainConfig
+from bootband._rng import derive_seed
 from bootband.cli import main
 from conftest import gbm_prices, strip_volatile, write_price_csv
 
@@ -618,3 +620,139 @@ class TestHelp:
             entries = {entry.split()[0]: entry for entry in re.split(r" (?=--[a-z])", text)}
             for flag, value in defaults.items():
                 assert entries["--" + flag].endswith(f"(default: {value})"), (command, flag)
+
+
+COMMAND_TABLES = {
+    "resample": cli._RESAMPLE_OPTS,
+    "select-block": cli._SELECT_BLOCK_OPTS,
+    "train": cli._TRAIN_CMD_OPTS,
+    "band": cli._BAND_OPTS,
+    "compare": cli._COMPARE_OPTS,
+}
+
+
+class TestManifestConfig:
+    @pytest.mark.parametrize("command", [
+        ["resample", "--method", "nbb", "--block-len", "4"],
+        ["resample", "--method", "lbb", "--block-len", "4", "--space", "price"],
+        ["select-block", "--method", "mbb", "--reps", "5", "--lmax", "3", "--seed", "7"],
+        ["train", "--train-len", "60", "--epochs", "1", "--hidden", "3", "--scale-window", "30",
+         "--seed", "7"],
+        ["band", "--method", "lbb", "--jobs", "1"],
+        ["compare", "--jobs", "1"],
+    ], ids=["resample-nbb", "resample-lbb-price", "select-block", "train", "band", "compare"])
+    def test_records_every_option_but_output_dir_and_jobs(self, csv90, tmp_path, command):
+        # the resolved options, not the ones a command happens to read
+        out = tmp_path / "out"
+        flags = fast_flags(out) if command[0] in ("band", "compare") else ["--output-dir", str(out)]
+        assert main([*command, "--input", csv90, *flags]) == 0
+        config = read_json(out / "manifest.json")["config"]
+        assert set(config) == set(COMMAND_TABLES[command[0]]) - {"output_dir", "jobs"}
+
+
+class Captured(Exception):
+    pass
+
+
+def captured_configs(monkeypatch, argv):
+    """Run the CLI up to the library call that takes the built config; return it by kind."""
+    def capture(_, cfg, *args, **kwargs):
+        raise Captured(cfg)
+
+    for name in ("run", "compare_methods", "fit", "select_block_length"):
+        monkeypatch.setattr(cli, name, capture)
+    with pytest.raises(Captured) as caught:
+        main(argv)
+    cfg = caught.value.args[0]
+    if isinstance(cfg, PipelineConfig):
+        return {"pipeline": cfg, "selector": cfg.selector, "train": cfg.train}
+    return {"train" if isinstance(cfg, TrainConfig) else "selector": cfg}
+
+
+class TestOptionsReachTheirConfig:
+    # option -> (config, field, a value other than the option's default)
+    FIELDS = {
+        "method": ("selector", "method", "nbb"),
+        "t": ("selector", "t", 1.5),
+        "lmin": ("selector", "l_min", 2),
+        "lmax": ("selector", "l_max", 7),
+        "locality": ("selector", "locality", 0.3),
+        "selector_reps": ("selector", "reps", 6),
+        "lookback": ("train", "lookback", 4),
+        "batch_size": ("train", "batch_size", 9),
+        "epochs": ("train", "epochs", 2),
+        "dropout": ("train", "dropout_rate", 0.1),
+        "l2": ("train", "l2_coeff", 0.002),
+        "hidden": ("train", "hidden_size", 5),
+        "learning_rate": ("train", "learning_rate", 0.003),
+        "train_len": ("pipeline", "train_len", 61),
+        "reps": ("pipeline", "reps", 7),
+        "alpha": ("pipeline", "alpha", 0.1),
+        "scale_window": ("pipeline", "scale_window", 31),
+        "allow_failures": ("pipeline", "allow_failures", 1),
+    }
+    # the configs each command builds, options that set another field there,
+    # and the flags that let the command reach its library call on 90 prices
+    BUILDS = {
+        "band": ({"pipeline", "selector", "train"}, {}, []),
+        "compare": ({"pipeline", "selector", "train"}, {}, []),
+        "train": ({"train"}, {}, ["--train-len", "61"]),
+        "select-block": ({"selector"}, {"reps": ("selector", "reps", 7)}, []),
+    }
+
+    @pytest.mark.parametrize("command, source", [
+        ("band", "flag"), ("band", "config"), ("compare", "flag"), ("train", "flag"),
+        ("select-block", "flag"),
+    ])
+    def test_each_value_arrives_in_its_field(self, csv90, tmp_path, monkeypatch, command, source):
+        table = COMMAND_TABLES[command]
+        kinds, overrides, extra = self.BUILDS[command]
+        fields = {**self.FIELDS, **overrides}
+        # every option that names a config field has a test value
+        assert {name for name, opt in table.items() if opt.cls is not None} <= set(fields)
+        given = {name: fields[name] for name in table if name in fields and fields[name][0] in kinds}
+        for name, (_, _, value) in given.items():
+            assert value != table[name].default, name
+        argv = [command, "--input", csv90, "--seed", "7", "--output-dir", str(tmp_path / "o"), *extra]
+        if source == "flag":
+            for name, (_, _, value) in given.items():
+                argv += ["--" + name.replace("_", "-"), str(value)]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("".join(f"{name} = {value}\n" for name, (_, _, value) in given.items()))
+            argv += ["--config", str(cfg_file)]
+        configs = captured_configs(monkeypatch, argv)
+        assert set(configs) == kinds
+        for name, (kind, field, value) in given.items():
+            expected = BootstrapMethod(value) if field == "method" else value
+            assert getattr(configs[kind], field) == expected, name
+        if "pipeline" in kinds:
+            assert configs["pipeline"].seed == 7
+            assert configs["selector"].seed == derive_seed(7, 1)
+            assert configs["train"].seed == derive_seed(7, 2)
+        else:
+            (cfg,) = configs.values()
+            assert cfg.seed == 7
+
+
+class TestDemoScript:
+    def test_child_imports_this_checkout(self, tmp_path, monkeypatch):
+        # the demo must run from a checkout where bootband is not installed
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_gbm_demo.py"
+        spec = importlib.util.spec_from_file_location("run_gbm_demo", path)
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        calls = []
+
+        def record(cmd, **kwargs):
+            calls.append((cmd, kwargs.get("env")))
+            if "-m" in cmd:
+                (tmp_path / "report.json").write_text(json.dumps({"ranking": []}))
+
+        monkeypatch.setattr(demo.subprocess, "run", record)
+        monkeypatch.setattr(sys, "argv", ["run_gbm_demo.py", "--output-dir", str(tmp_path)])
+        monkeypatch.setenv("PYTHONPATH", "elsewhere")
+        demo.main()
+        env = next(env for cmd, env in calls if cmd[1:3] == ["-m", "bootband"])
+        src = str(path.parents[1] / "src")
+        assert env["PYTHONPATH"] == os.pathsep.join([src, "elsewhere"])
