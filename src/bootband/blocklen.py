@@ -21,11 +21,15 @@ word, or whose NBB top-ups run past the words read, is redrawn exactly by
 :func:`draw_starts` from a fresh generator of its sub-stream, so every start
 equals :func:`batch_resample`'s.  A candidate is scored from the block starts it
 draws, not from laid-out replicates: a replicate block is a source window
-wherever the blocks before it all have full length, so its mean is read off
-the means of the drawn windows, and only rows laid after a short NBB grid
-block are gathered from that block on.  No ``(M, n)`` replicate matrix is
-built, the block means equal those of :func:`batch_resample`'s replicates
-bit for bit, and :func:`distance` scores them.  The :class:`SelectorCurve`
+wherever the blocks before it all have full length, so its mean is read
+from one table of every window's mean, and only rows laid after a short NBB
+grid block are gathered from that block on.  The ``M`` rows are scored in
+contiguous row slices of at most ``_SLICE_ELEMENTS`` block starts; each
+row's squared distance goes into one ``(M,)`` vector, which is averaged as
+:func:`distance` averages it.  No ``(M, n)`` replicate matrix is built, and
+beside the ``(M, ceil(n / l_min) + _TOPUP_WORDS)`` word matrix a candidate
+holds one table and one slice.  The block means equal those of
+:func:`batch_resample`'s replicates bit for bit.  The :class:`SelectorCurve`
 returned by :func:`select_block_length` holds the distance, penalty and
 objective of every candidate.
 """
@@ -46,14 +50,10 @@ from .bootstrap import batch_resample  # noqa: F401
 from .errors import ValidationError
 from .timeseries import _freeze, write_csv
 
-# Window means are averaged in gathered slices of at most this many values
-# (1 MB), so a long candidate length allocates no (n - l + 1, l) matrix.
-# Rejection masks are taken in row slices of the same size.
-_GATHER_ELEMENTS = 1 << 17
-
-# Rows laid after a short NBB block are laid in slices of about this many
-# values (or one row); each slice holds a few index arrays of that size.
-_LAY_ELEMENTS = 1 << 15
+# A candidate's rows are scored in slices of at most this many block starts
+# (or one row); NBB rows laid after a short grid block are laid in sub-slices
+# of about this many values.  Only the word matrix holds M * n values.
+_SLICE_ELEMENTS = 1 << 15
 
 # 32-bit words read per row beyond the ceil(n / l_min) of the longest main
 # draw, for NBB top-ups; a row whose top-ups need more is redrawn
@@ -151,9 +151,18 @@ def distance(x, replicate_means, l: int) -> float:
             f"replicate block means of shape {replicate_means.shape} do not match "
             f"{orig.size} blocks of length {l} in {x.size} values"
         )
-    diff = replicate_means - orig
-    sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-    return float(np.add.accumulate((l / x.size) * sq)[-1]) / len(replicate_means)
+    return _mean_scaled(_squared_distances(replicate_means, orig), l, x.size)
+
+
+def _squared_distances(means, orig) -> np.ndarray:
+    """Each row's squared distance to ``orig``, one vector dot product per row."""
+    diff = means - orig
+    return (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+
+
+def _mean_scaled(sq, l: int, n: int) -> float:
+    """``(1/M) * sum_i (l/n) * sq[i]``, summed left to right over the ``M`` rows."""
+    return float(np.add.accumulate((l / n) * sq)[-1]) / sq.size
 
 
 def _read_words(seed: int, reps: int, count: int) -> np.ndarray:
@@ -186,22 +195,20 @@ def _lemire_draws(words, bound, out) -> np.ndarray:
     bound = np.asarray(bound, dtype=np.uint64)
     np.multiply(words, bound, out=out, dtype=np.uint64)
     threshold = (np.uint64(1 << 32) - bound) % bound
-    rejected = np.zeros(len(out), dtype=bool)
     if threshold.any():
-        step = max(1, _GATHER_ELEMENTS // out.shape[1])
-        for lo in range(0, len(out), step):
-            part = slice(lo, lo + step)
-            rejected[part] = ((out[part] & 0xFFFFFFFF) < threshold).any(axis=1)
+        rejected = ((out & 0xFFFFFFFF) < threshold).any(axis=1)
+    else:
+        rejected = np.zeros(len(out), dtype=bool)
     out >>= 32
     return rejected
 
 
-def _start_matrix(words, n: int, plan: BlockPlan) -> np.ndarray:
+def _start_matrix(words, n: int, plan: BlockPlan, first: int = 0) -> np.ndarray:
     """Every row's :func:`draw_starts` starts as one C-contiguous int64 matrix.
 
     Row ``k`` is mapped from its words ``words[k]``, read from sub-stream
-    ``(plan.seed, k)``, by :func:`_lemire_draws`; a row with a rejection, or
-    with more than ``_TOPUP_WORDS`` NBB top-ups, is redrawn by
+    ``(plan.seed, first + k)``, by :func:`_lemire_draws`; a row with a
+    rejection, or with more than ``_TOPUP_WORDS`` NBB top-ups, is redrawn by
     :func:`draw_starts` from a fresh generator of that sub-stream.  NBB rows
     are padded with zeros after their last start; a row's own starts already
     cover the ``n`` values it lays.
@@ -235,7 +242,7 @@ def _start_matrix(words, n: int, plan: BlockPlan) -> np.ndarray:
     elif plan.method is BootstrapMethod.NBB:
         starts *= l
     for k in np.flatnonzero(redraw).tolist():
-        row = draw_starts([substream(plan.seed, k)], n, plan)[0]
+        row = draw_starts([substream(plan.seed, first + k)], n, plan)[0]
         if row.size > starts.shape[1]:
             starts = np.pad(starts, ((0, 0), (0, row.size - starts.shape[1])))
         starts[k] = 0
@@ -243,38 +250,37 @@ def _start_matrix(words, n: int, plan: BlockPlan) -> np.ndarray:
     return starts
 
 
-def _replicate_block_means(x, starts, l: int) -> np.ndarray:
+def _window_means(x, l: int) -> np.ndarray:
+    """The mean of the length-``l`` source window at each start, NaN past ``n - l``.
+
+    Each window is averaged as one contiguous row, so its mean has the bits
+    of :func:`block_means` of a block holding the same values.
+    """
+    table = np.full(x.size, np.nan)
+    table[: x.size - l + 1] = np.lib.stride_tricks.sliding_window_view(x, l).mean(axis=1)
+    return table
+
+
+def _replicate_block_means(x, table, starts, l: int) -> np.ndarray:
     """:func:`block_means` of the replicates laid from the ``starts`` matrix, without laying them.
 
     Block ``T < n // l`` of a replicate is the source window at its ``T``-th
-    start whenever every block before it has full length, so its mean is that
-    window's mean.  Window means are averaged only at the starts drawn, in
-    gathered ``(k, l)`` slices of at most ``_GATHER_ELEMENTS`` values; a
-    contiguous length-``l`` row averages to the same bits as the block it
-    equals.  A start past ``n - l`` (the short NBB grid block) shifts every
-    later block, so from that block on the row is laid and averaged as
-    :func:`batch_resample` lays it.
+    start whenever every block before it has full length, so its mean is read
+    from the :func:`_window_means` ``table``.  A start past ``n - l`` (the
+    short NBB grid block) shifts every later block, so from that block on the
+    row is laid and averaged as :func:`batch_resample` lays it.
     """
     n = x.size
     b = n // l
     heads = starts[:, :b]
-    used = np.zeros(n, dtype=bool)
-    used[heads] = True
-    at = np.flatnonzero(used[: n - l + 1])
-    window_mean = np.full(n, np.nan)
-    windows = np.lib.stride_tricks.sliding_window_view(x, l)
-    step = max(1, _GATHER_ELEMENTS // l)
-    for lo in range(0, at.size, step):
-        part = at[lo : lo + step]
-        window_mean[part] = windows[part].mean(axis=1)
-    means = window_mean[heads]
+    means = table[heads]
     if n % l == 0:  # no start lies past n - l
         return means
     short = heads > n - l
     rows = np.flatnonzero(short.any(axis=1))
     first = short[rows].argmax(axis=1)
-    # short rows are laid in slices of about _LAY_ELEMENTS values (or one row)
-    cut = np.cumsum((b - first) * l) // _LAY_ELEMENTS
+    # short rows are laid in sub-slices of about _SLICE_ELEMENTS values (or one row)
+    cut = np.cumsum((b - first) * l) // _SLICE_ELEMENTS
     parts = np.split(np.arange(rows.size), np.flatnonzero(np.diff(cut)) + 1) if rows.size else []
     for part in parts:
         r, c = np.nonzero(np.arange(b) >= first[part, None])
@@ -311,6 +317,23 @@ def _laid_block_means(x, starts, first, l: int) -> np.ndarray:
     return x[idx].reshape(-1, l).mean(axis=1)
 
 
+def _candidate_distance(x, words, plan: BlockPlan) -> float:
+    """:func:`distance` of candidate ``plan.block_len``, scored in row slices.
+
+    A slice holds at most ``_SLICE_ELEMENTS`` block starts (or one row), so
+    beside ``words`` the memory held is one window-mean table and one slice.
+    """
+    n, l = x.size, plan.block_len
+    table, orig = _window_means(x, l), block_means(x, l)
+    step = max(1, _SLICE_ELEMENTS // -(-n // l))
+    sq = np.empty(len(words))
+    for lo in range(0, len(words), step):
+        rows = slice(lo, lo + step)
+        starts = _start_matrix(words[rows], n, plan, first=lo)
+        sq[rows] = _squared_distances(_replicate_block_means(x, table, starts, l), orig)
+    return _mean_scaled(sq, l, n)
+
+
 def length_penalty(n: int, l: int, t: float) -> float:
     """The convexifying linear penalty log(n) / n**t * l."""
     return math.log(n) / n**t * l
@@ -332,9 +355,7 @@ def select_block_length(x, cfg: SelectorConfig) -> tuple[int, SelectorCurve]:
     words = _read_words(cfg.seed, cfg.reps, -(-n // cfg.l_min) + _TOPUP_WORDS)
     for j, l in enumerate(lengths.tolist()):
         plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
-        means = _replicate_block_means(x, _start_matrix(words, n, plan), l)
-        dists[j], pens[j] = distance(x, means, l), length_penalty(n, l, cfg.t)
-        del means  # before the next candidate draws its starts
+        dists[j], pens[j] = _candidate_distance(x, words, plan), length_penalty(n, l, cfg.t)
     objs = dists + pens
     curve = SelectorCurve(lengths=lengths, distances=dists, penalties=pens, objectives=objs)
     l_opt = int(lengths[int(np.argmin(objs))])

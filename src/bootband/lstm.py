@@ -385,6 +385,8 @@ def backward(
     dgates = ws.take("dgates", (4, *shape))
     da_f, da_i, da_o, da_c = dgates
     da_gates = _gate_blocks(da)
+    # until that copy, da's memory is free: it holds 1 - f, 1 - i and 1 - o
+    one_minus = da.reshape(-1)[: 3 * dc.size].reshape(3, *shape)
     # gU in two dimensions: an in-place add into the 3-D view would copy it first
     gU_rows = gU.reshape(*gU.shape[:-2], -1)
     dU = ws.take("scratch", gU.shape)
@@ -396,18 +398,15 @@ def backward(
         np.multiply(dh, o, out=dc)
         dc *= np.subtract(1.0, np.square(tanh_c, out=tmp), out=tmp)
         dc += dc_carry
-        # da_f = dc * c[t] * f * (1 - f)
+        # da_f = dc * c[t] * f * (1 - f), da_i = dc * c_tilde * i * (1 - i) and
+        # da_o = do * o * (1 - o), where do = dh * tanh_c: the three sigmoid
+        # factors are applied to the contiguous f, i, o blocks at once
         np.multiply(dc, cache.c[t], out=da_f)
-        da_f *= f
-        da_f *= np.subtract(1.0, f, out=tmp)
-        # da_i = dc * c_tilde * i * (1 - i)
         np.multiply(dc, c_tilde, out=da_i)
-        da_i *= i
-        da_i *= np.subtract(1.0, i, out=tmp)
-        # da_o = do * o * (1 - o), where do = dh * tanh_c
         np.multiply(dh, tanh_c, out=da_o)
-        da_o *= o
-        da_o *= np.subtract(1.0, o, out=tmp)
+        sig = cache.gates[t, :3]
+        dgates[:3] *= sig
+        dgates[:3] *= np.subtract(1.0, sig, out=one_minus)
         # da_c = dc * i * (1 - c_tilde**2)
         np.multiply(dc, i, out=da_c)
         da_c *= np.subtract(1.0, np.square(c_tilde, out=tmp), out=tmp)

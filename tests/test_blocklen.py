@@ -355,6 +355,76 @@ class TestScoringFromStarts:
             tracemalloc.stop()
         assert peak < cfg.reps * x.size * 8
 
+    @pytest.mark.parametrize("case", sorted(SCORING_CASES))
+    @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
+    def test_one_row_slices_score_as_laid_out_replicates(self, monkeypatch, method, case):
+        monkeypatch.setattr(blocklen, "_SLICE_ELEMENTS", 1)
+        x, l_min, l_max, locality = SCORING_CASES[case]
+        cfg = SelectorConfig(
+            method=method, reps=20, l_min=l_min, l_max=l_max, locality=locality, seed=3
+        )
+        _, curve = select_block_length(x, cfg)
+        assert curve.distances.tolist() == laid_out_distances(x, cfg)
+
+    @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
+    def test_forced_rejection_in_a_later_slice_redraws_the_row_exactly(self, monkeypatch, method):
+        # slices of at most 10 rows here, so row 13 never sits in the first
+        # one; a redraw from the slice-local index would score another row
+        x, l_min, l_max, locality = SCORING_CASES["short-head"]
+        cfg = SelectorConfig(
+            method=method, reps=20, l_min=l_min, l_max=l_max, locality=locality, seed=3
+        )
+        target = blocklen._read_words(cfg.seed, cfg.reps, x.size + blocklen._TOPUP_WORDS)[13]
+        redrawn = []
+
+        def rejecting(words, bound, out):
+            rejected = real_draws(words, bound, out)
+            # only the main draw of row 13 starts with that row's words
+            rejected |= (words == target[: words.shape[1]]).all(axis=1)
+            return rejected
+
+        def counting(rngs, n, plan):
+            redrawn.append(plan.block_len)
+            return real_starts(rngs, n, plan)
+
+        real_draws, real_starts = blocklen._lemire_draws, blocklen.draw_starts
+        monkeypatch.setattr(blocklen, "_SLICE_ELEMENTS", x.size)
+        monkeypatch.setattr(blocklen, "_lemire_draws", rejecting)
+        monkeypatch.setattr(blocklen, "draw_starts", counting)
+        _, curve = select_block_length(x, cfg)
+        assert set(redrawn) == set(range(l_min, l_max + 1))
+        assert curve.distances.tolist() == laid_out_distances(x, cfg)
+
+    @pytest.mark.parametrize("method", ["nbb", "mbb", "lbb"])
+    @pytest.mark.parametrize("l_max", [1, 50])
+    def test_only_the_words_grow_with_reps(self, method, l_max):
+        # 300 more rows add 300 rows of n + _TOPUP_WORDS words; each candidate's
+        # table and slices do not grow with reps
+        x = ar1_series(3999, 0.5, seed=3, sigma=0.01)
+        peaks = []
+        for reps in (100, 400):
+            cfg = SelectorConfig(method=method, reps=reps, l_min=1, l_max=l_max, seed=1)
+            tracemalloc.start()
+            try:
+                select_block_length(x, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.1 * 300 * (x.size + 16) * 4
+
+
+@given(st.integers(0, 2**32), st.integers(1, 400), st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_means_equal_means_of_contiguous_copies(seed, n, data):
+    # l < 8 and l >= 8 take different summation paths in numpy's mean
+    l = data.draw(st.integers(1, min(n, 70)))
+    x = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,)))).standard_normal(n)
+    table = blocklen._window_means(x, l)
+    assert table.shape == (n,)
+    expected = [x[s : s + l].copy().mean() for s in range(n - l + 1)]
+    assert table[: n - l + 1].tolist() == expected
+    assert np.isnan(table[n - l + 1 :]).all()
+
 
 # SHA-256 of the JSON list [l_opt, distances, objectives].  These pin the
 # selector's output bits for each method, the LBB one also at clamped windows.
