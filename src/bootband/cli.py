@@ -35,9 +35,9 @@ from ._rng import derive_seed
 from .blocklen import SelectorConfig, select_block_length
 from .bootstrap import BlockPlan, BootstrapMethod, batch_resample
 from .errors import DataError, PipelineError, ValidationError
-from .lstm import LstmModel, TrainConfig, fit, predict_series, save_model
+from .lstm import LstmModel, TrainConfig, predict_series, save_model
 from .manifest import RunManifest, sha256_of, timed
-from .pipeline import PipelineConfig, compare_methods, run
+from .pipeline import PipelineConfig, compare_methods, fit_predict, run
 from .timeseries import PriceSeries, from_log_returns, load_csv, to_log_returns, window_minmax_scale, write_csv
 
 EXIT_OK = 0
@@ -321,21 +321,21 @@ def cmd_train(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest)
     if not 0 < train_len < n:
         raise ValidationError(f"--train-len {train_len} must lie in (0, {n}) for this input")
     cfg = _config(TrainConfig, opts, _TRAIN_CMD_OPTS, seed=manifest.seed)
-    with timed(manifest.timings, "scale"):
-        scaled, scale = window_minmax_scale(prices.values, opts["scale_window"])
-    with timed(manifest.timings, "fit"):
-        group, traces, diverged = fit(scaled[:train_len, None], cfg, [cfg.seed], epoch_rmse=True)
-    if diverged:
-        raise PipelineError("train", diverged[0])
-    model = LstmModel(theta=group.theta[0], cfg=cfg)
-    rmse_trace = traces[0].tolist()
-    with timed(manifest.timings, "predict"):
-        test_pos = np.arange(train_len, n)
+    test_pos = np.arange(train_len, n)
+    with timed(manifest.timings, "train-predict"):
+        scaled, scale = actual = window_minmax_scale(prices.values, opts["scale_window"])
+        # the training prices are scaled on their own, as a replicate path is
+        group, traces, test_scaled, test_price, (cause,) = fit_predict(
+            prices.values[None, :train_len], cfg, [cfg.seed], opts["scale_window"], actual,
+            test_pos, epoch_rmse=True)
+        if cause is not None:
+            raise PipelineError("train", cause)
+        model = LstmModel(theta=group.theta[0], cfg=cfg)
+        # a separate call: predict_series bits depend on how many windows one call holds
         train_pos = np.arange(cfg.lookback, train_len)
-        test_scaled = predict_series(model, scaled, test_pos)
         train_scaled = predict_series(model, scaled, train_pos)
-        test_price = scale.denormalize(test_scaled, test_pos)
         train_price = scale.denormalize(train_scaled, train_pos)
+    test_scaled, test_price, rmse_trace = test_scaled[0], test_price[0], traces[0].tolist()
 
     def rmse(a, b):
         return float(np.sqrt(np.mean((np.asarray(a) - np.asarray(b)) ** 2)))

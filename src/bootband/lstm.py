@@ -601,7 +601,10 @@ def predict_series(model: LstmModel, context, positions) -> np.ndarray:
 
     Each position ``p`` is predicted from the actual history
     ``context[p - lookback : p]`` (no recursion); inference mode, no dropout.
-    A group model gives one row of predictions per network.
+    A group model gives one row of predictions per network.  The last bits
+    of a prediction can depend on how many windows one call holds, because
+    BLAS tiles the batch: predicting two position sets in one call need not
+    match predicting each in its own call.
     """
     context = np.asarray(context, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.intp)

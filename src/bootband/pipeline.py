@@ -11,7 +11,9 @@ The procedure, per method:
    training price) into a positive pseudo price path;
 4. per replicate: window-scale the pseudo path, train one LSTM on it, then
    predict every test timestep one-step-ahead against the *actual* scaled
-   history and de-normalize with the actual series' scale records;
+   history and de-normalize with the actual series' scale records.  One
+   function, :func:`fit_predict`, does this for every lockstep group and
+   for the ``train`` command's single network on the actual training prices;
 5. per timestep: take the empirical alpha/2, 0.5 and 1-alpha/2 quantiles
    across replicates (linear interpolation of order statistics);
 6. sum the per-timestep widths into the comparing factor (smaller = tighter
@@ -225,23 +227,43 @@ def percentile_band(samples: np.ndarray, alpha: float) -> tuple[np.ndarray, np.n
     )
 
 
-def _group_task(args):
-    """Train one group of replicates in lockstep and predict the test horizon in price units.
+def fit_predict(paths, train: TrainConfig, seeds, scale_window: int, actual, positions,
+                epoch_rmse: bool = False):
+    """Scale, fit and forecast each row of the price matrix ``paths`` as one lockstep group.
 
-    Module-level so process pools can pickle it.  Returns the ``(rows,
-    test_len)`` prediction block (``None`` if the group ran out of memory)
-    and one failure cause per row, ``None`` for a trained row.
+    Each row is window-scaled on its own and trains one network from its
+    seed in ``seeds``.  Every network predicts ``positions`` one step ahead
+    from the scaled actual history, ``actual = window_minmax_scale(prices,
+    scale_window)``, and de-normalizes with that pair's records.  Returns
+    ``(model, rmse, scaled, preds, causes)``: the group model, its
+    epoch-RMSE trace (``None`` unless ``epoch_rmse``), the ``(rows,
+    len(positions))`` predictions scaled and in price units, and one failure
+    cause per row, ``None`` for a trained row.  A group that runs out of
+    memory returns only its causes, every other item ``None``.
     """
-    (paths, seeds, scaled_actual, scale_actual, train_cfg, scale_window, positions) = args
+    scaled_actual, scale_actual = actual
     try:
         scaled = window_minmax_scale(paths, scale_window)[0]
-        model, _, diverged = fit(scaled.T, train_cfg, seeds)
-        preds = scale_actual.denormalize(predict_series(model, scaled_actual, positions), positions)
+        model, rmse, diverged = fit(scaled.T, train, seeds, epoch_rmse=epoch_rmse)
+        scaled_preds = predict_series(model, scaled_actual, positions)
+        preds = scale_actual.denormalize(scaled_preds, positions)
     except MemoryError:
-        return None, ["out of memory"] * len(paths)
+        return None, None, None, None, ["out of memory"] * len(paths)
     finite = np.isfinite(preds).all(axis=1)
-    return preds, [diverged.get(row, None if finite[row] else "non-finite test prediction")
-                   for row in range(len(paths))]
+    causes = [diverged.get(row, None if finite[row] else "non-finite test prediction")
+              for row in range(len(paths))]
+    return model, rmse, scaled_preds, preds, causes
+
+
+def _group_task(args):
+    """Run :func:`fit_predict` on one group task; module-level so process pools can pickle it.
+
+    Returns the ``(rows, test_len)`` prediction block in price units
+    (``None`` if the group ran out of memory) and one failure cause per row.
+    """
+    paths, seeds, train, scale_window, actual, positions = args
+    *_, preds, causes = fit_predict(paths, train, seeds, scale_window, actual, positions)
+    return preds, causes
 
 
 @dataclass(frozen=True)
@@ -319,11 +341,11 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, paths: np.ndarray,
     replicate ids.
     """
     positions = np.arange(cfg.train_len, len(prices))
-    scaled_actual, scale_actual = window_minmax_scale(prices.values, cfg.scale_window)
+    actual = window_minmax_scale(prices.values, cfg.scale_window)
     spans = _group_spans(len(paths), jobs, _group_cap(cfg.train))
     tasks = [(paths[span.start : span.stop],
               [derive_seed(cfg.train.seed, k % cfg.reps) for k in span],
-              scaled_actual, scale_actual, cfg.train, cfg.scale_window, positions)
+              cfg.train, cfg.scale_window, actual, positions)
              for span in spans]
     predictions = np.full((len(paths), len(positions)), np.nan)
     causes: list[str | None] = []

@@ -284,6 +284,66 @@ class TestTrain:
         assert not (out / "model.json").exists()
         assert not (out / "manifest.json").exists()
 
+    TINY = ["--train-len", "70", "--scale-window", "30", "--lookback", "4", "--hidden", "3",
+            "--epochs", "1", "--seed", "9"]
+
+    def test_out_of_memory_fails_as_a_replicate_does(self, csv90, tmp_path, monkeypatch, capsys):
+        def short_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(pl, "fit", short_of_memory)
+        out = tmp_path / "out"
+        assert main(["train", "--input", csv90, *self.TINY, "--output-dir", str(out)]) == 5
+        assert capsys.readouterr().err.splitlines() == ["error[train]: out of memory"]
+        assert not (out / "model.json").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_non_finite_test_prediction_fails(self, csv90, tmp_path, monkeypatch, capsys):
+        real_predict = pl.predict_series
+
+        def overflowing(model, context, positions):
+            preds = real_predict(model, context, positions)
+            preds[0, 5] = np.inf
+            return preds
+
+        monkeypatch.setattr(pl, "predict_series", overflowing)
+        out = tmp_path / "out"
+        assert main(["train", "--input", csv90, *self.TINY, "--output-dir", str(out)]) == 5
+        assert capsys.readouterr().err.splitlines() == ["error[train]: non-finite test prediction"]
+        assert not (out / "model.json").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_fit_reads_no_price_after_the_training_split(self, tmp_path):
+        # 70 is no multiple of 30: the segment 60-89 spans the split
+        prices = gbm_prices(90, seed=17)
+        later = prices.copy()
+        later[-1] *= 1.5
+        outs = []
+        for name, values in (("base", prices), ("later", later)):
+            path = write_price_csv(tmp_path / f"{name}.csv", values)
+            outs.append(tmp_path / name)
+            assert main(["train", "--input", str(path), *self.TINY, "--output-dir", str(outs[-1])]) == 0
+        for artifact in ("model.json", "rmse_log.csv"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+    def test_train_is_one_row_of_a_replicate_group(self, csv90, tmp_path):
+        from bootband.lstm import load_model
+        from bootband.timeseries import load_csv, window_minmax_scale
+
+        out = tmp_path / "out"
+        assert main(["train", "--input", csv90, *self.TINY, "--output-dir", str(out)]) == 0
+        prices = load_csv(csv90, "Close").values
+        cfg = TrainConfig(lookback=4, hidden_size=3, epochs=1, seed=9)
+        paths = np.stack([gbm_prices(70, seed=1), prices[:70], gbm_prices(70, seed=2)])
+        model, _, _, preds, causes = pl.fit_predict(
+            paths, cfg, [derive_seed(9, 0), 9, derive_seed(9, 1)], 30,
+            window_minmax_scale(prices, 30), np.arange(70, 90))
+        assert causes == [None] * 3
+        assert np.array_equal(model.theta[1], load_model(out / "model.json").theta)
+        with open(out / "predictions.csv") as fh:
+            predicted = [float(row["predicted"]) for row in csv.DictReader(fh)]
+        assert np.array_equal(preds[1], predicted)
+
 
 class TestBand:
     def test_artifacts(self, csv90, tmp_path):
@@ -413,7 +473,7 @@ class TestOutOfMemory:
         (["compare"], "nbb: "),
     ])
     def test_names_every_replicate(self, csv90, tmp_path, monkeypatch, capsys, command, prefix):
-        def short_of_memory(*args):
+        def short_of_memory(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(pl, "fit", short_of_memory)
@@ -659,7 +719,7 @@ def captured_configs(monkeypatch, argv):
     def capture(_, cfg, *args, **kwargs):
         raise Captured(cfg)
 
-    for name in ("run", "compare_methods", "fit", "select_block_length"):
+    for name in ("run", "compare_methods", "fit_predict", "select_block_length"):
         monkeypatch.setattr(cli, name, capture)
     with pytest.raises(Captured) as caught:
         main(argv)

@@ -384,7 +384,7 @@ class TestRun:
         cfg = replace(small_cfg(70, reps=5), allow_failures=2)
         real_fit = pl.fit
 
-        def short_of_memory(series, train_cfg, seeds):
+        def short_of_memory(series, train_cfg, seeds, **kwargs):
             if seeds[0] == derive_seed(train_cfg.seed, 2):
                 raise MemoryError
             return real_fit(series, train_cfg, seeds)
@@ -621,7 +621,7 @@ class TestSharedTraining:
             return real_select(returns, selector)
 
         monkeypatch.setattr(pl, "select_block_length", failing_lbb)
-        monkeypatch.setattr(pl, "fit", lambda *args: fits.append(args))
+        monkeypatch.setattr(pl, "fit", lambda *args, **kwargs: fits.append(args))
         with pytest.raises(PipelineError) as err:
             compare_methods(prices, small_cfg(70, reps=2))
         assert err.value.stage == "block-length-selection"
