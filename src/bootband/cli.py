@@ -3,9 +3,9 @@
 Every subcommand reads a dated CSV, writes UTF-8 CSV/JSON artifacts into
 ``--output-dir``, and drops a ``manifest.json`` recording the input hash,
 per-stage timings (the command's own stages, timed with
-:func:`bootband.manifest.timed`, plus the pipeline's; ``compare`` names each
-method's own stages ``<method>:<stage>`` and records the ``train-predict``
-stage its three methods share once) and, as its ``config``, every option of
+:func:`bootband.manifest.timed`, plus the pipeline's under the keys the
+pipeline gives them: ``compare`` gets ``<method>:<stage>`` for each method's
+own stages and ``train-predict`` once) and, as its ``config``, every option of
 the command after resolution except ``output_dir`` and ``jobs``.  Each
 subcommand has one option table, which drives its parser, its resolution and
 the configs it builds: a table entry that sets a field of :class:`TrainConfig`,
@@ -273,17 +273,26 @@ def _pipeline_config(opts: dict, table: dict, seed: int, **selector) -> Pipeline
     )
 
 
-def _write_replicate_matrix(path: Path, result) -> None:
-    """M x T audit dump: one row per replicate, one column per test date."""
-    write_csv(path, ["replicate"] + [ts.isoformat() for ts in result.band.timestamps],
-              ([rid] + [repr(float(v)) for v in row]
-               for rid, row in zip(result.replicate_ids, result.predictions)))
+def _write_method(out: Path, result, suffix: str, dump_replicates: bool) -> None:
+    """One method's band, selector curve and, if asked, its replicate matrix.
+
+    Each file name ends in ``suffix`` (``""`` for ``band``, ``_<method>`` for
+    ``compare``).  The M x T replicate dump has one row per replicate and one
+    column per test date.
+    """
+    result.band.to_csv(out / f"band{suffix}.csv", actual=result.actual)
+    result.curve.to_csv(out / f"selector_curve{suffix}.csv")
+    if dump_replicates:
+        write_csv(out / f"replicates{suffix}.csv",
+                  ["replicate"] + [ts.isoformat() for ts in result.band.timestamps],
+                  ([rid] + [repr(float(v)) for v in row]
+                   for rid, row in zip(result.replicate_ids, result.predictions)))
 
 
 def cmd_resample(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
     method, block_len, space = opts["method"], opts["block_len"], opts["space"]
     plan = BlockPlan(method=BootstrapMethod(method), block_len=block_len,
-                     locality=opts["locality"] if method == "lbb" else None, seed=manifest.seed)
+                     locality=opts["locality"], seed=manifest.seed)
     with timed(manifest.timings, "resample"):
         if space == "log-return":
             draws, starts = batch_resample(to_log_returns(prices.values), plan, opts["count"])
@@ -326,8 +335,7 @@ def cmd_train(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest)
         scaled, scale = actual = window_minmax_scale(prices.values, opts["scale_window"])
         # the training prices are scaled on their own, as a replicate path is
         group, traces, test_scaled, test_price, (cause,) = fit_predict(
-            prices.values[None, :train_len], cfg, [cfg.seed], opts["scale_window"], actual,
-            test_pos, epoch_rmse=True)
+            prices.values[None, :train_len], cfg, [cfg.seed], actual, test_pos, epoch_rmse=True)
         if cause is not None:
             raise PipelineError("train", cause)
         model = LstmModel(theta=group.theta[0], cfg=cfg)
@@ -363,31 +371,22 @@ def cmd_band(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) 
         result = run(prices, cfg, jobs=manifest.jobs)
     manifest.timings.update(result.timings)
     with timed(manifest.timings, "write"):
-        result.band.to_csv(out / "band.csv", actual=result.actual)
-        result.curve.to_csv(out / "selector_curve.csv")
+        _write_method(out, result, "", opts["dump_replicates"])
         _write_json(out / "report.json", {
             **result.report(manifest.seed), "alpha": cfg.alpha,
             "runtime_seconds": manifest.timings.get("pipeline"),
         })
-        if opts["dump_replicates"]:
-            _write_replicate_matrix(out / "replicates.csv", result)
 
 
 def cmd_compare(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
-    # compare_methods sets each method itself; LBB here validates --locality up front
-    cfg = _pipeline_config(opts, _COMPARE_OPTS, manifest.seed, method="lbb")
+    # compare_methods sets each method itself and checks --locality with LBB's config
+    cfg = _pipeline_config(opts, _COMPARE_OPTS, manifest.seed)
     with timed(manifest.timings, "compare"):
         comparison = compare_methods(prices, cfg, jobs=manifest.jobs)
-    for method, result in comparison.results.items():
-        for stage, seconds in result.timings.items():
-            manifest.timings[f"{method.value}:{stage}"] = seconds
     manifest.timings.update(comparison.timings)
     with timed(manifest.timings, "write"):
         for method, result in comparison.results.items():
-            result.band.to_csv(out / f"band_{method.value}.csv", actual=result.actual)
-            result.curve.to_csv(out / f"selector_curve_{method.value}.csv")
-            if opts["dump_replicates"]:
-                _write_replicate_matrix(out / f"replicates_{method.value}.csv", result)
+            _write_method(out, result, f"_{method.value}", opts["dump_replicates"])
         _write_json(out / "report.json", {
             "ranking": comparison.report(seed=manifest.seed),
             "best_method": comparison.ranking[0].value,
@@ -433,14 +432,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (DataError, ValidationError) as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PipelineError as exc:
         print(f"error[{exc.stage}]: {exc.detail}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        # an allocation outside a group's fit; one inside it fails that group's replicates instead
+        print(f"error[memory]: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)

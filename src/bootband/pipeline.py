@@ -47,9 +47,11 @@ the same rows of one prediction matrix.  :func:`run` is the one-method case.
 NBB, MBB and LBB first, then trains all ``3 * reps`` rows as one set of
 groups on one pool, so a group may span two methods.  Row ``m`` of every
 method is replicate ``m`` with the seed ``derive_seed(train.seed, m)``, and
-each method keeps the trained rows of its block.  Each method's result times
-its own stages with :func:`bootband.manifest.timed`; the shared
-``train-predict`` seconds are timed once (a single-method run adds them).
+each method keeps the trained rows of its block.  A run keeps one timings
+dict, filled with :func:`bootband.manifest.timed`: each method's stages are
+named ``<method>:<stage>`` when the run has several methods and by the bare
+stage otherwise, and the shared ``train-predict`` stage is timed once.
+Every result of the run, and a comparison, holds that same dict.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ class PipelineResult:
     failed_ids: tuple[int, ...]
     actual: np.ndarray
     coverage: float                  # fraction of actuals inside [lower, upper]
-    timings: dict                    # stage name -> wall-clock seconds
+    timings: dict                    # stage key -> wall-clock seconds, shared by the run's results
 
     def report(self, seed: int | None = None) -> dict:
         """Machine-readable summary row of this method's run."""
@@ -227,14 +229,14 @@ def percentile_band(samples: np.ndarray, alpha: float) -> tuple[np.ndarray, np.n
     )
 
 
-def fit_predict(paths, train: TrainConfig, seeds, scale_window: int, actual, positions,
-                epoch_rmse: bool = False):
+def fit_predict(paths, train: TrainConfig, seeds, actual, positions, epoch_rmse: bool = False):
     """Scale, fit and forecast each row of the price matrix ``paths`` as one lockstep group.
 
-    Each row is window-scaled on its own and trains one network from its
-    seed in ``seeds``.  Every network predicts ``positions`` one step ahead
-    from the scaled actual history, ``actual = window_minmax_scale(prices,
-    scale_window)``, and de-normalizes with that pair's records.  Returns
+    Each row is window-scaled on its own, with the window of ``actual``'s
+    records, and trains one network from its seed in ``seeds``.  Every
+    network predicts ``positions`` one step ahead from the scaled actual
+    history, ``actual = window_minmax_scale(prices, scale_window)``, and
+    de-normalizes with that pair's records.  Returns
     ``(model, rmse, scaled, preds, causes)``: the group model, its
     epoch-RMSE trace (``None`` unless ``epoch_rmse``), the ``(rows,
     len(positions))`` predictions scaled and in price units, and one failure
@@ -243,7 +245,7 @@ def fit_predict(paths, train: TrainConfig, seeds, scale_window: int, actual, pos
     """
     scaled_actual, scale_actual = actual
     try:
-        scaled = window_minmax_scale(paths, scale_window)[0]
+        scaled = window_minmax_scale(paths, scale_actual.window_len)[0]
         model, rmse, diverged = fit(scaled.T, train, seeds, epoch_rmse=epoch_rmse)
         scaled_preds = predict_series(model, scaled_actual, positions)
         preds = scale_actual.denormalize(scaled_preds, positions)
@@ -261,8 +263,8 @@ def _group_task(args):
     Returns the ``(rows, test_len)`` prediction block in price units
     (``None`` if the group ran out of memory) and one failure cause per row.
     """
-    paths, seeds, train, scale_window, actual, positions = args
-    *_, preds, causes = fit_predict(paths, train, seeds, scale_window, actual, positions)
+    paths, seeds, train, actual, positions = args
+    *_, preds, causes = fit_predict(paths, train, seeds, actual, positions)
     return preds, causes
 
 
@@ -273,26 +275,30 @@ class _Draw:
     cfg: PipelineConfig
     l_opt: int
     curve: SelectorCurve
-    timings: dict
+
+
+def _stage(label: str | None, stage: str) -> str:
+    """A stage's timings key: ``<method>:<stage>`` for a labelled method, else the bare stage."""
+    return stage if label is None else f"{label}:{stage}"
 
 
 def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None,
-          paths: np.ndarray) -> _Draw:
+          paths: np.ndarray, timings: dict) -> _Draw:
     """Log-returns, block-length selection and the replicate draw for ``cfg.method``.
 
-    The ``cfg.reps`` pseudo price paths are written into ``paths``.
+    The ``cfg.reps`` pseudo price paths are written into ``paths``, and each
+    stage's seconds into ``timings``.
     """
-    timings: dict = {}
-    with timed(timings, "log-returns"):
+    with timed(timings, _stage(label, "log-returns")):
         returns = to_log_returns(prices.values[: cfg.train_len])
 
-    with timed(timings, "block-length-selection"):
+    with timed(timings, _stage(label, "block-length-selection")):
         try:
             l_opt, curve = select_block_length(returns, cfg.selector)
         except BootbandError as exc:
             raise PipelineError("block-length-selection", str(exc), label) from exc
 
-    with timed(timings, "bootstrap"):
+    with timed(timings, _stage(label, "bootstrap")):
         try:
             plan = BlockPlan(
                 method=cfg.method, block_len=l_opt, locality=cfg.selector.locality, seed=cfg.seed
@@ -302,7 +308,7 @@ def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None,
             paths[...] = from_log_returns(pseudo_returns, prices.values[0])
         except BootbandError as exc:
             raise PipelineError("bootstrap", str(exc), label) from exc
-    return _Draw(cfg=cfg, l_opt=l_opt, curve=curve, timings=timings)
+    return _Draw(cfg=cfg, l_opt=l_opt, curve=curve)
 
 
 def _group_cap(train: TrainConfig) -> int:
@@ -345,7 +351,7 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, paths: np.ndarray,
     spans = _group_spans(len(paths), jobs, _group_cap(cfg.train))
     tasks = [(paths[span.start : span.stop],
               [derive_seed(cfg.train.seed, k % cfg.reps) for k in span],
-              cfg.train, cfg.scale_window, actual, positions)
+              cfg.train, actual, positions)
              for span in spans]
     predictions = np.full((len(paths), len(positions)), np.nan)
     causes: list[str | None] = []
@@ -371,10 +377,11 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, paths: np.ndarray,
 
 
 def _finish(prices: PriceSeries, draw: _Draw, predictions: np.ndarray,
-            causes: list[str | None], label: str | None) -> PipelineResult:
+            causes: list[str | None], label: str | None, timings: dict) -> PipelineResult:
     """Check one method's failures, then take its quantile band over its trained rows.
 
-    With no failure, ``predictions``, the method's rows of the prediction matrix, is kept as is.
+    With no failure, ``predictions``, the method's rows of the prediction
+    matrix, is kept as is.  The result holds the run's ``timings`` dict itself.
     """
     cfg = draw.cfg
     failed = {idx: cause for idx, cause in enumerate(causes) if cause is not None}
@@ -387,8 +394,7 @@ def _finish(prices: PriceSeries, draw: _Draw, predictions: np.ndarray,
         predictions = predictions[trained]
     actual_test = prices.values[cfg.train_len :]
 
-    timings = dict(draw.timings)
-    with timed(timings, "quantile-band"):
+    with timed(timings, _stage(label, "quantile-band")):
         try:
             lower, median, upper = percentile_band(predictions, cfg.alpha)
         except BootbandError as exc:
@@ -416,12 +422,11 @@ def _finish(prices: PriceSeries, draw: _Draw, predictions: np.ndarray,
 
 
 def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMethod, ...],
-         jobs: int) -> tuple[list[PipelineResult], dict]:
+         jobs: int) -> list[PipelineResult]:
     """Draw for every method, train all their replicates together, then finish each.
 
-    Returns one result per method, each timing its own four stages, and the
-    shared ``train-predict`` seconds.  With several methods, a failing
-    method's error names it.
+    Returns one result per method, all holding the run's one timings dict.
+    With several methods, a failing method's error and its stage keys name it.
     """
     train_len = cfg.train_len
     if train_len >= len(prices):
@@ -440,20 +445,19 @@ def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMetho
     # one replicate matrix and one prediction matrix, a block of reps rows per method
     blocks = [slice(k * cfg.reps, (k + 1) * cfg.reps) for k in range(len(methods))]
     paths = np.empty((len(methods) * cfg.reps, train_len))
-    draws = [_draw(prices, method_cfg, label, paths[rows])
+    timings: dict = {}
+    draws = [_draw(prices, method_cfg, label, paths[rows], timings)
              for method_cfg, label, rows in zip(cfgs, labels, blocks)]
-    shared: dict = {}
-    with timed(shared, "train-predict"):
+    with timed(timings, "train-predict"):
         predictions, causes = _train_predict(prices, cfg, paths, labels, jobs)
-    results = [_finish(prices, draw, predictions[rows], causes[rows], label)
-               for draw, rows, label in zip(draws, blocks, labels)]
-    return results, shared
+    return [_finish(prices, draw, predictions[rows], causes[rows], label, timings)
+            for draw, rows, label in zip(draws, blocks, labels)]
 
 
 def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResult:
     """Execute the full band construction for the bootstrap method ``cfg.method``."""
-    (result,), shared = _run(prices, cfg, (cfg.method,), jobs)
-    return replace(result, timings={**result.timings, **shared})
+    (result,) = _run(prices, cfg, (cfg.method,), jobs)
+    return result
 
 
 @dataclass(frozen=True)
@@ -462,7 +466,7 @@ class MethodComparison:
 
     results: dict[BootstrapMethod, PipelineResult]
     ranking: tuple[BootstrapMethod, ...]
-    timings: dict                    # shared stage name -> wall-clock seconds
+    timings: dict                    # the results' one timings dict
 
     def report(self, seed: int | None = None) -> list[dict]:
         """Machine-readable summary rows, best method first."""
@@ -478,9 +482,8 @@ def compare_methods(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> 
     name.
     """
     methods = (BootstrapMethod.NBB, BootstrapMethod.MBB, BootstrapMethod.LBB)
-    per_method, timings = _run(prices, cfg, methods, jobs)
-    results = dict(zip(methods, per_method))
+    results = dict(zip(methods, _run(prices, cfg, methods, jobs)))
     ranking = tuple(
         sorted(results, key=lambda m: (results[m].band.comparing_factor, m.value))
     )
-    return MethodComparison(results=results, ranking=ranking, timings=timings)
+    return MethodComparison(results=results, ranking=ranking, timings=results[methods[0]].timings)

@@ -336,7 +336,7 @@ class TestTrain:
         cfg = TrainConfig(lookback=4, hidden_size=3, epochs=1, seed=9)
         paths = np.stack([gbm_prices(70, seed=1), prices[:70], gbm_prices(70, seed=2)])
         model, _, _, preds, causes = pl.fit_predict(
-            paths, cfg, [derive_seed(9, 0), 9, derive_seed(9, 1)], 30,
+            paths, cfg, [derive_seed(9, 0), 9, derive_seed(9, 1)],
             window_minmax_scale(prices, 30), np.arange(70, 90))
         assert causes == [None] * 3
         assert np.array_equal(model.theta[1], load_model(out / "model.json").theta)
@@ -483,6 +483,28 @@ class TestOutOfMemory:
             f"error[train]: {prefix}3 replicate(s) failed (allowed: 0): "
             + "; ".join(f"replicate {k}: out of memory" for k in range(3))
         ]
+
+    ALLOCATION = "Unable to allocate 118. GiB for an array with shape (100000000, 316) and data type uint32"
+
+    @pytest.mark.parametrize("command, message, line", [
+        ("select-block", ALLOCATION, ALLOCATION),
+        ("band", ALLOCATION, ALLOCATION),
+        ("band", "", "out of memory"),
+    ], ids=["select-block", "band", "band-no-message"])
+    def test_outside_a_group_prints_one_line(self, csv90, tmp_path, monkeypatch, capsys,
+                                             command, message, line):
+        # raised, never allocated: a host that overcommits memory could grant the real request
+        def unable_to_allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "select_block_length", unable_to_allocate)
+        monkeypatch.setattr(pl, "select_block_length", unable_to_allocate)
+        out = tmp_path / "out"
+        flags = (["--output-dir", str(out), "--reps", "5", "--seed", "3"]
+                 if command == "select-block" else fast_flags(out, ["--jobs", "1"]))
+        assert main([command, "--input", csv90, "--method", "mbb", *flags]) == 5
+        assert capsys.readouterr().err.splitlines() == [f"error[memory]: {line}"]
+        assert not (out / "manifest.json").exists()
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

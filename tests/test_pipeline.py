@@ -474,6 +474,18 @@ class TestCompareMethods:
         assert len(set(factors.values())) == 1
         assert [m.value for m in comparison.ranking] == ["lbb", "mbb", "nbb"]
 
+    def test_one_timings_dict_per_run(self):
+        prices = price_series(gbm_prices(90, seed=15))
+        stages = ("log-returns", "block-length-selection", "bootstrap", "quantile-band")
+        single = run(prices, small_cfg(65, reps=2))
+        assert set(single.timings) == {*stages, "train-predict"}
+        comparison = compare_methods(prices, small_cfg(65, reps=2))
+        # the shared stage once, every method's own stages under its name
+        assert set(comparison.timings) == {"train-predict"} | {
+            f"{m}:{stage}" for m in ("nbb", "mbb", "lbb") for stage in stages
+        }
+        assert all(result.timings is comparison.timings for result in comparison.results.values())
+
 
 @given(st.integers(1, 500), st.integers(1, 8), st.integers(1, 80))
 @settings(max_examples=200)
