@@ -12,6 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+# a sibling module: running this file puts its own directory first on sys.path
+from make_gbm_csv import gbm, write_price_csv
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -27,16 +30,11 @@ def main():
     here = Path(__file__).resolve().parent
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "gbm.csv"
+    csv_path = write_price_csv(out / "gbm.csv", gbm(args.n, args.seed))
     # the child imports bootband from this checkout, installed or not
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
 
-    subprocess.run(
-        [sys.executable, str(here / "make_gbm_csv.py"), "--out", str(csv_path),
-         "--n", str(args.n), "--seed", str(args.seed)],
-        check=True,
-    )
     subprocess.run(
         [sys.executable, "-m", "bootband", "compare",
          "--input", str(csv_path),

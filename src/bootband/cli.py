@@ -22,7 +22,6 @@ when omitted a random seed is chosen, printed, and recorded.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ from .blocklen import SelectorConfig, select_block_length
 from .bootstrap import BlockPlan, BootstrapMethod, batch_resample
 from .errors import DataError, PipelineError, ValidationError
 from .lstm import LstmModel, TrainConfig, predict_series, save_model
-from .manifest import RunManifest, sha256_of, timed
+from .manifest import RunManifest, sha256_of, timed, write_json
 from .pipeline import PipelineConfig, compare_methods, fit_predict, run
 from .timeseries import PriceSeries, from_log_returns, load_csv, to_log_returns, window_minmax_scale, write_csv
 
@@ -167,16 +166,20 @@ def _add_opts(parser: argparse.ArgumentParser, opts: dict) -> None:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -254,10 +257,6 @@ def _execute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-
-
 def _config(cls: type, opts: dict, table: dict, **given):
     """Build ``cls`` from every option whose table entry sets one of its fields, plus ``given``."""
     fields = {opt.field: opts[name] for name, opt in table.items() if opt.cls is cls}
@@ -303,7 +302,7 @@ def cmd_resample(opts: dict, prices: PriceSeries, out: Path, manifest: RunManife
     with timed(manifest.timings, "write"):
         write_csv(out / "pseudo_series.csv", ["t"] + [f"rep_{k}" for k in range(len(paths))],
                   ([t] + [repr(v) for v in column] for t, column in enumerate(paths.T.tolist())))
-        _write_json(out / "starts.json", {
+        write_json(out / "starts.json", {
             "method": method, "block_len": block_len, "space": space,
             "starts": [row.tolist() for row in starts],
         })
@@ -318,7 +317,7 @@ def cmd_select_block(opts: dict, prices: PriceSeries, out: Path, manifest: RunMa
     with timed(manifest.timings, "select"):
         l_opt, curve = select_block_length(returns, cfg)
     curve.to_csv(out / "selector_curve.csv")
-    _write_json(out / "selection.json", {
+    write_json(out / "selection.json", {
         "method": opts["method"], "l_opt": l_opt, "reps": cfg.reps, "t": cfg.t, "seed": manifest.seed,
         "n_returns": len(returns),
     })
@@ -355,7 +354,7 @@ def cmd_train(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest)
               ([ts.isoformat(), repr(float(act)), repr(float(pred))]
                for ts, act, pred in zip(prices.timestamps[train_len:], prices.values[train_len:],
                                         test_price)))
-    _write_json(out / "metrics.json", {
+    write_json(out / "metrics.json", {
         "train_rmse_scaled": rmse(train_scaled, scaled[cfg.lookback:train_len]),
         "train_rmse_price": rmse(train_price, prices.values[cfg.lookback:train_len]),
         "test_rmse_scaled": rmse(test_scaled, scaled[train_len:]),
@@ -372,7 +371,7 @@ def cmd_band(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) 
     manifest.timings.update(result.timings)
     with timed(manifest.timings, "write"):
         _write_method(out, result, "", opts["dump_replicates"])
-        _write_json(out / "report.json", {
+        write_json(out / "report.json", {
             **result.report(manifest.seed), "alpha": cfg.alpha,
             "runtime_seconds": manifest.timings.get("pipeline"),
         })
@@ -387,7 +386,7 @@ def cmd_compare(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifes
     with timed(manifest.timings, "write"):
         for method, result in comparison.results.items():
             _write_method(out, result, f"_{method.value}", opts["dump_replicates"])
-        _write_json(out / "report.json", {
+        write_json(out / "report.json", {
             "ranking": comparison.report(seed=manifest.seed),
             "best_method": comparison.ranking[0].value,
             "seed": manifest.seed,

@@ -39,6 +39,11 @@ def sha256_of(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted UTF-8 JSON: manifests and reports alike."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -65,4 +70,4 @@ class RunManifest:
                 "created_utc": datetime.now(timezone.utc).isoformat(),
             },
         }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+        write_json(path, doc)

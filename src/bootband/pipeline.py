@@ -68,7 +68,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .blocklen import SelectorConfig, SelectorCurve, select_block_length
-from .bootstrap import BlockPlan, BootstrapMethod, batch_resample
+from .bootstrap import BlockPlan, BootstrapMethod, batch_resample, lbb_halo
 from .errors import (
     BootbandError,
     PipelineError,
@@ -442,6 +442,9 @@ def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMetho
     labels = [method.value if len(methods) > 1 else None for method in methods]
     # every method's config is checked before any selection runs
     cfgs = [replace(cfg, selector=replace(cfg.selector, method=method)) for method in methods]
+    if BootstrapMethod.LBB in methods:
+        # so is an LBB locality window that the training returns cannot hold
+        lbb_halo(train_len - 1, cfg.selector.locality)
     # one replicate matrix and one prediction matrix, a block of reps rows per method
     blocks = [slice(k * cfg.reps, (k + 1) * cfg.reps) for k in range(len(methods))]
     paths = np.empty((len(methods) * cfg.reps, train_len))

@@ -63,44 +63,48 @@ def load_csv(path: str | Path, column: str) -> PriceSeries:
     The first column must hold ISO-8601 dates; the remaining columns are
     named numeric fields.  Rows whose selected cell is empty are dropped,
     the rest are sorted by date.  Duplicate dates, infinite and non-positive
-    prices are rejected.
+    prices are rejected, and so is a file that is not UTF-8 (a byte-order
+    mark is allowed).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise CsvFormatError(f"{path}: need a date column plus at least one value column")
-        names = [h.strip() for h in header[1:]]
-        if column not in names:
-            raise MissingColumnError(f"{path}: no column {column!r} (have {names})")
-        col_idx = 1 + names.index(column)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvFormatError(f"{path}: empty file") from None
+            if len(header) < 2:
+                raise CsvFormatError(f"{path}: need a date column plus at least one value column")
+            names = [h.strip() for h in header[1:]]
+            if column not in names:
+                raise MissingColumnError(f"{path}: no column {column!r} (have {names})")
+            col_idx = 1 + names.index(column)
 
-        rows: list[tuple[date, float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                ts = date.fromisoformat(row[0].strip())
-            except (ValueError, IndexError) as exc:
-                raise CsvFormatError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            cell = row[col_idx].strip() if col_idx < len(row) else ""
-            if not cell or cell.lower() in ("nan", "null", "na"):
-                continue
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: non-numeric {column!r} cell {cell!r}") from exc
-            if math.isnan(value):
-                continue
-            if math.isinf(value):
-                raise CsvFormatError(f"{path}:{lineno}: non-finite {column!r} cell {cell!r}")
-            if value <= 0:
-                raise NonPositivePriceError(f"{path}:{lineno}: non-positive price {value}")
-            rows.append((ts, value))
+            rows: list[tuple[date, float]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                try:
+                    ts = date.fromisoformat(row[0].strip())
+                except (ValueError, IndexError) as exc:
+                    raise CsvFormatError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
+                cell = row[col_idx].strip() if col_idx < len(row) else ""
+                if not cell or cell.lower() in ("nan", "null", "na"):
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise CsvFormatError(f"{path}:{lineno}: non-numeric {column!r} cell {cell!r}") from exc
+                if math.isnan(value):
+                    continue
+                if math.isinf(value):
+                    raise CsvFormatError(f"{path}:{lineno}: non-finite {column!r} cell {cell!r}")
+                if value <= 0:
+                    raise NonPositivePriceError(f"{path}:{lineno}: non-positive price {value}")
+                rows.append((ts, value))
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if len(rows) < 2:
         raise CsvFormatError(f"{path}: fewer than 2 usable rows")

@@ -1,21 +1,10 @@
-import csv
 import json
-from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-
-def gbm_prices(n, seed, p0=100.0, mu=0.05, sigma=0.2, dt=1 / 252):
-    """Geometric Brownian motion path, seeded and reproducible."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
-    z = rng.standard_normal(n - 1)
-    increments = (mu - 0.5 * sigma**2) * dt + sigma * np.sqrt(dt) * z
-    prices = np.empty(n)
-    prices[0] = p0
-    prices[1:] = p0 * np.exp(np.cumsum(increments))
-    return prices
+from make_gbm_csv import gbm as gbm_prices, write_price_csv
 
 
 def ar1_series(n, phi, seed, sigma=1.0):
@@ -26,15 +15,6 @@ def ar1_series(n, phi, seed, sigma=1.0):
     for t in range(1, n):
         x[t] = phi * x[t - 1] + sigma * rng.standard_normal()
     return x
-
-
-def write_price_csv(path, values, start=date(2020, 1, 1), column="Close"):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["Date", column])
-        for k, v in enumerate(values):
-            w.writerow([(start + timedelta(days=k)).isoformat(), repr(float(v))])
-    return path
 
 
 @pytest.fixture
