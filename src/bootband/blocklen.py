@@ -12,26 +12,21 @@ structure tracks the original; the linear penalty makes the curve convex in
 base seed, so results are reproducible and common random numbers damp the
 candidate-to-candidate noise.  Row ``k`` of every candidate therefore reads
 the same 32-bit word stream of sub-stream ``(seed, k)``; only the bound of
-the draw changes with ``l``.  Each row's raw PCG64 words are read once per
-selection, and a candidate's ``(M, ceil(n / l))`` start matrix is mapped
-from them in one vectorized pass by the multiply-shift rule that
-``Generator.integers`` applies (Lemire 2019, "Fast Random Integer Generation
-in an Interval", ACM TOMACS 29(1)).  A row where that rule would reject a
-word, or whose NBB top-ups run past the words read, is redrawn exactly by
-:func:`draw_starts` from a fresh generator of its sub-stream, so every start
-equals :func:`batch_resample`'s.  A candidate is scored from the block starts it
-draws, not from laid-out replicates: a replicate block is a source window
-wherever the blocks before it all have full length, so its mean is read
-from one table of every window's mean, and only rows laid after a short NBB
-grid block are gathered from that block on.  The ``M`` rows are scored in
-contiguous row slices of at most ``_SLICE_ELEMENTS`` block starts; each
-row's squared distance goes into one ``(M,)`` vector, which is averaged as
-:func:`distance` averages it.  No ``(M, n)`` replicate matrix is built, and
-beside the ``(M, ceil(n / l_min) + _TOPUP_WORDS)`` word matrix a candidate
-holds one table and one slice.  The block means equal those of
-:func:`batch_resample`'s replicates bit for bit.  The :class:`SelectorCurve`
-returned by :func:`select_block_length` holds the distance, penalty and
-objective of every candidate.
+the draw changes with ``l``.  The words are read once per selection, and
+:mod:`bootband.bootstrap` maps each candidate's starts from them as it maps
+:func:`batch_resample`'s, so this module only scores.  A candidate is scored
+from the block starts it draws, not from laid-out replicates: a replicate
+block is a source window wherever the blocks before it all have full length,
+so its mean is read from one table of every window's mean, and only rows
+laid after a short NBB grid block are gathered from that block on.  The
+``M`` rows are scored in contiguous row slices of at most
+``_SLICE_ELEMENTS`` block starts; each row's squared distance goes into one
+``(M,)`` vector, which is averaged as :func:`distance` averages it.  No
+``(M, n)`` replicate matrix is built, and beside the ``(M, ceil(n / l_min) +
+16)`` word matrix a candidate holds one table and one slice.  The block
+means equal those of :func:`batch_resample`'s replicates bit for bit.  The
+:class:`SelectorCurve` returned by :func:`select_block_length` holds the
+distance, penalty and objective of every candidate.
 """
 
 from __future__ import annotations
@@ -42,11 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import substream
-from .bootstrap import BlockPlan, BootstrapMethod, draw_starts, lbb_halo, lbb_start_windows
 # selection no longer lays replicates, but perfbench/traced_cli.py still wraps
-# this name here
-from .bootstrap import batch_resample  # noqa: F401
+# batch_resample here
+from .bootstrap import BlockPlan, BootstrapMethod, _read_words, _start_matrix, batch_resample  # noqa: F401
 from .errors import ValidationError
 from .timeseries import _freeze, write_csv
 
@@ -54,10 +47,6 @@ from .timeseries import _freeze, write_csv
 # (or one row); NBB rows laid after a short grid block are laid in sub-slices
 # of about this many values.  Only the word matrix holds M * n values.
 _SLICE_ELEMENTS = 1 << 15
-
-# 32-bit words read per row beyond the ceil(n / l_min) of the longest main
-# draw, for NBB top-ups; a row whose top-ups need more is redrawn
-_TOPUP_WORDS = 16
 
 
 @dataclass(frozen=True)
@@ -86,9 +75,7 @@ class SelectorConfig:
             raise ValidationError("l_min must be >= 1")
         if self.l_max is not None and self.l_max < self.l_min:
             raise ValidationError("l_max must be >= l_min")
-        # written so that NaN fails too; NBB and MBB never read locality
-        if self.method is BootstrapMethod.LBB and not 0 < self.locality <= 1:
-            raise ValidationError(f"locality must lie in (0, 1], got {self.locality}")
+        BlockPlan(method=self.method, block_len=1, locality=self.locality)  # checks locality
 
     def resolved_l_max(self, n: int) -> int:
         """The largest candidate length for ``n`` values; both bounds must fit in ``n``."""
@@ -163,91 +150,6 @@ def _squared_distances(means, orig) -> np.ndarray:
 def _mean_scaled(sq, l: int, n: int) -> float:
     """``(1/M) * sum_i (l/n) * sq[i]``, summed left to right over the ``M`` rows."""
     return float(np.add.accumulate((l / n) * sq)[-1]) / sq.size
-
-
-def _read_words(seed: int, reps: int, count: int) -> np.ndarray:
-    """At least ``count`` 32-bit words of sub-stream ``(seed, k)`` in row ``k < reps``.
-
-    A word is one half of a raw 64-bit output, the low half first: the order
-    in which ``Generator.integers`` reads them for bounds up to ``2**32``.
-    """
-    pairs = -(-count // 2)
-    words = np.empty((reps, 2 * pairs), dtype=np.uint32)
-    for k, row in enumerate(words):
-        raw = substream(seed, k).bit_generator.random_raw(pairs)
-        row[0::2] = raw & 0xFFFFFFFF
-        row[1::2] = raw >> 32
-    return words
-
-
-def _lemire_draws(words, bound, out) -> np.ndarray:
-    """``Generator.integers(0, bound)`` values from the 32-bit ``words`` each draw reads.
-
-    ``words[:, j]`` is the word that draw ``j`` of a row reads when no draw
-    before it rejects one; ``bound`` is a scalar or one bound per column.
-    As numpy maps it, ``m = word * bound`` in 64 bits gives the value
-    ``m >> 32``, and the draw is rejected (another word is read) when the low
-    half of ``m`` is below ``(2**32 - bound) % bound``.  The values go to the
-    uint64 matrix ``out``; the returned mask marks each row with a rejection,
-    whose values are not what numpy draws.  A bound of 1 maps any word to 0
-    and never rejects, so it may sit on a word that numpy does not read.
-    """
-    bound = np.asarray(bound, dtype=np.uint64)
-    np.multiply(words, bound, out=out, dtype=np.uint64)
-    threshold = (np.uint64(1 << 32) - bound) % bound
-    if threshold.any():
-        rejected = ((out & 0xFFFFFFFF) < threshold).any(axis=1)
-    else:
-        rejected = np.zeros(len(out), dtype=bool)
-    out >>= 32
-    return rejected
-
-
-def _start_matrix(words, n: int, plan: BlockPlan, first: int = 0) -> np.ndarray:
-    """Every row's :func:`draw_starts` starts as one C-contiguous int64 matrix.
-
-    Row ``k`` is mapped from its words ``words[k]``, read from sub-stream
-    ``(plan.seed, first + k)``, by :func:`_lemire_draws`; a row with a
-    rejection, or with more than ``_TOPUP_WORDS`` NBB top-ups, is redrawn by
-    :func:`draw_starts` from a fresh generator of that sub-stream.  NBB rows
-    are padded with zeros after their last start; a row's own starts already
-    cover the ``n`` values it lays.
-    """
-    l = plan.block_len
-    big_l = -(-n // l)
-    gap = big_l * l - n
-    if plan.method is BootstrapMethod.LBB:
-        lo, hi = lbb_start_windows(n, l, lbb_halo(n, plan.locality))
-        bound = hi - lo + 1  # a clamped tail window holds one start and reads no word
-    else:
-        lo, bound = 0, big_l if plan.method is BootstrapMethod.NBB else n - l + 1
-    topups = _TOPUP_WORDS if plan.method is BootstrapMethod.NBB and gap else 0
-    draws = np.zeros((len(words), big_l + topups), dtype=np.uint64)
-    redraw = _lemire_draws(words[:, :big_l], bound, draws[:, :big_l])
-    if topups:
-        # each short grid block in the main draw after the first leaves n
-        # uncovered by gap; top-ups read the words that follow the main draw
-        deficit = gap * (np.count_nonzero(draws[:, :big_l] == big_l - 1, axis=1) - 1)
-        rows = np.flatnonzero((deficit > 0) & ~redraw)
-        top = np.empty((rows.size, topups), dtype=np.uint64)
-        redraw[rows] |= _lemire_draws(words[rows, big_l : big_l + topups], big_l, top)
-        covered = np.where(top == big_l - 1, l - gap, l).cumsum(axis=1)
-        taken = np.count_nonzero(covered < deficit[rows, None], axis=1) + 1
-        redraw[rows[taken > topups]] = True
-        top[np.arange(topups) >= taken[:, None]] = 0
-        draws[rows, big_l:] = top
-    starts = draws.view(np.int64)
-    if plan.method is BootstrapMethod.LBB:
-        starts += lo
-    elif plan.method is BootstrapMethod.NBB:
-        starts *= l
-    for k in np.flatnonzero(redraw).tolist():
-        row = draw_starts([substream(plan.seed, first + k)], n, plan)[0]
-        if row.size > starts.shape[1]:
-            starts = np.pad(starts, ((0, 0), (0, row.size - starts.shape[1])))
-        starts[k] = 0
-        starts[k, : row.size] = row
-    return starts
 
 
 def _window_means(x, l: int) -> np.ndarray:
@@ -352,7 +254,7 @@ def select_block_length(x, cfg: SelectorConfig) -> tuple[int, SelectorCurve]:
     dists = np.empty(len(lengths))
     pens = np.empty(len(lengths))
     # every candidate maps row k from the same words of sub-stream (seed, k)
-    words = _read_words(cfg.seed, cfg.reps, -(-n // cfg.l_min) + _TOPUP_WORDS)
+    words = _read_words(cfg.seed, cfg.reps, n, cfg.l_min)
     for j, l in enumerate(lengths.tolist()):
         plan = BlockPlan(method=cfg.method, block_len=l, locality=cfg.locality, seed=cfg.seed)
         dists[j], pens[j] = _candidate_distance(x, words, plan), length_penalty(n, l, cfg.t)

@@ -15,10 +15,11 @@ end with one gather and truncates to the input length ``n``:
 
 Row ``k`` of a batch is drawn from the sub-stream keyed by
 ``(plan.seed, k)``, so every row is reproducible on its own regardless of
-the batch size.  The drawn block starts are returned next to the value
-matrix for audit.  :func:`draw_starts` draws the starts from generators the
-caller passes, so block-length selection can redraw one row from a fresh
-generator of its sub-stream.
+the batch size.  Every row's starts, for the band and for block-length
+selection alike, are mapped from its raw PCG64 words by the multiply-shift
+rule of ``Generator.integers`` (Lemire 2019, ACM TOMACS 29(1)); a row that
+rule cannot map is redrawn by :func:`draw_starts`.  The drawn block starts
+are returned next to the value matrix for audit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ import numpy as np
 
 from ._rng import substream
 from .errors import ValidationError
+
+# 32-bit words per row for NBB top-ups, after the main draw's; a row that needs more is redrawn
+_TOPUP_WORDS = 16
 
 
 class BootstrapMethod(str, enum.Enum):
@@ -57,6 +61,9 @@ class BlockPlan:
                 raise ValidationError("LBB requires a locality fraction")
             if not 0 < self.locality <= 1:
                 raise ValidationError(f"locality must lie in (0, 1], got {self.locality}")
+        # NBB and MBB never read it, but a manifest records it and JSON has no NaN
+        if self.locality is not None and not math.isfinite(self.locality):
+            raise ValidationError(f"locality must be finite, got {self.locality}")
 
 
 def lbb_halo(n: int, locality: float) -> int:
@@ -83,32 +90,111 @@ def lbb_start_windows(n: int, l: int, halo: int) -> tuple[np.ndarray, np.ndarray
     return lo, hi
 
 
-def draw_starts(rngs, n: int, plan: BlockPlan) -> list[np.ndarray]:
-    """Block starts in laying order, one row per generator in ``rngs``, drawn
-    by the rule of ``plan.method``.
-    """
+def draw_starts(rng, n: int, plan: BlockPlan) -> np.ndarray:
+    """One row's block starts in laying order, drawn from ``rng`` by the rule of ``plan.method``."""
     l = plan.block_len
     if plan.method is BootstrapMethod.NBB:
-        # the last grid block is short by ``gap`` values when l does not divide
-        # n; each draw of it can force scalar top-up draws until n is covered
+        # the last grid block is short when l does not divide n, so each draw
+        # of it can force scalar top-up draws until the blocks cover n
         big_l = -(-n // l)
-        last, gap = (big_l - 1) * l, big_l * l - n
-        rows = []
-        for rng in rngs:
-            starts = rng.integers(0, big_l, size=big_l) * l
-            covered = big_l * l - gap * int(np.count_nonzero(starts == last))
-            extra = []
-            while covered < n:
-                start = int(rng.integers(0, big_l)) * l
-                extra.append(start)
-                covered += min(l, n - start)
-            rows.append(np.concatenate([starts, extra]) if extra else starts)
-        return rows
+        starts = (rng.integers(0, big_l, size=big_l) * l).tolist()
+        covered = sum(min(l, n - start) for start in starts)
+        while covered < n:
+            starts.append(int(rng.integers(0, big_l)) * l)
+            covered += min(l, n - starts[-1])
+        return np.array(starts)
     if plan.method is BootstrapMethod.MBB:
-        return [rng.integers(0, n - l + 1, size=-(-n // l)) for rng in rngs]
+        return rng.integers(0, n - l + 1, size=-(-n // l))
     lo, hi = lbb_start_windows(n, l, lbb_halo(n, plan.locality))
-    stop = hi + 1
-    return [rng.integers(lo, stop) for rng in rngs]
+    return rng.integers(lo, hi + 1)
+
+
+def _read_words(seed: int, reps: int, n: int, l_min: int) -> np.ndarray:
+    """The 32-bit words of sub-stream ``(seed, k)`` in row ``k < reps``, enough
+    for any block length from ``l_min`` on, NBB top-ups included.
+
+    A word is one half of a raw 64-bit output, the low half first: the order
+    in which ``Generator.integers`` reads them for bounds up to ``2**32``.
+    """
+    pairs = (-(-n // l_min) + _TOPUP_WORDS + 1) // 2
+    words = np.empty((reps, 2 * pairs), dtype=np.uint32)
+    for k, row in enumerate(words):
+        raw = substream(seed, k).bit_generator.random_raw(pairs)
+        row[0::2] = raw & 0xFFFFFFFF
+        row[1::2] = raw >> 32
+    return words
+
+
+def _lemire_draws(words, bound, out) -> np.ndarray:
+    """``Generator.integers(0, bound)`` values from the 32-bit ``words`` each draw reads.
+
+    ``words[:, j]`` is the word that draw ``j`` of a row reads when no draw
+    before it rejects one; ``bound`` is a scalar or one bound per column.
+    As numpy maps it, ``m = word * bound`` in 64 bits gives the value
+    ``m >> 32``, and the draw is rejected (another word is read) when the low
+    half of ``m`` is below ``(2**32 - bound) % bound``.  The values go to the
+    uint64 matrix ``out``; the returned mask marks each row with a rejection,
+    whose values are not what numpy draws.  A bound of 1 maps any word to 0
+    and never rejects, so it may sit on a word that numpy does not read.
+    """
+    bound = np.asarray(bound, dtype=np.uint64)
+    threshold = (np.uint64(1 << 32) - bound) % bound
+    # the low half of m, as the product modulo 2**32: a uint64 copy would add to the peak
+    low = np.multiply(words, bound.astype(np.uint32), dtype=np.uint32)
+    rejected = (low < threshold.astype(np.uint32)).any(axis=1)
+    np.multiply(words, bound, out=out, dtype=np.uint64)
+    out >>= 32
+    return rejected
+
+
+def _start_matrix(words, n: int, plan: BlockPlan, first: int = 0, sizes=None) -> np.ndarray:
+    """Every row's :func:`draw_starts` starts as one C-contiguous int64 matrix.
+
+    Row ``k`` is mapped from its words ``words[k]``, read from sub-stream
+    ``(plan.seed, first + k)``, by :func:`_lemire_draws`; a row with a
+    rejection, or with more than ``_TOPUP_WORDS`` NBB top-ups, is redrawn by
+    :func:`draw_starts` from a fresh generator of that sub-stream.  NBB rows
+    are padded with zeros after their last start; the int array ``sizes``, if
+    given, receives each row's count of starts, which cover its ``n`` values.
+    """
+    l = plan.block_len
+    big_l = -(-n // l)
+    gap = big_l * l - n
+    if plan.method is BootstrapMethod.LBB:
+        lo, hi = lbb_start_windows(n, l, lbb_halo(n, plan.locality))
+        bound = hi - lo + 1  # a clamped tail window holds one start and reads no word
+    else:
+        lo, bound = 0, big_l if plan.method is BootstrapMethod.NBB else n - l + 1
+    topups = _TOPUP_WORDS if plan.method is BootstrapMethod.NBB and gap else 0
+    draws = np.zeros((len(words), big_l + topups), dtype=np.uint64)
+    redraw = _lemire_draws(words[:, :big_l], bound, draws[:, :big_l])
+    sizes = np.empty(len(words), dtype=np.intp) if sizes is None else sizes
+    sizes[:] = big_l
+    if topups:
+        # each short grid block in the main draw after the first leaves n
+        # uncovered by gap; top-ups read the words that follow the main draw
+        deficit = gap * (np.count_nonzero(draws[:, :big_l] == big_l - 1, axis=1) - 1)
+        rows = np.flatnonzero((deficit > 0) & ~redraw)
+        top = np.empty((rows.size, topups), dtype=np.uint64)
+        redraw[rows] |= _lemire_draws(words[rows, big_l : big_l + topups], big_l, top)
+        covered = np.where(top == big_l - 1, l - gap, l).cumsum(axis=1)
+        taken = np.count_nonzero(covered < deficit[rows, None], axis=1) + 1
+        redraw[rows[taken > topups]] = True
+        top[np.arange(topups) >= taken[:, None]] = 0
+        draws[rows, big_l:] = top
+        sizes[rows] += taken
+    starts = draws.view(np.int64)
+    if plan.method is BootstrapMethod.LBB:
+        starts += lo
+    elif plan.method is BootstrapMethod.NBB:
+        starts *= l
+    for k in np.flatnonzero(redraw).tolist():
+        row = draw_starts(substream(plan.seed, first + k), n, plan)
+        if row.size > starts.shape[1]:
+            starts = np.pad(starts, ((0, 0), (0, row.size - starts.shape[1])))
+        starts[k, : row.size], starts[k, row.size :] = row, 0
+        sizes[k] = row.size
+    return starts
 
 
 def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -116,10 +202,11 @@ def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.
 
     Returns the read-only ``(count, n)`` value matrix and, per row, the
     drawn block starts in laying order (NBB rows can hold different numbers
-    of starts).  The blocks at the drawn starts are laid end to end by one
-    gather and truncated to ``n``.  Positions past the end of the series are
-    dropped first, which shortens only an NBB grid block when ``l`` does
-    not divide ``n``; MBB and LBB starts always leave room for a full block.
+    of starts), mapped by :func:`_start_matrix` as selection maps them.  The
+    blocks at a row's starts are laid end to end by one gather and truncated
+    to ``n``.  Positions past the end of the series are dropped first, which
+    shortens only an NBB grid block when ``l`` does not divide ``n``; MBB and
+    LBB starts always leave room for a full block.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -129,8 +216,10 @@ def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.
         raise ValidationError("cannot resample an empty series")
     if plan.block_len > n:
         raise ValidationError(f"block_len {plan.block_len} exceeds series length {n}")
+    sizes = np.empty(count, dtype=np.intp)
+    matrix = _start_matrix(_read_words(plan.seed, count, n, plan.block_len), n, plan, sizes=sizes)
+    starts = [row[:size] for row, size in zip(matrix, sizes.tolist())]
     offsets = np.arange(plan.block_len)
-    starts = draw_starts((substream(plan.seed, k) for k in range(count)), n, plan)
     values = np.empty((count, n))
     for k, row_starts in enumerate(starts):
         idx = (row_starts[:, None] + offsets).ravel()

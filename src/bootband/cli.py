@@ -12,16 +12,18 @@ the configs it builds: a table entry that sets a field of :class:`TrainConfig`,
 :class:`SelectorConfig` or :class:`PipelineConfig` names that field and takes
 its default from it, so a new option is one table entry plus its dataclass
 field.  One runner, :func:`_execute`, resolves the whole table into one dict
-before the body runs, picks the seed, loads the input and writes the
-manifest; each subcommand body only computes its artifacts.  Configuration
-precedence is CLI flags > ``--config`` file (``key = value`` lines, ``#``
-comments) > defaults.  All randomness derives from the single ``--seed``;
-when omitted a random seed is chosen, printed, and recorded.
+before the body runs, picks the seed, loads the input, writes the manifest
+and removes the directories a failed run made; each subcommand body only
+computes its artifacts.  Configuration precedence is CLI flags >
+``--config`` file (``key = value`` lines, ``#`` comments) > defaults.  All
+randomness derives from the single ``--seed``; when omitted a random seed is
+chosen, printed, and recorded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -232,7 +234,7 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 
 def _execute(args: argparse.Namespace) -> int:
-    """Resolve the options, make the output directory, load the input, run the body, write the manifest."""
+    """Resolve the options, load the input, make the output directory, run the body, write the manifest."""
     opts = _resolve(args, args.opts)
     if opts["seed"] is None:
         opts["seed"] = int.from_bytes(os.urandom(6), "big")
@@ -240,8 +242,6 @@ def _execute(args: argparse.Namespace) -> int:
     if opts["seed"] < 0:
         raise UsageError("--seed must be >= 0")
     jobs = _resolve_jobs(opts["jobs"]) if "jobs" in opts else 1
-    out = Path(opts["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     prices = load_csv(args.input, opts["column"])
     # Output location and worker count never change what gets computed, so
     # they stay out of the reproducibility identity (jobs is recorded in the
@@ -252,8 +252,17 @@ def _execute(args: argparse.Namespace) -> int:
         input_path=str(args.input), input_sha256=sha256_of(args.input),
         seed=opts["seed"], jobs=jobs,
     )
-    args.func(opts, prices, out, manifest)
-    manifest.write(out / "manifest.json")
+    out = Path(opts["output_dir"])
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(opts, prices, out, manifest)
+        manifest.write(out / "manifest.json")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            for d in made:
+                d.rmdir()  # refuses a directory that is not empty
+        raise
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bootband.blocklen as blocklen
+import bootband.bootstrap as bootstrap
 from bootband.blocklen import (
     SelectorConfig,
     block_means,
@@ -265,8 +266,8 @@ class TestScoringFromStarts:
             built.append(key)
             return real(seed, *key)
 
-        real = blocklen.substream
-        monkeypatch.setattr(blocklen, "substream", counting)
+        real = bootstrap.substream
+        monkeypatch.setattr(bootstrap, "substream", counting)
         cfg = SelectorConfig(method="mbb", reps=9, l_max=15, seed=2)
         select_block_length(ar1_series(80, 0.5, seed=2), cfg)
         assert built == [(k,) for k in range(cfg.reps)]
@@ -282,13 +283,13 @@ class TestScoringFromStarts:
             rejected[3:4] = True
             return rejected
 
-        def counting(rngs, n, plan):
+        def counting(rng, n, plan):
             redrawn.append(plan.block_len)
-            return real_starts(rngs, n, plan)
+            return real_starts(rng, n, plan)
 
-        real_draws, real_starts = blocklen._lemire_draws, blocklen.draw_starts
-        monkeypatch.setattr(blocklen, "_lemire_draws", rejecting)
-        monkeypatch.setattr(blocklen, "draw_starts", counting)
+        real_draws, real_starts = bootstrap._lemire_draws, bootstrap.draw_starts
+        monkeypatch.setattr(bootstrap, "_lemire_draws", rejecting)
+        monkeypatch.setattr(bootstrap, "draw_starts", counting)
         x, l_min, l_max, locality = SCORING_CASES["short-head"]
         cfg = SelectorConfig(
             method=method, reps=20, l_min=l_min, l_max=l_max, locality=locality, seed=3
@@ -301,12 +302,12 @@ class TestScoringFromStarts:
     @pytest.mark.parametrize("n,seed", [(3000, 5), (4999, 123)])
     def test_start_matrix_equals_draw_starts(self, method, n, seed):
         # at seed 123 and n = 4999, MBB row 35 rejects a word at l = 10
-        words = blocklen._read_words(seed, 100, n + blocklen._TOPUP_WORDS)
+        words = bootstrap._read_words(seed, 100, n, 1)
         for l in (1, 2, 7, 10, 49, n // 3, n):
             plan = BlockPlan(method=method, block_len=l, locality=0.1, seed=seed)
-            starts = blocklen._start_matrix(words, n, plan)
+            starts = bootstrap._start_matrix(words, n, plan)
             assert starts.flags.c_contiguous and starts.dtype == np.int64
-            fresh = draw_starts([substream(seed, k) for k in range(100)], n, plan)
+            fresh = [draw_starts(substream(seed, k), n, plan) for k in range(100)]
             for row, expected in zip(starts, fresh):
                 assert row[: expected.size].tolist() == expected.tolist()
                 assert not row[expected.size :].any()
@@ -314,11 +315,11 @@ class TestScoringFromStarts:
     def test_rows_past_their_topup_words_are_redrawn(self, monkeypatch):
         # n = 11, l = 10: the one-value short block can be drawn again and
         # again, so some rows need more top-ups than the words read for them
-        monkeypatch.setattr(blocklen, "_TOPUP_WORDS", 1)
-        words = blocklen._read_words(4, 200, 2 + blocklen._TOPUP_WORDS)
+        monkeypatch.setattr(bootstrap, "_TOPUP_WORDS", 1)
+        words = bootstrap._read_words(4, 200, 11, 10)
         plan = BlockPlan(method="nbb", block_len=10, seed=4)
-        starts = blocklen._start_matrix(words, 11, plan)
-        fresh = draw_starts([substream(4, k) for k in range(200)], 11, plan)
+        starts = bootstrap._start_matrix(words, 11, plan)
+        fresh = [draw_starts(substream(4, k), 11, plan) for k in range(200)]
         assert starts.shape[1] == max(row.size for row in fresh) > 3
         for row, expected in zip(starts, fresh):
             assert row[: expected.size].tolist() == expected.tolist()
@@ -326,10 +327,42 @@ class TestScoringFromStarts:
 
     def test_rejections_happen_at_selection_scale(self):
         n, l = 4999, 10
-        words = blocklen._read_words(123, 100, n)
+        words = bootstrap._read_words(123, 100, n, 1)
         out = np.empty((100, -(-n // l)), dtype=np.uint64)
-        rejected = blocklen._lemire_draws(words[:, : out.shape[1]], n - l + 1, out)
+        rejected = bootstrap._lemire_draws(words[:, : out.shape[1]], n - l + 1, out)
         assert np.flatnonzero(rejected).tolist() == [35]
+
+    def test_batch_resample_redraws_a_rejected_row(self, monkeypatch):
+        # the band's draw maps its rows as selection does: row 35 rejects a
+        # word above, so it alone is redrawn from its sub-stream
+        n, l = 4999, 10
+        redrawn = []
+
+        def counting(rng, n, plan):
+            redrawn.append(plan.block_len)
+            return real_starts(rng, n, plan)
+
+        real_starts = bootstrap.draw_starts
+        monkeypatch.setattr(bootstrap, "draw_starts", counting)
+        x = ar1_series(n, 0.5, seed=3)
+        plan = BlockPlan(method="mbb", block_len=l, seed=123)
+        values, starts = batch_resample(x, plan, 40)
+        assert redrawn == [l]
+        expected = real_starts(substream(123, 35), n, plan)
+        assert starts[35].tolist() == expected.tolist()
+        assert values[35].tolist() == np.concatenate([x[s : s + l] for s in expected])[:n].tolist()
+
+    def test_batch_resample_redraws_rows_past_their_topup_words(self, monkeypatch):
+        monkeypatch.setattr(bootstrap, "_TOPUP_WORDS", 1)
+        x = np.arange(11.0)
+        plan = BlockPlan(method="nbb", block_len=10, seed=4)
+        values, starts = batch_resample(x, plan, 200)
+        fresh = [draw_starts(substream(4, k), 11, plan) for k in range(200)]
+        assert max(row.size for row in fresh) > 3
+        for row_values, row, expected in zip(values, starts, fresh):
+            assert row.tolist() == expected.tolist()
+            laid = np.concatenate([x[s : s + 10] for s in expected])[:11]
+            assert row_values.tolist() == laid.tolist()
 
     def test_unit_candidate_peaks_below_three_replicate_matrices(self):
         # at l = 1 every row holds n starts and n block means
@@ -374,7 +407,7 @@ class TestScoringFromStarts:
         cfg = SelectorConfig(
             method=method, reps=20, l_min=l_min, l_max=l_max, locality=locality, seed=3
         )
-        target = blocklen._read_words(cfg.seed, cfg.reps, x.size + blocklen._TOPUP_WORDS)[13]
+        target = bootstrap._read_words(cfg.seed, cfg.reps, x.size, 1)[13]
         redrawn = []
 
         def rejecting(words, bound, out):
@@ -383,14 +416,14 @@ class TestScoringFromStarts:
             rejected |= (words == target[: words.shape[1]]).all(axis=1)
             return rejected
 
-        def counting(rngs, n, plan):
+        def counting(rng, n, plan):
             redrawn.append(plan.block_len)
-            return real_starts(rngs, n, plan)
+            return real_starts(rng, n, plan)
 
-        real_draws, real_starts = blocklen._lemire_draws, blocklen.draw_starts
+        real_draws, real_starts = bootstrap._lemire_draws, bootstrap.draw_starts
         monkeypatch.setattr(blocklen, "_SLICE_ELEMENTS", x.size)
-        monkeypatch.setattr(blocklen, "_lemire_draws", rejecting)
-        monkeypatch.setattr(blocklen, "draw_starts", counting)
+        monkeypatch.setattr(bootstrap, "_lemire_draws", rejecting)
+        monkeypatch.setattr(bootstrap, "draw_starts", counting)
         _, curve = select_block_length(x, cfg)
         assert set(redrawn) == set(range(l_min, l_max + 1))
         assert curve.distances.tolist() == laid_out_distances(x, cfg)
@@ -498,7 +531,7 @@ def test_lemire_draws_match_generator_integers(seed, calls):
     # consecutive calls on one generator: a call that reads an odd number of
     # words leaves the high half of its last output for the next call
     rng = substream(seed, 0)
-    stream = blocklen._read_words(seed, 1, 64 * (9 * len(calls) + 1))[0]
+    stream = bootstrap._read_words(seed, 1, 64 * (9 * len(calls) + 1), 1)[0]
     pos = 0
     for call in calls:
         if isinstance(call, tuple):
@@ -517,7 +550,7 @@ def test_lemire_draws_match_generator_integers(seed, calls):
         words = np.zeros((1, len(bounds)), dtype=np.uint32)
         words[0, reads] = stream[start : start + np.count_nonzero(reads)]
         out = np.empty(words.shape, dtype=np.uint64)
-        rejected = blocklen._lemire_draws(words, bound, out)[0]
+        rejected = bootstrap._lemire_draws(words, bound, out)[0]
         assert rejected == (pos - start > np.count_nonzero(reads))
         if not rejected:
             assert out[0].tolist() == drawn

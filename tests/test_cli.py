@@ -177,6 +177,58 @@ class TestBadLocality:
         assert main(["band", "--input", csv90, *fast_flags(out, flags)]) == 0
         assert (out / "band.csv").exists()
 
+    @pytest.mark.parametrize("command,flags,value", [
+        ("resample", ["--method", "nbb", "--block-len", "4"], "nan"),
+        ("select-block", ["--method", "nbb", "--reps", "5"], "nan"),
+        ("band", ["--method", "mbb", "--jobs", "1"], "inf"),
+    ])
+    def test_non_finite_is_rejected_by_every_method(self, csv90, tmp_path, capsys,
+                                                    command, flags, value):
+        # a manifest would record it, and strict JSON has no NaN or Infinity
+        out = tmp_path / "out"
+        flags = [*flags, "--locality", value]
+        extra = (fast_flags(out, flags) if command == "band"
+                 else ["--output-dir", str(out), "--seed", "3", *flags])
+        code = main([command, "--input", csv90, *extra])
+        assert code == 4
+        assert capsys.readouterr().err == f"error[data]: locality must be finite, got {float(value)}\n"
+        assert not (out / "manifest.json").exists()
+
+
+class TestFailedRunLeavesNoDirectory:
+    def test_csv_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"Date,Close\n2020-01-01,100.0\n2020-01-02,101.5 caf\xe9\n")
+        out = tmp_path / "out"
+        code = main(["select-block", "--input", str(path), "--method", "nbb", "--seed", "1",
+                     "--output-dir", str(out)])
+        assert code == 4
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nested_directories_it_made(self, tmp_path, capsys):
+        path = write_price_csv(tmp_path / "prices.csv", gbm_prices(300, seed=21))
+        out = tmp_path / "a" / "b"
+        code = main(["band", "--input", str(path), "--method", "nbb", "--train-len", "5000",
+                     "--seed", "1", "--output-dir", str(out)])
+        assert code == 4
+        assert "leaves no test timestep" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_compare_with_one_replicate(self, csv90, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["compare", "--input", csv90, *fast_flags(out, ["--reps", "1", "--jobs", "1"])])
+        assert code == 4
+        assert capsys.readouterr().err == "error[data]: reps must be >= 2\n"
+        assert not out.exists()
+
+    def test_a_directory_that_existed_is_kept(self, csv90, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["compare", "--input", csv90, *fast_flags(out, ["--reps", "1", "--jobs", "1"])])
+        assert code == 4
+        assert out.is_dir() and not any(out.iterdir())
+
 
 class TestSizeChecks:
     @pytest.mark.parametrize("command,flag,message", [
