@@ -22,9 +22,9 @@ laid after a short NBB grid block are gathered from that block on.  The
 ``M`` rows are scored in contiguous row slices of at most
 ``_SLICE_ELEMENTS`` block starts; each row's squared distance goes into one
 ``(M,)`` vector, which is averaged as :func:`distance` averages it.  No
-``(M, n)`` replicate matrix is built, and beside the ``(M, ceil(n / l_min) +
-16)`` word matrix a candidate holds one table and one slice.  The block
-means equal those of :func:`batch_resample`'s replicates bit for bit.  The
+``(M, n)`` replicate matrix is built, and beside the word matrix, of
+``ceil(n / l_min) + 16`` words per row, a candidate holds one table and one
+slice.  The block means equal :func:`batch_resample`'s bit for bit.  The
 :class:`SelectorCurve` returned by :func:`select_block_length` holds the
 distance, penalty and objective of every candidate.
 """
