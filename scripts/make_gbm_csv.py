@@ -41,6 +41,9 @@ def main():
     ap.add_argument("--mu", type=float, default=0.05)
     ap.add_argument("--sigma", type=float, default=0.2)
     args = ap.parse_args()
+    if args.n < 2:
+        # no bootband command accepts fewer than two prices
+        ap.error(f"--n must be at least 2, got {args.n}")
 
     write_price_csv(args.out, gbm(args.n, args.seed, args.p0, args.mu, args.sigma))
     print(f"wrote {args.n} prices to {args.out} (seed {args.seed})")

@@ -35,19 +35,23 @@ def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
 
-    subprocess.run(
-        [sys.executable, "-m", "bootband", "compare",
-         "--input", str(csv_path),
-         "--train-len", str(args.train_len),
-         "--reps", str(args.reps),
-         "--epochs", str(args.epochs),
-         "--hidden", str(args.hidden),
-         "--seed", str(args.seed),
-         "--output-dir", str(out)],
-        check=True, env=env,
-    )
+    try:
+        subprocess.run(
+            [sys.executable, "-m", "bootband", "compare",
+             "--input", str(csv_path),
+             "--train-len", str(args.train_len),
+             "--reps", str(args.reps),
+             "--epochs", str(args.epochs),
+             "--hidden", str(args.hidden),
+             "--seed", str(args.seed),
+             "--output-dir", str(out)],
+            check=True, env=env,
+        )
+    except subprocess.CalledProcessError as exc:
+        # the child has already printed its one error line; pass its exit code on
+        sys.exit(exc.returncode)
 
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     print("\nranked comparing factors (smaller band = better):")
     for row in report["ranking"]:
         print(f"  {row['method']}: factor={row['comparing_factor']:.4f} "

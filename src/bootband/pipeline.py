@@ -25,7 +25,8 @@ trains in lockstep, one stacked forward, backward and Adam step per
 minibatch for the whole group.  Every row of a group is bit-identical to the
 same replicate trained alone, so ``jobs`` worker processes (no more than
 there are groups) take whole groups, keeping runs bit-reproducible for any
-``jobs`` value.  A replicate whose loss or test predictions turn
+``jobs`` value; only a run that forks workers imports the process pool and
+:mod:`multiprocessing`.  A replicate whose loss or test predictions turn
 non-finite, or whose group runs out of memory, is recorded as failed by
 index, with its cause.
 
@@ -57,9 +58,6 @@ Every result of the run, and a comparison, holds that same dict.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -356,13 +354,23 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, paths: np.ndarray,
     predictions = np.full((len(paths), len(positions)), np.nan)
     causes: list[str | None] = []
     workers = min(jobs, len(tasks))
+
+    def collect(results):
+        for span, (block, group_causes) in zip(spans, results):
+            if block is not None:
+                predictions[span.start : span.stop] = block
+            causes.extend(group_causes)
+
+    if workers <= 1:
+        collect(map(_group_task, tasks))
+        return predictions, causes
+    # imported here, not at module level: a run that forks no worker never loads
+    # multiprocessing and the socket, subprocess and logging modules it pulls in
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     try:
-        with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-            results = map(_group_task, tasks) if pool is None else pool.map(_group_task, tasks)
-            for span, (block, group_causes) in zip(spans, results):
-                if block is not None:
-                    predictions[span.start : span.stop] = block
-                causes += group_causes
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            collect(pool.map(_group_task, tasks))
     except BrokenProcessPool as exc:
         # the first group without a result starts at the first row without a cause
         lost: dict = {}  # method label -> replicate ids of that group

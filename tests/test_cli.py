@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures.process
 import csv
 import importlib.util
 import json
@@ -18,6 +19,8 @@ import bootband.pipeline as pl
 from bootband import BootstrapMethod, PipelineConfig, SelectorConfig, TrainConfig
 from bootband._rng import derive_seed
 from bootband.cli import main
+from bootband.errors import ValidationError
+import make_gbm_csv
 from conftest import gbm_prices, strip_volatile, write_price_csv
 
 
@@ -467,7 +470,7 @@ class TestBand:
                 yield fn(next(iter(tasks)))
                 raise BrokenProcessPool("a child process terminated abruptly")
 
-        monkeypatch.setattr(pl, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", BrokenPool)
         # 3 replicates on 2 workers: groups (0, 1), (2)
         code = main(["band", "--input", csv90, "--method", "mbb", "--jobs", "2",
                      *fast_flags(tmp_path / "o")])
@@ -600,6 +603,52 @@ class TestBlasThreadPin:
         assert bands[0] == bands[1]
         assert recorded[0] == dict.fromkeys(BLAS_VARS, "1")
         assert recorded[1] == {**dict.fromkeys(BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": "2"}
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+class TestPoolStackLoadsOnlyForWorkers:
+    # pytest's own process may already hold multiprocessing, so only a new
+    # interpreter shows what a run loads.  argv[1] is a JSON list of command lines.
+    SHOW = ("import json, sys; from bootband.cli import main; "
+            "codes = [main(args) for args in json.loads(sys.argv[1])]; "
+            f"print(json.dumps([codes, [m in sys.modules for m in {POOL_MODULES!r}]]))")
+
+    def run_fresh(self, commands, tmp_path):
+        out = fresh_python(["-c", self.SHOW, json.dumps(commands)], tmp_path).stdout
+        return json.loads(out.splitlines()[-1])
+
+    def test_in_process_runs_never_load_it(self, csv90, tmp_path):
+        commands = [
+            ["select-block", "--input", csv90, "--method", "nbb", "--reps", "5", "--lmax", "4",
+             "--seed", "3", "--output-dir", str(tmp_path / "s")],
+            ["train", "--input", csv90, "--train-len", "60", "--lookback", "4", "--epochs", "1",
+             "--hidden", "3", "--scale-window", "30", "--seed", "9",
+             "--output-dir", str(tmp_path / "t")],
+            ["resample", "--input", csv90, "--method", "mbb", "--block-len", "3", "--count", "4",
+             "--seed", "5", "--output-dir", str(tmp_path / "r")],
+            ["band", "--input", csv90, "--method", "lbb", *fast_flags(tmp_path / "b", ["--jobs", "1"])],
+            ["compare", "--input", csv90, *fast_flags(tmp_path / "c", ["--jobs", "1"])],
+        ]
+        assert self.run_fresh(commands, tmp_path) == [[0] * 5, [False, False]]
+
+    def test_a_two_worker_pool_loads_it(self, csv90, tmp_path):
+        # two replicates on two workers: two groups, one per worker
+        command = ["band", "--input", csv90, "--method", "mbb",
+                   *fast_flags(tmp_path / "b", ["--jobs", "2", "--reps", "2"])]
+        assert self.run_fresh([command], tmp_path) == [[0], [True, True]]
+        assert read_json(tmp_path / "b" / "manifest.json")["execution"]["jobs"] == 2
+
+    def test_in_process_group_error_reaches_main(self, csv90, tmp_path, monkeypatch, capsys):
+        def refuse(args):
+            raise ValidationError("group refused")
+
+        monkeypatch.setattr(pl, "_group_task", refuse)
+        code = main(["band", "--input", csv90, "--method", "nbb",
+                     *fast_flags(tmp_path / "o", ["--jobs", "1"])])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == ["error[data]: group refused"]
 
 
 class TestConfigPrecedence:
@@ -890,3 +939,32 @@ class TestDemoScript:
         env = next(env for cmd, env in calls if cmd[1:3] == ["-m", "bootband"])
         src = str(path.parents[1] / "src")
         assert env["PYTHONPATH"] == os.pathsep.join([src, "elsewhere"])
+
+    def test_failed_child_passes_on_its_exit_code(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_gbm_demo.py"
+        with pytest.raises(subprocess.CalledProcessError) as err:
+            fresh_python([str(path), "--n", "100", "--train-len", "200",
+                          "--output-dir", str(tmp_path / "demo")], tmp_path)
+        assert err.value.returncode == 4
+        assert err.value.stderr.splitlines() == [
+            "error[data]: training length 200 leaves no test timestep in 100 prices"
+        ]
+        assert "Traceback" not in err.value.stderr
+
+
+class TestGbmCsvScript:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_prices_is_a_usage_error(self, n, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "gbm.csv"
+        monkeypatch.setattr(sys, "argv", ["make_gbm_csv.py", "--n", str(n), "--out", str(out)])
+        with pytest.raises(SystemExit) as err:
+            make_gbm_csv.main()
+        assert err.value.code == 2
+        assert f"--n must be at least 2, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_prices_are_written(self, tmp_path, monkeypatch):
+        out = tmp_path / "gbm.csv"
+        monkeypatch.setattr(sys, "argv", ["make_gbm_csv.py", "--n", "2", "--out", str(out)])
+        make_gbm_csv.main()
+        assert len(out.read_text().splitlines()) == 3

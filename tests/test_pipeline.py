@@ -1,3 +1,4 @@
+import concurrent.futures.process
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -233,7 +234,7 @@ class TestRun:
             return real_task(args)
 
         monkeypatch.setattr(pl, "_group_task", recording)
-        monkeypatch.setattr(pl, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", SerialPool)
         cap_group_rows(monkeypatch, 3)
         run(prices, small_cfg(70, reps=7), jobs=1)
         assert seen == [(0, 1, 2), (3, 4), (5, 6)]
@@ -564,7 +565,7 @@ class TestSharedTraining:
 
         monkeypatch.setattr(pl, "from_log_returns", recording_paths)
         monkeypatch.setattr(pl, "_group_task", recording_task)
-        monkeypatch.setattr(pl, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", SerialPool)
         cap_group_rows(monkeypatch, group_size)
         SerialPool.opened, SerialPool.max_workers = 0, None
         comparison = compare_methods(prices, small_cfg(70, reps=reps), jobs=jobs)
