@@ -13,20 +13,19 @@ base seed, so results are reproducible and common random numbers damp the
 candidate-to-candidate noise.  Row ``k`` of every candidate therefore reads
 the same 32-bit word stream of sub-stream ``(seed, k)``; only the bound of
 the draw changes with ``l``.  The words are read once per selection, and
-:mod:`bootband.bootstrap` maps each candidate's starts from them as it maps
-:func:`batch_resample`'s, so this module only scores.  A candidate is scored
-from the block starts it draws, not from laid-out replicates: a replicate
-block is a source window wherever the blocks before it all have full length,
-so its mean is read from one table of every window's mean, and only rows
-laid after a short NBB grid block are gathered from that block on.  The
-``M`` rows are scored in contiguous row slices of at most
-``_SLICE_ELEMENTS`` block starts; each row's squared distance goes into one
-``(M,)`` vector, which is averaged as :func:`distance` averages it.  No
-``(M, n)`` replicate matrix is built, and beside the word matrix, of
-``ceil(n / l_min) + 16`` words per row, a candidate holds one table and one
-slice.  The block means equal :func:`batch_resample`'s bit for bit.  The
-:class:`SelectorCurve` returned by :func:`select_block_length` holds the
-distance, penalty and objective of every candidate.
+:mod:`bootband.bootstrap` maps each candidate's starts from them and lays
+rows as it does for :func:`batch_resample`, so this module only scores.  A
+replicate block is a source window wherever the blocks before it all have
+full length, so its mean is read from one table of every window's mean; only
+NBB rows after a short grid block are laid, from that block on, by the
+band's own ``_laid_values``.  The ``M`` rows are scored in contiguous row
+slices of at most ``_SLICE_ELEMENTS`` block starts; each row's squared
+distance goes into one ``(M,)`` vector, averaged as :func:`distance`
+averages it.  No ``(M, n)`` replicate matrix is built: beside the word
+matrix, of ``ceil(n / l_min) + 16`` words per row, a candidate holds one
+table and one slice.  The block means equal :func:`batch_resample`'s bit for
+bit.  The :class:`SelectorCurve` returned by :func:`select_block_length`
+holds the distance, penalty and objective of every candidate.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-# selection no longer lays replicates, but perfbench/traced_cli.py still wraps
-# batch_resample here
-from .bootstrap import BlockPlan, BootstrapMethod, _read_words, _start_matrix, batch_resample  # noqa: F401
+from .bootstrap import BlockPlan, BootstrapMethod, _laid_values, _read_words, _start_matrix
+from .bootstrap import batch_resample  # noqa: F401  (perfbench/traced_cli.py wraps it here)
 from .errors import ValidationError
 from .timeseries import _freeze, write_csv
 
@@ -170,7 +168,7 @@ def _replicate_block_means(x, table, starts, l: int) -> np.ndarray:
     start whenever every block before it has full length, so its mean is read
     from the :func:`_window_means` ``table``.  A start past ``n - l`` (the
     short NBB grid block) shifts every later block, so from that block on the
-    row is laid and averaged as :func:`batch_resample` lays it.
+    row is laid by the band's own :func:`_laid_values` and averaged.
     """
     n = x.size
     b = n // l
@@ -186,37 +184,9 @@ def _replicate_block_means(x, table, starts, l: int) -> np.ndarray:
     parts = np.split(np.arange(rows.size), np.flatnonzero(np.diff(cut)) + 1) if rows.size else []
     for part in parts:
         r, c = np.nonzero(np.arange(b) >= first[part, None])
-        means[rows[part][r], c] = _laid_block_means(x, starts[rows[part]], first[part], l)
+        laid = _laid_values(x, starts[rows[part]], l, first[part], (b - first[part]) * l)
+        means[rows[part][r], c] = laid.reshape(-1, l).mean(axis=1)
     return means
-
-
-def _laid_block_means(x, starts, first, l: int) -> np.ndarray:
-    """Means of blocks ``first[k]`` to ``n // l - 1`` of each replicate laid from ``starts``.
-
-    As :func:`batch_resample` lays them, the block at start ``s`` keeps its
-    ``min(l, n - s)`` values inside the series and a row ends after ``n``
-    values; blocks before ``first[k]`` have full length.  Every row's values
-    from block ``first[k]`` on are gathered by one ``repeat`` and averaged
-    ``l`` at a time, in row order.
-    """
-    n = x.size
-    # in place and dropped early: these arrays bound the peak memory of a slice
-    lens = np.minimum(n - starts, l)
-    lens[np.arange(starts.shape[1]) < first[:, None]] = 0
-    # keep only the (n // l - first) * l values that the block means read
-    before = np.cumsum(lens, axis=1)
-    before -= lens
-    np.subtract(((n // l - first) * l)[:, None], before, out=before)
-    np.clip(before, 0, lens, out=lens)
-    del before
-    lens = lens.ravel()
-    at = np.cumsum(lens)
-    at -= lens
-    np.subtract(starts.ravel(), at, out=at)
-    idx = np.repeat(at, lens)
-    del at
-    idx += np.arange(idx.size)
-    return x[idx].reshape(-1, l).mean(axis=1)
 
 
 def _candidate_distance(x, words, plan: BlockPlan) -> float:

@@ -2,7 +2,7 @@
 
 Three schemes are provided.  They differ only in how block starts are
 drawn; :func:`batch_resample` then lays the blocks at those starts end to
-end with one gather and truncates to the input length ``n``:
+end and truncates to the input length ``n``:
 
 * non-overlapping (``nbb``): blocks start on the fixed grid 0, l, 2l, ...;
   the last grid block may be shorter than ``l`` when ``l`` does not divide
@@ -18,8 +18,8 @@ Row ``k`` of a batch is drawn from the sub-stream keyed by
 the batch size.  Every row's starts, for the band and for block-length
 selection alike, are mapped from its raw PCG64 words by the multiply-shift
 rule of ``Generator.integers`` (Lemire 2019, ACM TOMACS 29(1)); a row that
-rule cannot map is redrawn by :func:`draw_starts`.  The drawn block starts
-are returned next to the value matrix for audit.
+rule cannot map is redrawn by :func:`draw_starts`, and every row is laid by
+:func:`_laid_values`.  The drawn block starts are returned for audit.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .errors import ValidationError
 
 # 32-bit words per row for NBB top-ups, after the main draw's; a row that needs more is redrawn
 _TOPUP_WORDS = 16
+# batch_resample lays its rows in slices of at most this many values (or one row);
+# a slice's index and values come on top of the value matrix, so they are kept small
+_SLICE_VALUES = 1 << 13
 
 
 class BootstrapMethod(str, enum.Enum):
@@ -197,16 +200,44 @@ def _start_matrix(words, n: int, plan: BlockPlan, first: int = 0, sizes=None) ->
     return starts
 
 
+def _laid_values(x, starts, l: int, first, need) -> np.ndarray:
+    """The values of the rows laid from the ``starts`` matrix, concatenated in row order.
+
+    The block at start ``s`` keeps its ``min(l, n - s)`` values inside the
+    series and the blocks of a row run end to end.  Row ``k`` is laid from its
+    block ``first[k]`` on and keeps its first ``need[k]`` values, which with
+    the skipped blocks' values stay within the ``n`` its starts cover, so the
+    zeros that pad an NBB row add none.  ``first`` or ``need`` may be a scalar.
+    """
+    n = x.size
+    # in place and dropped early: these arrays bound the peak memory of a slice
+    lens = np.minimum(n - starts, l)
+    lens *= np.arange(starts.shape[1]) >= np.reshape(first, (-1, 1))
+    before = np.cumsum(lens, axis=1)
+    before -= lens
+    np.subtract(np.reshape(need, (-1, 1)), before, out=before)
+    np.clip(before, 0, lens, out=lens)
+    del before
+    lens = lens.ravel()
+    at = np.cumsum(lens)
+    at -= lens
+    np.subtract(starts.ravel(), at, out=at)
+    idx = np.repeat(at, lens)
+    del at
+    idx += np.arange(idx.size)
+    return x[idx]
+
+
 def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Draw ``count`` pseudo-series of ``x`` on sub-streams 0 .. count-1 of ``plan.seed``.
 
     Returns the read-only ``(count, n)`` value matrix and, per row, the
     drawn block starts in laying order (NBB rows can hold different numbers
     of starts), mapped by :func:`_start_matrix` as selection maps them.  The
-    blocks at a row's starts are laid end to end by one gather and truncated
-    to ``n``.  Positions past the end of the series are dropped first, which
-    shortens only an NBB grid block when ``l`` does not divide ``n``; MBB and
-    LBB starts always leave room for a full block.
+    rows are laid by :func:`_laid_values` in slices of at most
+    ``_SLICE_VALUES`` values (or one row); positions past the end of the
+    series are dropped, which shortens only an NBB grid block when ``l`` does
+    not divide ``n``; MBB and LBB starts always leave room for a full block.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -218,11 +249,10 @@ def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.
         raise ValidationError(f"block_len {plan.block_len} exceeds series length {n}")
     sizes = np.empty(count, dtype=np.intp)
     matrix = _start_matrix(_read_words(plan.seed, count, n, plan.block_len), n, plan, sizes=sizes)
-    starts = [row[:size] for row, size in zip(matrix, sizes.tolist())]
-    offsets = np.arange(plan.block_len)
     values = np.empty((count, n))
-    for k, row_starts in enumerate(starts):
-        idx = (row_starts[:, None] + offsets).ravel()
-        values[k] = x[idx[idx < n][:n]]
+    step = max(1, _SLICE_VALUES // n)
+    for lo in range(0, count, step):
+        laid = _laid_values(x, matrix[lo : lo + step], plan.block_len, 0, n)
+        values[lo : lo + step] = laid.reshape(-1, n)
     values.setflags(write=False)
-    return values, starts
+    return values, [row[:size] for row, size in zip(matrix, sizes.tolist())]

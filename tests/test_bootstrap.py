@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bootband import bootstrap
 from bootband.bootstrap import BlockPlan, batch_resample
 from bootband.errors import ValidationError
 
@@ -251,6 +252,81 @@ def test_identity_at_full_block(n, seed, method):
     plan = BlockPlan(method=method, block_len=n, locality=locality, seed=seed)
     values, _ = first_row(x, plan)
     assert np.array_equal(values, x)
+
+
+def laid_reference(x, row, l, first, need):
+    """Loop oracle: lay every start of a start-matrix row, padding included,
+    keep the row's first n values, skip the blocks before ``first`` and keep
+    ``need`` values."""
+    blocks = [x[s : s + l] for s in row.tolist()]
+    laid = np.concatenate(blocks)[: x.size]
+    skip = sum(block.size for block in blocks[:first])
+    return laid[skip : skip + need]
+
+
+@given(st.integers(2, 60), st.integers(1, 60), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from(["nbb", "mbb", "lbb"]), st.booleans())
+@settings(max_examples=200)
+def test_laid_values_equals_a_loop_over_the_start_matrix(n, l, reps, seed, method, force_redraw):
+    l = min(l, n)
+    x = np.random.default_rng(seed).standard_normal(n)
+    plan = BlockPlan(method=method, block_len=l, locality=1.0, seed=seed)
+    words = bootstrap._read_words(seed, reps, n, l)
+    with pytest.MonkeyPatch.context() as mp:
+        if force_redraw:
+            # as the selector's redraw tests force one: row 0 is redrawn
+            # from its sub-stream, which may widen the matrix with zeros
+            real_draws = bootstrap._lemire_draws
+
+            def rejecting(words, bound, out):
+                rejected = real_draws(words, bound, out)
+                rejected[:1] = True
+                return rejected
+
+            mp.setattr(bootstrap, "_lemire_draws", rejecting)
+        sizes = np.empty(reps, dtype=np.intp)
+        starts = bootstrap._start_matrix(words, n, plan, sizes=sizes)
+    # the band's case: every row from its first block, n values each
+    band = bootstrap._laid_values(x, starts, l, 0, n)
+    expected = [laid_reference(x, row, l, 0, n) for row in starts]
+    assert band.tolist() == np.concatenate(expected).tolist()
+    # the selector's case: rows with a short grid block among their first
+    # n // l, laid from that block on for the block means that follow it
+    b = n // l
+    short = starts[:, :b] > n - l
+    rows = np.flatnonzero(short.any(axis=1))
+    first = short[rows].argmax(axis=1)
+    need = (b - first) * l
+    laid = bootstrap._laid_values(x, starts[rows], l, first, need)
+    expected = [laid_reference(x, starts[k], l, f, m) for k, f, m in zip(rows, first, need)]
+    assert laid.tolist() == np.concatenate([[], *expected]).tolist()
+
+
+def test_laid_values_lays_topups_and_skips_padding():
+    # a short grid block at n = 23, l = 4 forces top-ups in some rows, so
+    # the other rows of the start matrix end in zeros
+    n, l = 23, 4
+    sizes = np.empty(30, dtype=np.intp)
+    plan = BlockPlan(method="nbb", block_len=l, seed=41)
+    starts = bootstrap._start_matrix(bootstrap._read_words(41, 30, n, l), n, plan, sizes=sizes)
+    assert (sizes > -(-n // l)).any() and (sizes < starts.shape[1]).any()
+    x = np.arange(float(n))
+    laid = bootstrap._laid_values(x, starts, l, 0, n).reshape(-1, n)
+    for row, values in zip(starts, laid):
+        assert values.tolist() == laid_reference(x, row, l, 0, n).tolist()
+
+
+@pytest.mark.parametrize("method,n,l", [("nbb", 23, 4), ("mbb", 40, 3), ("lbb", 31, 5)])
+@pytest.mark.parametrize("slice_values", [1, 2 * 23 + 1, 5 * 40])
+def test_batch_resample_in_slices_equals_one_slice(monkeypatch, method, n, l, slice_values):
+    # the default bound lays all 37 rows in one slice
+    x = np.random.default_rng(9).standard_normal(n)
+    plan = BlockPlan(method=method, block_len=l, locality=0.2, seed=17)
+    whole, whole_starts = batch_resample(x, plan, 37)
+    monkeypatch.setattr(bootstrap, "_SLICE_VALUES", slice_values)
+    sliced, sliced_starts = batch_resample(x, plan, 37)
+    assert sliced.tolist() == whole.tolist()
+    assert [s.tolist() for s in sliced_starts] == [s.tolist() for s in whole_starts]
 
 
 # SHA-256 of the JSON list of every row's starts, 25 rows each.  PCG64 and

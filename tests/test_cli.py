@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from bootband import BootstrapMethod, PipelineConfig, SelectorConfig, TrainConfi
 from bootband._rng import derive_seed
 from bootband.cli import main
 from bootband.errors import ValidationError
+from bootband.manifest import RunManifest
 import make_gbm_csv
 from conftest import gbm_prices, strip_volatile, write_price_csv
 
@@ -603,6 +605,51 @@ class TestBlasThreadPin:
         assert bands[0] == bands[1]
         assert recorded[0] == dict.fromkeys(BLAS_VARS, "1")
         assert recorded[1] == {**dict.fromkeys(BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": "2"}
+
+
+class TestNumericPlatform:
+    def test_manifest_records_the_platform(self, csv90, tmp_path):
+        out = tmp_path / "out"
+        assert main(["resample", "--input", csv90, "--method", "mbb", "--block-len", "3",
+                     "--seed", "1", "--output-dir", str(out)]) == 0
+        recorded = read_json(out / "manifest.json")["execution"]["platform"]
+        assert set(recorded) == {"numpy", "openblas_core", "simd_targets"}
+        assert recorded["numpy"] == np.__version__
+        assert recorded["openblas_core"] is None or isinstance(recorded["openblas_core"], str)
+        assert all(isinstance(target, str) for target in recorded["simd_targets"])
+
+    def test_only_the_execution_block_gains_it(self, tmp_path):
+        RunManifest("resample", {"block_len": 3}, "p.csv", "ab", seed=1).write(tmp_path / "m.json")
+        doc = read_json(tmp_path / "m.json")
+        execution = doc.pop("execution")
+        assert set(execution) == {"jobs", "timings_seconds", "blas_threads", "platform",
+                                  "created_utc"}
+        assert doc == {"command": "resample", "config": {"block_len": 3}, "input_path": "p.csv",
+                       "input_sha256": "ab", "seed": 1, "tool_version": bootband.__version__}
+
+    def test_band_agrees_across_blas_kernels(self, csv90, tmp_path):
+        # the float bits of a fit and of the selector's distances depend on the
+        # kernel OpenBLAS picks for the CPU; at hidden 32 and 3 epochs this
+        # band's bytes differ between an AVX-512 CPU's SkylakeX kernel and Haswell
+        runs = {}
+        for name, env in (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+            out = tmp_path / name
+            fresh_python(["-m", "bootband", "compare", "--input", csv90,
+                          *fast_flags(out, ["--hidden", "32", "--epochs", "3", "--reps", "4"])],
+                         tmp_path, **env)
+            runs[name] = out
+        if platform.machine() in ("x86_64", "AMD64"):
+            recorded = read_json(runs["haswell"] / "manifest.json")["execution"]["platform"]
+            assert recorded["openblas_core"] in (None, "Haswell")
+        reports = [{row["method"]: row for row in read_json(out / "report.json")["ranking"]}
+                   for out in runs.values()]
+        for method in ("nbb", "mbb", "lbb"):
+            for key in ("l_opt", "failed_replicates"):
+                assert reports[0][method][key] == reports[1][method][key]
+            default, haswell = (np.loadtxt(out / f"band_{method}.csv", delimiter=",",
+                                           skiprows=1, usecols=(1, 2, 3)) for out in runs.values())
+            tolerance = 1e-9 * np.mean(default[:, 2] - default[:, 0])
+            assert np.abs(default - haswell).max() <= tolerance
 
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
