@@ -27,17 +27,23 @@ time-major ``(n, R)`` series and one seed per column; one network is a group
 of one.
 
 A fit allocates its step arrays once, in a workspace sized by its first
-(widest) minibatch: the states ``h`` and ``c``, the activated gates, stored
-gate-major as ``(lookback, 4, R, batch, H)`` so that each gate is one
-contiguous block, ``tanh(c)``, the ``(R, batch, 4H)`` pre-activation block
-(which backward reuses for d(pre-activation), built gate-major in a block of
-its own first), the gradient and Adam's scratch.  The forward pass,
-:func:`backward` and the Adam update write into it, and Adam updates
-``theta`` and its moments in place.  A shorter last batch uses leading
-slices of the same buffers, and each minibatch gathers its windows from a
-view of the series.
-Called on their own, :func:`loss`, :func:`backward` and :func:`adam_step`
-run the same code on a fresh workspace or on copies.
+(widest) minibatch: the minibatch's windows and dropout masks, the states
+``h`` and ``c``, the activated gates, stored gate-major as
+``(lookback, 4, R, batch, H)`` so that each gate is one contiguous block
+(one multiply first fills every step's block with ``x * W``), ``tanh(c)``,
+the ``(R, batch, 4H)`` pre-activation block (which backward reuses for
+d(pre-activation), built gate-major in a block of its own first), the
+gradient and Adam's scratch.  On them it builds one step object per batch
+width, at most two: the full batch and a shorter last one, whose buffers
+are leading slices of the same memory.  The object holds every view a step
+reads or writes: the parameter and gradient views, the gate blocks and the
+per-timestep tuples of the forward and backward loops.  A minibatch then
+only gathers its windows from a view of the series into the step's buffer;
+the forward pass, :func:`backward`'s arithmetic and the Adam update run on
+the object, and Adam updates ``theta`` and its moments in place.
+Called on their own, :func:`_forward_pass`, :func:`loss`, :func:`backward`
+and :func:`adam_step` run the same code on a fresh step object per call, or
+on copies.
 
 During training an inverted-dropout mask is applied to the final hidden
 state only, and an L2 penalty is applied to the input kernels and dense
@@ -179,9 +185,9 @@ class _Workspace:
     a C-contiguous array of that shape, so a smaller step (the short last
     batch, an inference pass's last row slice) reuses the memory of the
     widest one and keeps the strides of a freshly allocated array.  A buffer
-    grows only when a request exceeds it; :func:`fit` asks for its widest step
-    first.  Contents carry over between requests: callers overwrite or zero
-    what they read.
+    grows only when a request exceeds it; :func:`fit` builds the step of its
+    widest batch first.  Contents carry over between requests: callers
+    overwrite or zero what they read.
     """
 
     def __init__(self):
@@ -197,31 +203,188 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-@dataclass
-class ForwardCache:
-    """Activations of a batched forward pass, for backprop.
-
-    ``h[t]`` and ``c[t]`` are the states after ``t`` steps (``h[0]`` is zero);
-    ``gates[t]`` holds step ``t``'s activated f, i, o and c_tilde gate-major,
-    so ``gates[t, k]`` is gate ``k`` over the whole batch.  Every array after
-    the time and gate axes has the leading axes of ``theta``.  The arrays live
-    in ``ws``, which :func:`backward` takes its own buffers from.
-    """
-
-    windows: np.ndarray
-    h: np.ndarray
-    c: np.ndarray
-    gates: np.ndarray
-    tanh_c: np.ndarray
-    masks: np.ndarray | None
-    h_dropped: np.ndarray
-    preds: np.ndarray
-    ws: _Workspace
-
-
 def _gate_blocks(block: np.ndarray) -> np.ndarray:
     """The ``(4, ..., H)`` gate-major view of a ``(..., 4H)`` gate-interleaved block."""
     return np.moveaxis(block.reshape(*block.shape[:-1], 4, -1), -2, 0)
+
+
+class _Step:
+    """Every view that one step over one batch width reads or writes.
+
+    Built from ``theta``, the step's ``(..., batch, lookback)`` windows, its
+    dropout masks (or ``None``) and a workspace, it holds the parameter views,
+    the activation buffers and the per-timestep tuples of the forward loop.
+    ``h[t]`` and ``c[t]`` are the states after ``t`` steps (``h[0]`` is zero);
+    ``gates[t]`` holds step ``t``'s activated f, i, o and c_tilde gate-major,
+    so ``gates[t, k]`` is gate ``k`` over the whole batch.  Every array after
+    the time and gate axes has the leading axes of ``theta``.  With ``grad``,
+    an array of ``theta``'s shape, it also holds the gradient views, the
+    backward buffers and their per-timestep tuples, and Adam's ``scratch``.
+    The windows and masks are read where they are, not copied.  Without
+    ``keep_cache`` the states live in two rolling slots and only
+    :meth:`forward` runs.
+    """
+
+    def __init__(self, theta, windows, masks, ws, *, keep_cache=True, grad=None):
+        W, U, b, dense_w, dense_b = param_views(theta)
+        lead, (batch, lookback) = theta.shape[:-1], windows.shape[-2:]
+        hidden = dense_w.shape[-1]
+        shape = (*lead, batch, hidden)
+        self.windows, self.masks, self.ws, self.grad = windows, masks, ws, grad
+        if grad is not None:
+            # Adam's scratch before the backward's dU, a smaller view of its buffer
+            self.scratch = ws.take("scratch", theta.shape)
+        slots = lookback if keep_cache else 1
+        self.h = ws.take("h", (slots + 1, *shape))
+        self.c = ws.take("c", (slots + 1, *shape))
+        self.gates = ws.take("gates", (slots, 4, *shape))
+        self.tanh_c = ws.take("tanh_c", (slots, *shape))
+        self._a = ws.take("pre", (*shape[:-1], 4 * hidden))
+        a_gates = _gate_blocks(self._a)
+        self._a_sig, self._a_cand = a_gates[:3], a_gates[3]
+        self._fc = ws.take("tmp", shape)
+        self._U, self._W, self._b = U, W[..., None, :], b[..., None, :]
+        # each step's gate block holds x * W until its activations overwrite it
+        xw = self.gates.reshape(slots, *self._a.shape)
+        self._xw_all = self._x_all = None
+        if keep_cache:  # one multiply for every step
+            self._xw_all = xw
+            self._x_all = np.moveaxis(np.broadcast_to(windows, (*lead, batch, lookback)), -1, 0)[..., None]
+        # one view per slot, shared by the per-timestep tuples; a gate slot is
+        # (f, i, o block, f, i, o, c_tilde)
+        h, c, tanh_c, xw = (tuple(arr) for arr in (self.h, self.c, self.tanh_c, xw))
+        gates = [(g[:3], *g) for g in self.gates]
+        forward_steps = []
+        for t in range(lookback):
+            old, new = (t, t + 1) if keep_cache else (t % 2, (t + 1) % 2)
+            slot = t if keep_cache else 0
+            x = None if keep_cache else windows[..., t, None]
+            forward_steps.append((x, xw[slot], h[old], c[old], *gates[slot], c[new], tanh_c[slot], h[new]))
+        self._forward_steps = tuple(forward_steps)
+        self._h_last = h[new]
+        self.h_dropped = self._h_last if masks is None else ws.take("h_dropped", shape)
+        self._head = ws.take("head", (*shape[:-1], 1))
+        self.preds = self._head[..., 0]
+        self._dense_w_col, self._dense_b_col = dense_w[..., None], dense_b[..., None]
+        if keep_cache:
+            # preds - targets, which the loss and the backward pass both read
+            self.diff = ws.take("diff", self.preds.shape)
+        if grad is None:
+            return
+
+        gW, gU, gb, gdense_w, gdense_b = param_views(grad)
+        self._gW, self._gb, self._gdense_w, self._gdense_b = gW, gb, gdense_w, gdense_b
+        # gU in two dimensions: an in-place add into the 3-D view would copy it first
+        self._gU_rows = gU.reshape(*gU.shape[:-2], -1)
+        self._dU = ws.take("scratch", gU.shape)
+        self._dU_rows = self._dU.reshape(self._gU_rows.shape)
+        self._Ut, self._dense_w_row = U.swapaxes(-1, -2), dense_w[..., None, :]
+        self._kernel_views = (W, gW), (dense_w, gdense_w)
+        self._h_dropped_T = self.h_dropped.swapaxes(-1, -2)
+        # dpred = 2 (preds - targets) / batch, built in diff's buffer
+        self._dpred_col = self.diff[..., None]
+        self._dh, self._dc_carry, self._dc = (ws.take(name, shape) for name in ("dh", "dc_carry", "dc"))
+        # each gate's d(pre-activation) is built in a contiguous gate-major block
+        # and copied into the pre-activation block once per step: a ufunc
+        # writing a strided gate view costs more than the copy
+        self._dgates = ws.take("dgates", (4, *shape))
+        self._da_gates = a_gates
+        # until that copy, the pre-activation block's memory is free: it holds
+        # 1 - f, 1 - i and 1 - o
+        self._one_minus = self._a.reshape(-1)[: 3 * math.prod(shape)].reshape(3, *shape)
+        # the window operand keeps its per-slice strides: a contiguous copy
+        # takes another matmul path, with other rounding
+        self._backward_steps = tuple(
+            (windows[..., None, :, t], *gates[t], tanh_c[t], c[t],
+             h[t].swapaxes(-1, -2) if t else None)
+            for t in reversed(range(lookback))
+        )
+
+    def forward(self) -> np.ndarray:
+        """Unroll the cell over the windows from zero state; returns ``preds``."""
+        a, U, W, b, fc = self._a, self._U, self._W, self._b, self._fc
+        a_sig, a_cand = self._a_sig, self._a_cand
+        self.h[0] = self.c[0] = 0.0
+        if self._x_all is not None:
+            np.multiply(self._x_all, W, out=self._xw_all)
+        for t, (x, xw, h_old, c_old, sig, f, i, o, c_tilde, c_new, tc, h_new) in enumerate(
+            self._forward_steps
+        ):
+            if x is not None:
+                np.multiply(x, W, out=xw)
+            if t:
+                np.matmul(h_old, U, out=a)
+                a += xw
+                a += b
+            else:  # h[0] is zero
+                np.add(xw, b, out=a)
+            # logistic sigmoid as 0.5 * tanh(a / 2) + 0.5, which cannot overflow,
+            # over the contiguous f, i, o blocks; tanh over the candidate
+            np.multiply(a_sig, 0.5, out=sig)
+            np.tanh(sig, out=sig)
+            sig *= 0.5
+            sig += 0.5
+            np.tanh(a_cand, out=c_tilde)
+            # the f * c[0] term at t = 0 fixes the sign of a zero cell
+            np.multiply(i, c_tilde, out=c_new)
+            c_new += np.multiply(f, c_old, out=fc)
+            np.tanh(c_new, out=tc)
+            np.multiply(o, tc, out=h_new)
+        if self.masks is not None:
+            np.multiply(self._h_last, self.masks, out=self.h_dropped)
+        np.matmul(self.h_dropped, self._dense_w_col, out=self._head)
+        self.preds += self._dense_b_col
+        return self.preds
+
+    def backward(self, l2_coeff: float) -> np.ndarray:
+        """Exact gradient into ``grad`` via BPTT, row by row, from the last forward pass and ``diff``."""
+        grad, dh, dc, tmp, dc_carry = self.grad, self._dh, self._dc, self._fc, self._dc_carry
+        dgates, da, da_gates, one_minus = self._dgates, self._a, self._da_gates, self._one_minus
+        da_f, da_i, da_o, da_c = dgates
+        dg_sig = dgates[:3]
+        gW, gb, gU_rows, dU, dU_rows, Ut = (
+            self._gW, self._gb, self._gU_rows, self._dU, self._dU_rows, self._Ut
+        )
+        grad[...] = 0.0
+        dpred = np.multiply(self.diff, 2.0, out=self.diff)
+        dpred /= self.windows.shape[-2]
+        self._gdense_w[...] = (self._h_dropped_T @ self._dpred_col)[..., 0]
+        self._gdense_b[...] = dpred.sum(axis=-1)
+        np.multiply(self._dpred_col, self._dense_w_row, out=dh)
+        if self.masks is not None:
+            dh *= self.masks
+        dc_carry[...] = 0.0
+
+        for x, sig, f, i, o, c_tilde, tanh_c, c_t, h_t in self._backward_steps:
+            # dc = dh * o * (1 - tanh_c**2) + dc_carry
+            np.multiply(dh, o, out=dc)
+            dc *= np.subtract(1.0, np.square(tanh_c, out=tmp), out=tmp)
+            dc += dc_carry
+            # da_f = dc * c[t] * f * (1 - f), da_i = dc * c_tilde * i * (1 - i) and
+            # da_o = do * o * (1 - o), where do = dh * tanh_c: the three sigmoid
+            # factors are applied to the contiguous f, i, o blocks at once
+            np.multiply(dc, c_t, out=da_f)
+            np.multiply(dc, c_tilde, out=da_i)
+            np.multiply(dh, tanh_c, out=da_o)
+            dg_sig *= sig
+            dg_sig *= np.subtract(1.0, sig, out=one_minus)
+            # da_c = dc * i * (1 - c_tilde**2)
+            np.multiply(dc, i, out=da_c)
+            da_c *= np.subtract(1.0, np.square(c_tilde, out=tmp), out=tmp)
+            np.copyto(da_gates, dgates)
+            gW += (x @ da)[..., 0, :]
+            gb += da.sum(axis=-2)
+            if h_t is not None:  # h[0] is zero, and nothing reads dh or dc_carry after step 0
+                np.matmul(h_t, da, out=dU)
+                gU_rows += dU_rows
+                np.matmul(da, Ut, out=dh)
+                np.multiply(dc, f, out=dc_carry)
+
+        if l2_coeff:
+            # the penalty covers W and dense_w: see kernel_mask
+            for weights, g in self._kernel_views:
+                g += 2.0 * l2_coeff * weights
+        return grad
 
 
 def _forward_pass(
@@ -230,69 +393,18 @@ def _forward_pass(
     masks: np.ndarray | None,
     keep_cache: bool = True,
     ws: _Workspace | None = None,
-) -> tuple[np.ndarray, ForwardCache | None]:
+) -> tuple[np.ndarray, _Step | None]:
     """Unroll the cell over ``(..., batch, lookback)`` windows from zero state.
 
     ``theta`` is ``(P,)`` or ``(R, P)``; ``windows`` either carries the same
     leading axis or is shared by every row.  Every activation is written into
     ``ws`` (a fresh workspace by default), the returned predictions too.
-    Without ``keep_cache`` the states live in two rolling slots and no cache
-    is returned.
+    With ``keep_cache`` the returned step is the cache :func:`backward` reads;
+    without it the states live in two rolling slots and ``None`` is returned.
     """
-    W, U, b, dense_w, dense_b = param_views(theta)
-    windows = np.asarray(windows, dtype=np.float64)
     ws = _Workspace() if ws is None else ws
-    lookback = windows.shape[-1]
-    hidden = dense_w.shape[-1]
-    shape = (*theta.shape[:-1], windows.shape[-2], hidden)
-    slots = lookback if keep_cache else 1
-    h = ws.take("h", (slots + 1, *shape))
-    c = ws.take("c", (slots + 1, *shape))
-    h[0] = c[0] = 0.0
-    gates = ws.take("gates", (slots, 4, *shape))
-    tanh_c = ws.take("tanh_c", (slots, *shape))
-    a = ws.take("pre", (*shape[:-1], 4 * hidden))
-    a_gates = _gate_blocks(a)
-    fc = ws.take("tmp", shape)
-    W, b = W[..., None, :], b[..., None, :]
-    new = 0
-    for t in range(lookback):
-        old, new = (t, t + 1) if keep_cache else (t % 2, (t + 1) % 2)
-        g = gates[t if keep_cache else 0]
-        if t:
-            np.matmul(h[old], U, out=a)
-            # the step's gate block holds x * W until the activations overwrite it
-            a += np.multiply(windows[..., t, None], W, out=g.reshape(a.shape))
-        else:  # h[0] is zero
-            np.multiply(windows[..., 0, None], W, out=a)
-        a += b
-        f, i, o, c_tilde = g
-        # logistic sigmoid as 0.5 * tanh(a / 2) + 0.5, which cannot overflow,
-        # over the contiguous f, i, o blocks; tanh over the candidate
-        sig = g[:3]
-        np.multiply(a_gates[:3], 0.5, out=sig)
-        np.tanh(sig, out=sig)
-        sig *= 0.5
-        sig += 0.5
-        np.tanh(a_gates[3], out=c_tilde)
-        # the f * c[0] term at t = 0 fixes the sign of a zero cell
-        np.multiply(i, c_tilde, out=c[new])
-        c[new] += np.multiply(f, c[old], out=fc)
-        tc = tanh_c[t if keep_cache else 0]
-        np.tanh(c[new], out=tc)
-        np.multiply(o, tc, out=h[new])
-    h_dropped = h[new]
-    if masks is not None:
-        h_dropped = np.multiply(h_dropped, masks, out=ws.take("h_dropped", shape))
-    preds = np.matmul(h_dropped, dense_w[..., None], out=ws.take("head", (*shape[:-1], 1)))[..., 0]
-    preds += dense_b[..., None]
-    if not keep_cache:
-        return preds, None
-    cache = ForwardCache(
-        windows=windows, h=h, c=c, gates=gates, tanh_c=tanh_c,
-        masks=masks, h_dropped=h_dropped, preds=preds, ws=ws,
-    )
-    return preds, cache
+    step = _Step(theta, np.asarray(windows, dtype=np.float64), masks, ws, keep_cache=keep_cache)
+    return step.forward(), step if keep_cache else None
 
 
 def _infer(theta: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -313,25 +425,20 @@ def _infer(theta: np.ndarray, windows: np.ndarray) -> np.ndarray:
 
 def _loss(
     theta: np.ndarray,
-    windows: np.ndarray,
+    step: _Step,
     targets: np.ndarray,
-    masks: np.ndarray | None,
     l2_coeff: float,
     kernel: np.ndarray,
-    ws: _Workspace | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Batch loss of each row of ``theta`` and the forward cache its gradient needs.
+) -> np.ndarray:
+    """Run ``step``'s forward pass; returns the batch loss of each row of ``theta``.
 
     ``kernel`` holds the indices of the penalized entries (see :func:`kernel_mask`).
     """
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
-    if targets.shape[-1] == 0:
-        raise ValidationError("empty batch")
-    preds, cache = _forward_pass(theta, windows, masks, ws=ws)
-    value = np.mean((preds - targets) ** 2, axis=-1)
+    diff = np.subtract(step.forward(), targets, out=step.diff)
+    value = np.mean(diff ** 2, axis=-1)
     if l2_coeff:
         value = value + l2_coeff * np.sum(np.take(theta, kernel, axis=-1) ** 2, axis=-1)
-    return value, cache
+    return value
 
 
 def loss(
@@ -340,16 +447,20 @@ def loss(
     targets: np.ndarray,
     l2_coeff: float = 0.0,
     masks: np.ndarray | None = None,
-) -> float:
-    """Mean squared error plus the kernel L2 penalty."""
-    kernel = np.flatnonzero(kernel_mask(param_views(theta)[3].size))
-    return float(_loss(theta, windows, targets, masks, l2_coeff, kernel)[0])
+) -> float | np.ndarray:
+    """Mean squared error plus the kernel L2 penalty: a float, or one per row of an ``(R, P)`` ``theta``."""
+    if np.shape(targets)[-1:] == (0,):
+        raise ValidationError("empty batch")
+    kernel = np.flatnonzero(kernel_mask(param_views(theta)[3].shape[-1]))
+    step = _Step(theta, np.asarray(windows, dtype=np.float64), masks, _Workspace())
+    value = _loss(theta, step, targets, l2_coeff, kernel)
+    return float(value) if value.ndim == 0 else value
 
 
 def backward(
     theta: np.ndarray,
     targets: np.ndarray,
-    cache: ForwardCache,
+    cache: _Step,
     l2_coeff: float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -358,75 +469,10 @@ def backward(
     The gradient goes into ``out`` if given, else into a new array; every
     per-step block comes from the cache's workspace.
     """
-    _, U, _, dense_w, _ = param_views(theta)
     grad = np.empty_like(theta) if out is None else out
-    grad[...] = 0.0
-    gW, gU, gb, gdense_w, gdense_b = param_views(grad)
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
-    batch = targets.shape[-1]
-    ws = cache.ws
-    shape = cache.h.shape[1:]  # (..., batch, H)
-    Ut = U.swapaxes(-1, -2)
-
-    dpred = 2.0 * (cache.preds - targets) / batch
-    gdense_w[...] = (cache.h_dropped.swapaxes(-1, -2) @ dpred[..., None])[..., 0]
-    gdense_b[...] = dpred.sum(axis=-1)
-    dh = np.multiply(dpred[..., None], dense_w[..., None, :], out=ws.take("dh", shape))
-    if cache.masks is not None:
-        dh *= cache.masks
-    dc_carry = ws.take("dc_carry", shape)
-    dc_carry[...] = 0.0
-    dc, tmp = ws.take("dc", shape), ws.take("tmp", shape)
-    # the forward pass's pre-activation block, free once its gates are activated
-    da = ws.take("pre", (*shape[:-1], 4 * U.shape[-2]))
-    # each gate's d(pre-activation) is built in a contiguous gate-major block
-    # and copied into da once per step: a ufunc writing a strided gate view
-    # costs more than the copy
-    dgates = ws.take("dgates", (4, *shape))
-    da_f, da_i, da_o, da_c = dgates
-    da_gates = _gate_blocks(da)
-    # until that copy, da's memory is free: it holds 1 - f, 1 - i and 1 - o
-    one_minus = da.reshape(-1)[: 3 * dc.size].reshape(3, *shape)
-    # gU in two dimensions: an in-place add into the 3-D view would copy it first
-    gU_rows = gU.reshape(*gU.shape[:-2], -1)
-    dU = ws.take("scratch", gU.shape)
-
-    for t in reversed(range(cache.gates.shape[0])):
-        f, i, o, c_tilde = cache.gates[t]
-        tanh_c = cache.tanh_c[t]
-        # dc = dh * o * (1 - tanh_c**2) + dc_carry
-        np.multiply(dh, o, out=dc)
-        dc *= np.subtract(1.0, np.square(tanh_c, out=tmp), out=tmp)
-        dc += dc_carry
-        # da_f = dc * c[t] * f * (1 - f), da_i = dc * c_tilde * i * (1 - i) and
-        # da_o = do * o * (1 - o), where do = dh * tanh_c: the three sigmoid
-        # factors are applied to the contiguous f, i, o blocks at once
-        np.multiply(dc, cache.c[t], out=da_f)
-        np.multiply(dc, c_tilde, out=da_i)
-        np.multiply(dh, tanh_c, out=da_o)
-        sig = cache.gates[t, :3]
-        dgates[:3] *= sig
-        dgates[:3] *= np.subtract(1.0, sig, out=one_minus)
-        # da_c = dc * i * (1 - c_tilde**2)
-        np.multiply(dc, i, out=da_c)
-        da_c *= np.subtract(1.0, np.square(c_tilde, out=tmp), out=tmp)
-        np.copyto(da_gates, dgates)
-        # the window operand keeps its per-slice strides: a contiguous copy
-        # takes another matmul path, with other rounding
-        gW += (cache.windows[..., None, :, t] @ da)[..., 0, :]
-        gb += da.sum(axis=-2)
-        if t:  # h[0] is zero, and nothing reads dh or dc_carry after step 0
-            np.matmul(cache.h[t].swapaxes(-1, -2), da, out=dU)
-            gU_rows += dU.reshape(gU_rows.shape)
-            np.matmul(da, Ut, out=dh)
-            np.multiply(dc, f, out=dc_carry)
-
-    if l2_coeff:
-        # the penalty covers W and dense_w: see kernel_mask
-        W, _, _, dense_w, _ = param_views(theta)
-        gW += 2.0 * l2_coeff * W
-        gdense_w += 2.0 * l2_coeff * dense_w
-    return grad
+    step = _Step(theta, cache.windows, cache.masks, cache.ws, grad=grad)
+    np.subtract(step.preds, targets, out=step.diff)
+    return step.backward(l2_coeff)
 
 
 def _adam_update(
@@ -541,13 +587,21 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     rngs = [substream(seed, 0) for seed in seeds]
     theta = np.stack([init_params(hidden, rng) for rng in rngs])
     kernel = np.flatnonzero(kernel_mask(hidden))
-    ws = _Workspace()  # the first batch is the widest step
+    # one step per batch width, the full one first, so that the short last
+    # batch's buffers are leading slices of the full one's
+    ws = _Workspace()
+    steps: dict[int, _Step] = {}
+    for width in (min(cfg.batch_size, n_pairs), (n_pairs - 1) % cfg.batch_size + 1):
+        if width not in steps:
+            masks = ws.take("masks", (n_rows, width, hidden)) if cfg.dropout_rate > 0 else None
+            steps[width] = _Step(theta, ws.take("windows", (n_rows, width, cfg.lookback)), masks,
+                                 ws, grad=ws.take("grad", theta.shape))
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     rows = np.arange(n_rows)[:, None]
     diverged: dict[int, str] = {}
     rmse = np.full((n_rows, cfg.epochs), np.nan) if epoch_rmse else None
-    step = 0
+    n_steps = 0
     # a diverged row keeps training on non-finite numbers until the fit ends,
     # isolated from its mates, so its floating-point warnings carry nothing
     with np.errstate(over="ignore", invalid="ignore"):
@@ -557,31 +611,27 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
             ep_kept = None
             if cfg.dropout_rate > 0:
                 # one draw per epoch yields the doubles of one draw per batch
-                draws = np.empty((n_pairs, hidden))
                 ep_kept = np.empty((n_rows, n_pairs, hidden), dtype=bool)
                 for rng, kept in zip(rngs, ep_kept):
-                    np.greater_equal(rng.random(out=draws), cfg.dropout_rate, out=kept)
+                    np.greater_equal(rng.random(kept.shape), cfg.dropout_rate, out=kept)
             for b, start in enumerate(range(0, n_pairs, cfg.batch_size)):
                 batch = slice(start, start + cfg.batch_size)
-                masks = None
-                if ep_kept is not None:
-                    kept = ep_kept[:, batch]
-                    masks = np.divide(kept, 1.0 - cfg.dropout_rate,
-                                      out=ws.take("masks", kept.shape))
+                step = steps[min(cfg.batch_size, n_pairs - start)]
                 # each batch gathers its own windows: no (R, pairs, lookback) copy
-                batch_loss, cache = _loss(
-                    theta, windows[rows, order[:, batch]], ep_targets[:, batch], masks,
-                    cfg.l2_coeff, kernel, ws,
-                )
-                for row in np.flatnonzero(~np.isfinite(batch_loss)).tolist():
-                    diverged.setdefault(row, f"non-finite loss at epoch {epoch}, batch {b}")
-                if len(diverged) == n_rows:
-                    break
-                grad = backward(theta, ep_targets[:, batch], cache, cfg.l2_coeff,
-                                out=ws.take("grad", theta.shape))
-                step += 1
+                step.windows[...] = windows[rows, order[:, batch]]
+                if ep_kept is not None:
+                    np.divide(ep_kept[:, batch], 1.0 - cfg.dropout_rate, out=step.masks)
+                batch_loss = _loss(theta, step, ep_targets[:, batch], cfg.l2_coeff, kernel)
+                finite = np.isfinite(batch_loss)
+                if not finite.all():
+                    for row in np.flatnonzero(~finite).tolist():
+                        diverged.setdefault(row, f"non-finite loss at epoch {epoch}, batch {b}")
+                    if len(diverged) == n_rows:
+                        break
+                step.backward(cfg.l2_coeff)
+                n_steps += 1
                 _adam_update(
-                    theta, grad, m, v, step, ws.take("scratch", theta.shape),
+                    theta, step.grad, m, v, n_steps, step.scratch,
                     lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
                 )
             if len(diverged) == n_rows:

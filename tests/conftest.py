@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bootband.manifest import numeric_platform
 from make_gbm_csv import gbm as gbm_prices, write_price_csv
+
+# Platforms the pinned float digests are recorded on, as "<OpenBLAS core>/<numpy's
+# enabled SIMD targets>": numpy 2.4.6 on an AVX-512 x86-64 CPU under its default
+# kernel and under OPENBLAS_CORETYPE=Haswell
+_AVX512 = "X86_V3+X86_V4+AVX512_ICL+AVX512_SPR"
+SKYLAKEX = f"SkylakeX/{_AVX512}"
+HASWELL = f"Haswell/{_AVX512}"
 
 
 def ar1_series(n, phi, seed, sigma=1.0):
@@ -15,6 +23,20 @@ def ar1_series(n, phi, seed, sigma=1.0):
     for t in range(1, n):
         x[t] = phi * x[t - 1] + sigma * rng.standard_normal()
     return x
+
+
+def pinned_digest(digests):
+    """The digest recorded for this platform's float kernels; skips the test where none is."""
+    platform = numeric_platform()
+    key = f"{platform['openblas_core']}/{'+'.join(platform['simd_targets']) or 'baseline'}"
+    if key not in digests:
+        pytest.skip(f"no digest recorded for BLAS core and SIMD targets {key}")
+    return digests[key]
+
+
+def digest_id(value):
+    """A digest table's test id is its SkylakeX digest; other parameters keep pytest's id."""
+    return value[SKYLAKEX] if isinstance(value, dict) else None
 
 
 @pytest.fixture

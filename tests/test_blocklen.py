@@ -20,7 +20,7 @@ from bootband.blocklen import (
 from bootband._rng import substream
 from bootband.bootstrap import BlockPlan, batch_resample, draw_starts
 from bootband.errors import ValidationError
-from conftest import ar1_series
+from conftest import HASWELL, SKYLAKEX, ar1_series, digest_id, pinned_digest
 
 
 def naive_block_means(x, l):
@@ -459,22 +459,28 @@ def test_window_means_equal_means_of_contiguous_copies(seed, n, data):
     assert np.isnan(table[n - l + 1 :]).all()
 
 
-# SHA-256 of the JSON list [l_opt, distances, objectives].  These pin the
-# selector's output bits for each method, the LBB one also at clamped windows.
+# SHA-256 of the JSON list [l_opt, distances, objectives] per platform (see
+# conftest.pinned_digest).  These pin the selector's output bits for each method,
+# the LBB one also at clamped windows.
 PINNED_CURVES = [
-    ("nbb", 250, 23, 24, 0.1,
-     "b08801bcc47e6d4f23978701b2d0382bd3bb0f0e6544152b7d2bcd864c5d242f"),
-    ("mbb", 250, 5, 24, 0.1,
-     "da27d53b65dd6284698145cc10a13c2ba14f54abd120ce98185141f85447a414"),
-    ("lbb", 250, 61, 24, 0.1,
-     "5114da78cf71a7262890a50a89cc3e6dcaa7441bcd75b504e7a586d8b8194e60"),
-    ("lbb", 40, 8, 40, 0.05,
-     "9346e8f56ae6a82a80d6874cb5653859cba9cdb5be873f35b4e721f715595547"),
+    ("nbb", 250, 23, 24, 0.1, {
+        SKYLAKEX: "b08801bcc47e6d4f23978701b2d0382bd3bb0f0e6544152b7d2bcd864c5d242f",
+        HASWELL: "9fa64e575a7d3c85131e0b46305016c83f204619e1a30b7ae208f09d7a8305fe"}),
+    ("mbb", 250, 5, 24, 0.1, {
+        SKYLAKEX: "da27d53b65dd6284698145cc10a13c2ba14f54abd120ce98185141f85447a414",
+        HASWELL: "5460b141f5e67af3956383fbb4ba35853322ff00331e234dad9e5df08047aa36"}),
+    ("lbb", 250, 61, 24, 0.1, {
+        SKYLAKEX: "5114da78cf71a7262890a50a89cc3e6dcaa7441bcd75b504e7a586d8b8194e60",
+        HASWELL: "f33d8ec0f5aaaef9460530fce47ab446c6d9a863d910168d2e48c0e1da9ae669"}),
+    ("lbb", 40, 8, 40, 0.05, {
+        SKYLAKEX: "9346e8f56ae6a82a80d6874cb5653859cba9cdb5be873f35b4e721f715595547",
+        HASWELL: "c49e1591e76773658ffcec7d3c60bde9448eb9f9e8bab851a88fd347a81c1212"}),
 ]
 
 
-@pytest.mark.parametrize("method,n,seed,l_max,locality,digest", PINNED_CURVES)
-def test_pinned_selector_curves(method, n, seed, l_max, locality, digest):
+@pytest.mark.parametrize("method,n,seed,l_max,locality,digests", PINNED_CURVES, ids=digest_id)
+def test_pinned_selector_curves(method, n, seed, l_max, locality, digests):
+    digest = pinned_digest(digests)
     x = ar1_series(n, 0.6, seed=seed, sigma=0.01)
     cfg = SelectorConfig(method=method, reps=30, l_max=l_max, locality=locality, seed=seed)
     l_opt, curve = select_block_length(x, cfg)

@@ -29,6 +29,7 @@ from bootband.lstm import (
     save_model,
     _forward_pass,
 )
+from conftest import HASWELL, SKYLAKEX, digest_id, pinned_digest
 
 
 def zero_params(hidden, dense_b=0.0):
@@ -192,6 +193,19 @@ class TestLoss:
         got = loss(theta, np.array([window]), np.array([target]), l2)
         assert got == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_group_loss_has_one_value_per_row(self, l2, dropout):
+        rng = substream(12, 4)
+        theta = np.stack([random_params(4, seed=s) for s in (1, 2)])
+        windows, targets = rng.random((2, 6, 3)), rng.random((2, 6))
+        masks = (rng.random((2, 6, 4)) >= 0.2) / 0.8 if dropout else None
+        values = loss(theta, windows, targets, l2, masks)
+        assert values.shape == (2,)
+        for r in range(2):
+            solo = loss(theta[r], windows[r], targets[r], l2, None if masks is None else masks[r])
+            assert isinstance(solo, float) and values[r] == solo
+
 
 class TestBackward:
     def test_dense_bias_gradient_single_sample(self):
@@ -342,26 +356,86 @@ class TestFit:
 
 
 # SHA-256 of model.theta.tobytes() for fixed group fits: (hidden, dropout,
-# rows, points, lookback, batch, series seed, digest).  A change to the
-# forward, backward or Adam arithmetic that moves any weight bit fails here.
+# rows, points, lookback, batch, series seed, digest per platform; see
+# conftest.pinned_digest).  A change to the forward, backward or Adam
+# arithmetic that moves any weight bit fails here.
 PINNED_FITS = [
-    (32, 0.0, 3, 120, 5, 15, 11,
-     "73eb86665f41f8d7df2599052d3f16d3fff07fc0f1f063a3b818eb33fb4507e2"),
-    (8, 0.2, 4, 100, 4, 10, 12,
-     "c815a41241dee6e749f29760789044c4c7bcbd4c153a43744b0585a62c55afe7"),
-    (8, 0.2, 38, 200, 5, 15, 13,
-     "180326efdd0be86e84ca257e67276aadedb083c7f9e5a1289fdec5cd029fa744"),
+    (32, 0.0, 3, 120, 5, 15, 11, {
+        SKYLAKEX: "73eb86665f41f8d7df2599052d3f16d3fff07fc0f1f063a3b818eb33fb4507e2",
+        HASWELL: "d83fa52917e8087114dc1892d8d1171f01d5d4ca1bc230d169227bc6d3dc9a27"}),
+    (8, 0.2, 4, 100, 4, 10, 12, {
+        SKYLAKEX: "c815a41241dee6e749f29760789044c4c7bcbd4c153a43744b0585a62c55afe7",
+        HASWELL: "eb8f9a95ed5b4187b68558f4bfc413a6e15654c75dbbc984a897e7826541ae55"}),
+    (8, 0.2, 38, 200, 5, 15, 13, {
+        SKYLAKEX: "180326efdd0be86e84ca257e67276aadedb083c7f9e5a1289fdec5cd029fa744",
+        HASWELL: "d980995804c399a85c4b0aefd032b67a6761ec6e634156218fd9a919fc76a40f"}),
 ]
 
 
-@pytest.mark.parametrize("hidden,dropout,rows,points,lookback,batch,seed,digest", PINNED_FITS)
-def test_pinned_fit_weights(hidden, dropout, rows, points, lookback, batch, seed, digest):
+@pytest.mark.parametrize("hidden,dropout,rows,points,lookback,batch,seed,digests", PINNED_FITS,
+                         ids=digest_id)
+def test_pinned_fit_weights(hidden, dropout, rows, points, lookback, batch, seed, digests):
+    digest = pinned_digest(digests)
     cfg = TrainConfig(lookback=lookback, batch_size=batch, epochs=3, hidden_size=hidden,
                       dropout_rate=dropout)
     seeds = [100 * (seed - 10) + k for k in range(1, rows + 1)]
     model, _, diverged = fit(group_series(points, rows, seed=seed), cfg, seeds)
     assert diverged == {}
     assert hashlib.sha256(model.theta.tobytes()).hexdigest() == digest
+
+
+def replay_fit(series, cfg, seeds):
+    """``fit``'s weights rebuilt one minibatch at a time from the standalone step functions.
+
+    Each step runs :func:`_forward_pass` on a fresh workspace, then
+    :func:`backward` and :func:`adam_step`, with each row's draws taken from
+    ``substream(seed, 0)`` in the order ``fit`` documents.
+    """
+    windows, targets = make_windows(series, cfg.lookback)
+    n_rows, n_pairs = targets.shape
+    rngs = [substream(seed, 0) for seed in seeds]
+    theta = np.stack([init_params(cfg.hidden_size, rng) for rng in rngs])
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    rows = np.arange(n_rows)[:, None]
+    t = 0
+    for _ in range(cfg.epochs):
+        order = np.stack([rng.permutation(n_pairs) for rng in rngs])
+        kept = None
+        if cfg.dropout_rate:
+            kept = np.stack([rng.random((n_pairs, cfg.hidden_size)) >= cfg.dropout_rate
+                             for rng in rngs])
+        for start in range(0, n_pairs, cfg.batch_size):
+            batch = slice(start, start + cfg.batch_size)
+            pick = order[:, batch]
+            # the masks follow the minibatch's place in the epoch, not its pairs
+            masks = None if kept is None else kept[:, batch] / (1.0 - cfg.dropout_rate)
+            _, cache = _forward_pass(theta, windows[rows, pick], masks)
+            grad = backward(theta, np.take_along_axis(targets, pick, axis=1), cache, cfg.l2_coeff)
+            t += 1
+            theta, m, v = adam_step(theta, grad, m, v, t, lr=cfg.learning_rate,
+                                    beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    return theta
+
+
+# (points, lookback, batch): a ragged last batch, one short batch only
+# (pairs < batch), lookback 1 with a ragged batch, and batches of one
+REPLAY_SHAPES = [(40, 3, 7), (12, 3, 16), (30, 1, 4), (15, 2, 1)]
+
+
+@pytest.mark.parametrize("points,lookback,batch", REPLAY_SHAPES)
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("l2", [0.0, 1e-4])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_fit_equals_standalone_step_replay(points, lookback, batch, dropout, l2, rows):
+    # holds on any BLAS kernel: fit's reused per-width step views must give
+    # the bits of fresh buffers at every step, on both batch widths
+    cfg = TrainConfig(lookback=lookback, batch_size=batch, epochs=2, hidden_size=4,
+                      dropout_rate=dropout, l2_coeff=l2)
+    series = group_series(points, rows, seed=points + lookback)
+    seeds = [40 + k for k in range(rows)]
+    model, _, diverged = fit(series, cfg, seeds)
+    assert diverged == {}
+    assert model.theta.tobytes() == replay_fit(series, cfg, seeds).tobytes()
 
 
 def test_reference_group_fit_peak_memory():
