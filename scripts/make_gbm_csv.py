@@ -3,6 +3,7 @@
 
 import argparse
 import csv
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -41,11 +42,25 @@ def main():
     ap.add_argument("--mu", type=float, default=0.05)
     ap.add_argument("--sigma", type=float, default=0.2)
     args = ap.parse_args()
+    # no bootband command accepts fewer than two prices, or a price that is
+    # not finite and positive
     if args.n < 2:
-        # no bootband command accepts fewer than two prices
         ap.error(f"--n must be at least 2, got {args.n}")
+    if not (math.isfinite(args.p0) and args.p0 > 0):
+        ap.error(f"--p0 must be finite and > 0, got {args.p0}")
+    for flag in ("mu", "sigma"):
+        if not math.isfinite(getattr(args, flag)):
+            ap.error(f"--{flag} must be finite, got {getattr(args, flag)}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            prices = gbm(args.n, args.seed, args.p0, args.mu, args.sigma)
+        usable = np.all(np.isfinite(prices) & (prices > 0))
+    except OverflowError:  # sigma ** 2 beyond the largest double
+        usable = False
+    if not usable:
+        ap.error(f"--mu {args.mu} and --sigma {args.sigma} drive the path to 0 or infinity")
 
-    write_price_csv(args.out, gbm(args.n, args.seed, args.p0, args.mu, args.sigma))
+    write_price_csv(args.out, prices)
     print(f"wrote {args.n} prices to {args.out} (seed {args.seed})")
 
 

@@ -22,28 +22,30 @@ leading axis (``U`` is ``(R, H, 4H)``, a minibatch of windows is
 ``(R, batch, lookback)``).  Each product is one stacked ``np.matmul`` and
 every other operation works row by row, so a row's numbers are bit-identical
 to those of the same network trained alone, and a row that turns non-finite
-trains on with the others without leaking into them.  :func:`fit` always trains such a group, from a
-time-major ``(n, R)`` series and one seed per column; one network is a group
-of one.
+trains on with the others without leaking into them.  :func:`fit` always
+trains such a group, from a time-major ``(n, R)`` series and one seed per
+column; one network is a group of one.
 
 A fit allocates its step arrays once, in a workspace sized by its first
-(widest) minibatch: the minibatch's windows and dropout masks, the states
-``h`` and ``c``, the activated gates, stored gate-major as
-``(lookback, 4, R, batch, H)`` so that each gate is one contiguous block
-(one multiply first fills every step's block with ``x * W``), ``tanh(c)``,
-the ``(R, batch, 4H)`` pre-activation block (which backward reuses for
-d(pre-activation), built gate-major in a block of its own first), the
-gradient and Adam's scratch.  On them it builds one step object per batch
-width, at most two: the full batch and a shorter last one, whose buffers
-are leading slices of the same memory.  The object holds every view a step
-reads or writes: the parameter and gradient views, the gate blocks and the
-per-timestep tuples of the forward and backward loops.  A minibatch then
-only gathers its windows from a view of the series into the step's buffer;
-the forward pass, :func:`backward`'s arithmetic and the Adam update run on
-the object, and Adam updates ``theta`` and its moments in place.
-Called on their own, :func:`_forward_pass`, :func:`loss`, :func:`backward`
-and :func:`adam_step` run the same code on a fresh step object per call, or
-on copies.
+(widest) minibatch: the gradient and Adam's scratch, the minibatch's
+windows and dropout masks, the states ``h`` and ``c``, the activated gates,
+stored gate-major as ``(lookback, 4, R, batch, H)`` so that each gate is one
+contiguous block (one multiply first fills every step's block with
+``x * W``), ``tanh(c)`` and the ``(R, batch, 4H)`` pre-activation block
+(which backward reuses for d(pre-activation), built gate-major in a block
+of its own first).  On them it builds one training step per batch width, at
+most two: the full batch and a shorter last one, whose buffers are leading
+slices of the same memory.  The step holds every view it reads or writes:
+the parameter and gradient views, the gate blocks and the per-timestep
+tuples of the forward and backward loops.  A minibatch then only gathers
+its windows from a view of the series into the step's buffer; the forward
+pass, the backward pass and the Adam update run on the step, and Adam
+updates ``theta`` and its moments in place.  Prediction and the epoch-end
+RMSE run inference steps, which keep no states for a backward pass.
+Called on their own, :func:`_forward_pass` and :func:`loss` run a training
+step's forward pass on a fresh workspace, and :func:`backward` runs the
+backward pass on the step :func:`_forward_pass` returned: the tests check
+:func:`fit` against them one minibatch at a time.
 
 During training an inverted-dropout mask is applied to the final hidden
 state only, and an L2 penalty is applied to the input kernels and dense
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -217,24 +219,28 @@ class _Step:
     ``h[t]`` and ``c[t]`` are the states after ``t`` steps (``h[0]`` is zero);
     ``gates[t]`` holds step ``t``'s activated f, i, o and c_tilde gate-major,
     so ``gates[t, k]`` is gate ``k`` over the whole batch.  Every array after
-    the time and gate axes has the leading axes of ``theta``.  With ``grad``,
-    an array of ``theta``'s shape, it also holds the gradient views, the
-    backward buffers and their per-timestep tuples, and Adam's ``scratch``.
-    The windows and masks are read where they are, not copied.  Without
-    ``keep_cache`` the states live in two rolling slots and only
-    :meth:`forward` runs.
+    the time and gate axes has the leading axes of ``theta``.  The windows
+    and masks are read where they are, not copied.
+
+    A training step (the default) first takes its gradient ``grad`` and
+    Adam's ``scratch``, arrays of ``theta``'s shape, from the workspace; it
+    keeps every step's states for :meth:`backward` and also holds ``diff``
+    (``preds - targets``), the gradient views and the backward buffers with
+    their per-timestep tuples.  An inference step (``train=False``) keeps
+    the states in two rolling slots and only runs :meth:`forward`.
     """
 
-    def __init__(self, theta, windows, masks, ws, *, keep_cache=True, grad=None):
+    def __init__(self, theta, windows, masks, ws, *, train=True):
         W, U, b, dense_w, dense_b = param_views(theta)
         lead, (batch, lookback) = theta.shape[:-1], windows.shape[-2:]
         hidden = dense_w.shape[-1]
         shape = (*lead, batch, hidden)
-        self.windows, self.masks, self.ws, self.grad = windows, masks, ws, grad
-        if grad is not None:
+        self.windows, self.masks = windows, masks
+        if train:
+            self.grad = ws.take("grad", theta.shape)
             # Adam's scratch before the backward's dU, a smaller view of its buffer
             self.scratch = ws.take("scratch", theta.shape)
-        slots = lookback if keep_cache else 1
+        slots = lookback if train else 1
         self.h = ws.take("h", (slots + 1, *shape))
         self.c = ws.take("c", (slots + 1, *shape))
         self.gates = ws.take("gates", (slots, 4, *shape))
@@ -247,7 +253,7 @@ class _Step:
         # each step's gate block holds x * W until its activations overwrite it
         xw = self.gates.reshape(slots, *self._a.shape)
         self._xw_all = self._x_all = None
-        if keep_cache:  # one multiply for every step
+        if train:  # one multiply for every step
             self._xw_all = xw
             self._x_all = np.moveaxis(np.broadcast_to(windows, (*lead, batch, lookback)), -1, 0)[..., None]
         # one view per slot, shared by the per-timestep tuples; a gate slot is
@@ -256,9 +262,9 @@ class _Step:
         gates = [(g[:3], *g) for g in self.gates]
         forward_steps = []
         for t in range(lookback):
-            old, new = (t, t + 1) if keep_cache else (t % 2, (t + 1) % 2)
-            slot = t if keep_cache else 0
-            x = None if keep_cache else windows[..., t, None]
+            old, new = (t, t + 1) if train else (t % 2, (t + 1) % 2)
+            slot = t if train else 0
+            x = None if train else windows[..., t, None]
             forward_steps.append((x, xw[slot], h[old], c[old], *gates[slot], c[new], tanh_c[slot], h[new]))
         self._forward_steps = tuple(forward_steps)
         self._h_last = h[new]
@@ -266,13 +272,12 @@ class _Step:
         self._head = ws.take("head", (*shape[:-1], 1))
         self.preds = self._head[..., 0]
         self._dense_w_col, self._dense_b_col = dense_w[..., None], dense_b[..., None]
-        if keep_cache:
-            # preds - targets, which the loss and the backward pass both read
-            self.diff = ws.take("diff", self.preds.shape)
-        if grad is None:
+        if not train:
             return
 
-        gW, gU, gb, gdense_w, gdense_b = param_views(grad)
+        # preds - targets, which the loss and the backward pass both read
+        self.diff = ws.take("diff", self.preds.shape)
+        gW, gU, gb, gdense_w, gdense_b = param_views(self.grad)
         self._gW, self._gb, self._gdense_w, self._gdense_b = gW, gb, gdense_w, gdense_b
         # gU in two dimensions: an in-place add into the 3-D view would copy it first
         self._gU_rows = gU.reshape(*gU.shape[:-2], -1)
@@ -387,24 +392,17 @@ class _Step:
         return grad
 
 
-def _forward_pass(
-    theta: np.ndarray,
-    windows: np.ndarray,
-    masks: np.ndarray | None,
-    keep_cache: bool = True,
-    ws: _Workspace | None = None,
-) -> tuple[np.ndarray, _Step | None]:
+def _forward_pass(theta: np.ndarray, windows: np.ndarray, masks: np.ndarray | None) -> _Step:
     """Unroll the cell over ``(..., batch, lookback)`` windows from zero state.
 
     ``theta`` is ``(P,)`` or ``(R, P)``; ``windows`` either carries the same
-    leading axis or is shared by every row.  Every activation is written into
-    ``ws`` (a fresh workspace by default), the returned predictions too.
-    With ``keep_cache`` the returned step is the cache :func:`backward` reads;
-    without it the states live in two rolling slots and ``None`` is returned.
+    leading axis or is shared by every row.  Returns the training step, on a
+    fresh workspace, that ran the pass: ``step.preds`` holds the predictions,
+    and :func:`backward` reads the step's states.
     """
-    ws = _Workspace() if ws is None else ws
-    step = _Step(theta, np.asarray(windows, dtype=np.float64), masks, ws, keep_cache=keep_cache)
-    return step.forward(), step if keep_cache else None
+    step = _Step(theta, np.asarray(windows, dtype=np.float64), masks, _Workspace())
+    step.forward()
+    return step
 
 
 def _infer(theta: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -416,10 +414,8 @@ def _infer(theta: np.ndarray, windows: np.ndarray) -> np.ndarray:
     ws = _Workspace()
     for lo in range(0, len(group), rows):
         part = slice(lo, lo + rows)
-        preds[part] = _forward_pass(
-            group[part], windows if windows.ndim == 2 else windows[part], None,
-            keep_cache=False, ws=ws,
-        )[0]
+        part_windows = windows if windows.ndim == 2 else windows[part]
+        preds[part] = _Step(group[part], part_windows, None, ws, train=False).forward()
     return preds.reshape(*theta.shape[:-1], batch)
 
 
@@ -457,22 +453,14 @@ def loss(
     return float(value) if value.ndim == 0 else value
 
 
-def backward(
-    theta: np.ndarray,
-    targets: np.ndarray,
-    cache: _Step,
-    l2_coeff: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def backward(theta: np.ndarray, targets: np.ndarray, step: _Step, l2_coeff: float) -> np.ndarray:
     """Exact gradient of :func:`loss` with respect to ``theta``, via BPTT, row by row.
 
-    The gradient goes into ``out`` if given, else into a new array; every
-    per-step block comes from the cache's workspace.
+    ``step`` is the training step :func:`_forward_pass` ran on ``theta``;
+    the backward pass runs on it, and a copy of its gradient is returned.
     """
-    grad = np.empty_like(theta) if out is None else out
-    step = _Step(theta, cache.windows, cache.masks, cache.ws, grad=grad)
     np.subtract(step.preds, targets, out=step.diff)
-    return step.backward(l2_coeff)
+    return step.backward(l2_coeff).copy()
 
 
 def _adam_update(
@@ -493,8 +481,6 @@ def _adam_update(
     ``grad`` and ``scratch``, arrays of ``theta``'s shape, are overwritten.
     ``step_index`` is 1-based.
     """
-    if step_index < 1:
-        raise ValidationError("step_index is 1-based")
     # m = beta1 * m + (1 - beta1) * grad
     m *= beta1
     m += np.multiply(grad, 1.0 - beta1, out=scratch)
@@ -511,28 +497,6 @@ def _adam_update(
     denom += eps
     step /= denom
     theta -= step
-
-
-def adam_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    step_index: int,
-    *,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bias-corrected Adam update; returns the new (theta, m, v).  ``step_index`` is 1-based.
-
-    The arguments are left as they were: the update runs on copies.
-    """
-    theta, grad, m, v = (np.array(x, dtype=np.float64) for x in (theta, grad, m, v))
-    _adam_update(theta, grad, m, v, step_index, np.empty_like(theta),
-                 lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    return theta, m, v
 
 
 @dataclass
@@ -594,8 +558,7 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     for width in (min(cfg.batch_size, n_pairs), (n_pairs - 1) % cfg.batch_size + 1):
         if width not in steps:
             masks = ws.take("masks", (n_rows, width, hidden)) if cfg.dropout_rate > 0 else None
-            steps[width] = _Step(theta, ws.take("windows", (n_rows, width, cfg.lookback)), masks,
-                                 ws, grad=ws.take("grad", theta.shape))
+            steps[width] = _Step(theta, ws.take("windows", (n_rows, width, cfg.lookback)), masks, ws)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     rows = np.arange(n_rows)[:, None]
@@ -684,13 +647,33 @@ def save_model(model: LstmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LstmModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a model written by :func:`save_model`.
+
+    A file that is not one raises :class:`ValidationError` naming the file
+    and the key at fault.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: not a JSON object")
     if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValidationError(f"{path}: not a version-{MODEL_FORMAT_VERSION} {MODEL_FORMAT} file")
-    cfg = TrainConfig(**doc["config"])
+    for key in ("config", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise ValidationError(f"{path}: no {key!r} object")
+    config, params = doc["config"], doc["params"]
+    odd = sorted(config.keys() ^ {f.name for f in fields(TrainConfig)})
+    if odd:
+        kind = "unknown" if odd[0] in config else "missing"
+        raise ValidationError(f"{path}: {kind} config key {odd[0]!r}")
+    cfg = TrainConfig(**config)
     theta = np.zeros(param_count(cfg.hidden_size))
     for name, view in _named_views(theta).items():
-        entry = doc["params"][name]
+        entry = params.get(name)
+        if not (isinstance(entry, dict) and {"shape", "data"} <= entry.keys()):
+            raise ValidationError(f"{path}: params has no field {name!r} with a shape and data")
         data = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         if data.shape != view.shape:
             raise ValidationError(f"{path}: field {name} has shape {data.shape}, expected {view.shape}")

@@ -7,12 +7,12 @@ import pytest
 from bootband.manifest import numeric_platform
 from make_gbm_csv import gbm as gbm_prices, write_price_csv
 
-# Platforms the pinned float digests are recorded on, as "<OpenBLAS core>/<numpy's
-# enabled SIMD targets>": numpy 2.4.6 on an AVX-512 x86-64 CPU under its default
-# kernel and under OPENBLAS_CORETYPE=Haswell
+# Platforms the pinned float digests are recorded on, as "<numpy release>/<OpenBLAS
+# core>/<numpy's enabled SIMD targets>": numpy 2.4.6 on an AVX-512 x86-64 CPU under
+# its default kernel and under OPENBLAS_CORETYPE=Haswell
 _AVX512 = "X86_V3+X86_V4+AVX512_ICL+AVX512_SPR"
-SKYLAKEX = f"SkylakeX/{_AVX512}"
-HASWELL = f"Haswell/{_AVX512}"
+SKYLAKEX = f"2.4.6/SkylakeX/{_AVX512}"
+HASWELL = f"2.4.6/Haswell/{_AVX512}"
 
 
 def ar1_series(n, phi, seed, sigma=1.0):
@@ -28,9 +28,10 @@ def ar1_series(n, phi, seed, sigma=1.0):
 def pinned_digest(digests):
     """The digest recorded for this platform's float kernels; skips the test where none is."""
     platform = numeric_platform()
-    key = f"{platform['openblas_core']}/{'+'.join(platform['simd_targets']) or 'baseline'}"
+    targets = "+".join(platform["simd_targets"]) or "baseline"
+    key = f"{platform['numpy']}/{platform['openblas_core']}/{targets}"
     if key not in digests:
-        pytest.skip(f"no digest recorded for BLAS core and SIMD targets {key}")
+        pytest.skip(f"no digest recorded for numpy release, BLAS core and SIMD targets {key}")
     return digests[key]
 
 

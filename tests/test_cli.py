@@ -1010,6 +1010,27 @@ class TestGbmCsvScript:
         assert f"--n must be at least 2, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--p0", "0", "--p0 must be finite and > 0, got 0.0"),
+        ("--p0", "-3", "--p0 must be finite and > 0, got -3.0"),
+        ("--p0", "inf", "--p0 must be finite and > 0, got inf"),
+        ("--mu", "inf", "--mu must be finite, got inf"),
+        ("--sigma", "nan", "--sigma must be finite, got nan"),
+        # finite flags whose path overflows to infinity or underflows to zero
+        ("--mu", "1e6", "drive the path to 0 or infinity"),
+        ("--mu", "-1e6", "drive the path to 0 or infinity"),
+        ("--sigma", "1e200", "drive the path to 0 or infinity"),
+    ])
+    def test_unusable_path_is_a_usage_error(self, flag, value, message, tmp_path, monkeypatch,
+                                            capsys):
+        out = tmp_path / "gbm.csv"
+        monkeypatch.setattr(sys, "argv", ["make_gbm_csv.py", f"{flag}={value}", "--out", str(out)])
+        with pytest.raises(SystemExit) as err:
+            make_gbm_csv.main()
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_prices_are_written(self, tmp_path, monkeypatch):
         out = tmp_path / "gbm.csv"
         monkeypatch.setattr(sys, "argv", ["make_gbm_csv.py", "--n", "2", "--out", str(out)])

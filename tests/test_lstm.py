@@ -15,7 +15,6 @@ from bootband.errors import ValidationError
 from bootband.lstm import (
     LstmModel,
     TrainConfig,
-    adam_step,
     backward,
     fit,
     init_params,
@@ -27,7 +26,9 @@ from bootband.lstm import (
     param_views,
     predict_series,
     save_model,
+    _adam_update,
     _forward_pass,
+    _infer,
 )
 from conftest import HASWELL, SKYLAKEX, digest_id, pinned_digest
 
@@ -72,7 +73,7 @@ class TestCellStep:
 
     def test_zero_params_half_gates(self):
         for lookback in (1, 4):
-            _, cache = _forward_pass(zero_params(3), np.full((2, lookback), 0.7), None)
+            cache = _forward_pass(zero_params(3), np.full((2, lookback), 0.7), None)
             for t in range(lookback):
                 f, i, o, c_tilde = gate_slices(cache, t)
                 assert np.array_equal(f, np.full((2, 3), 0.5))
@@ -94,7 +95,7 @@ class TestCellStep:
         for carries in (1, 4):
             windows = np.zeros((2, carries + 1))
             windows[:, 0] = x0
-            _, cache = _forward_pass(theta, windows, None)
+            cache = _forward_pass(theta, windows, None)
             assert np.allclose(cache.c[1], v, rtol=0, atol=1e-15)
             for t in range(1, carries + 1):
                 assert np.allclose(cache.c[t + 1], 0.5 * cache.c[t], rtol=0, atol=1e-15)
@@ -115,7 +116,7 @@ class TestCellStep:
             return 1.0 / (1.0 + math.exp(-a))
 
         for lookback in (1, 4):
-            _, cache = _forward_pass(theta, np.ones((1, lookback)), None)
+            cache = _forward_pass(theta, np.ones((1, lookback)), None)
             h = c = 0.0
             for t in range(lookback):
                 a = 1.0 + h
@@ -130,26 +131,45 @@ class TestCellStep:
         theta = random_params(4, seed=5)
         for lookback in (1, 4):
             windows = substream(6, 0).uniform(-3, 3, size=(20, lookback))
-            _, cache = _forward_pass(theta, windows, None)
+            cache = _forward_pass(theta, windows, None)
             assert_gates_open_and_h_bounded(cache)
 
 
 class TestForward:
     def test_zero_params_predicts_bias(self):
-        pred, _ = _forward_pass(zero_params(3, dense_b=0.37), np.array([[0.1, 0.5, 0.9]]), None)
-        assert pred[0] == 0.37
+        step = _forward_pass(zero_params(3, dense_b=0.37), np.array([[0.1, 0.5, 0.9]]), None)
+        assert step.preds[0] == 0.37
 
     def test_all_ones_mask_is_identity(self):
         theta = random_params(5, seed=1)
         windows = np.linspace(0, 1, 4)[None, :]
-        plain, _ = _forward_pass(theta, windows, None)
-        masked, _ = _forward_pass(theta, windows, np.ones((1, 5)))
+        plain = _forward_pass(theta, windows, None).preds
+        masked = _forward_pass(theta, windows, np.ones((1, 5))).preds
         assert np.array_equal(plain, masked)
 
     def test_inference_deterministic(self):
         theta = random_params(4, seed=2)
         windows = np.array([[0.2, 0.4, 0.6]])
-        assert np.array_equal(_forward_pass(theta, windows, None)[0], _forward_pass(theta, windows, None)[0])
+        assert np.array_equal(_forward_pass(theta, windows, None).preds,
+                              _forward_pass(theta, windows, None).preds)
+
+    @pytest.mark.parametrize("hidden,rows,lookback,batch", [
+        (5, 1, 1, 7), (5, 3, 5, 7), (8, 1, 5, 40), (8, 3, 1, 40),
+        # _infer runs this one in row slices of two rows and one
+        (32, 3, 5, 200),
+    ])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-2d", "per-row-3d"])
+    def test_training_and_inference_steps_agree_bitwise(self, hidden, rows, lookback, batch,
+                                                        shared):
+        theta = np.stack([random_params(hidden, seed=s) for s in range(rows)])
+        series = substream(hidden, rows, lookback).random((batch + lookback, rows))
+        if shared:  # as predict_series passes them
+            positions = np.arange(batch)
+            windows = np.lib.stride_tricks.sliding_window_view(series[:, 0], lookback)[positions]
+        else:  # as fit's epoch-end RMSE pass passes them
+            windows = make_windows(series, lookback)[0]
+        trained = _forward_pass(theta, windows, None).preds
+        assert trained.tobytes() == _infer(theta, windows).tobytes()
 
 
 class TestLoss:
@@ -212,9 +232,10 @@ class TestBackward:
         theta = random_params(3, seed=9)
         window = np.array([[0.2, 0.8]])
         target = np.array([0.5])
-        preds, cache = _forward_pass(theta, window, None)
+        cache = _forward_pass(theta, window, None)
+        pred = cache.preds[0]
         grad = backward(theta, target, cache, 0.0)
-        assert float(param_views(grad)[4]) == pytest.approx(2 * (preds[0] - 0.5), abs=1e-15)
+        assert float(param_views(grad)[4]) == pytest.approx(2 * (pred - 0.5), abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_finite_difference_check(self, seed):
@@ -229,7 +250,7 @@ class TestBackward:
         masks = None
         if rng.random() < 0.5:
             masks = (rng.random((batch, hidden)) >= 0.2) / 0.8
-        _, cache = _forward_pass(theta, windows, masks)
+        cache = _forward_pass(theta, windows, masks)
         analytic = backward(theta, targets, cache, l2)
         numeric = numeric_gradients(theta, windows, targets, l2, masks)
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
@@ -239,7 +260,7 @@ class TestBackward:
         kernel = kernel_mask(3)
         windows = substream(4, 2).random((5, 3))
         targets = substream(4, 3).random(5)
-        _, cache = _forward_pass(theta, windows, None)
+        cache = _forward_pass(theta, windows, None)
         g0 = backward(theta, targets, cache, 0.0)
         g1 = backward(theta, targets, cache, 0.01)
         # the kernel is W and dense_w: 4 * 3 + 3 entries
@@ -249,34 +270,40 @@ class TestBackward:
         assert np.array_equal(g1[~kernel], g0[~kernel])
 
 
+def adam_update(theta, grad, m, v, t, lr=1e-3):
+    """One in-place Adam update at the default betas and eps; ``grad`` is overwritten."""
+    cfg = TrainConfig()
+    _adam_update(theta, grad, m, v, t, np.empty_like(theta),
+                 lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         # t=1: m_hat = g, v_hat = g**2, update = -lr * g / (|g| + eps)
         theta = zero_params(2)
         g = 0.25
-        zeros = np.zeros_like(theta)
-        new_theta, _, _ = adam_step(theta, np.full_like(theta, g), zeros, zeros, 1, lr=2e-3)
+        adam_update(theta, np.full_like(theta, g), np.zeros_like(theta), np.zeros_like(theta), 1,
+                    lr=2e-3)
         expected = -2e-3 * g / (abs(g) + 1e-8)
-        assert np.allclose(new_theta, expected, rtol=0, atol=1e-18)
+        assert np.allclose(theta, expected, rtol=0, atol=1e-18)
 
     def test_zero_gradient_keeps_params_decays_moments(self):
         theta = random_params(2, seed=8)
-        zeros = np.zeros_like(theta)
-        p1, m1, v1 = adam_step(theta, np.ones_like(theta), zeros, zeros, 1)
-        p2, m2, _ = adam_step(p1, zeros, m1, v1, 2)
-        assert not np.array_equal(p1, p2)
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        adam_update(theta, np.ones_like(theta), m, v, 1)
+        p1, m1 = theta.copy(), m.copy()
+        adam_update(theta, np.zeros_like(theta), m, v, 2)
+        assert not np.array_equal(p1, theta)
         # moments shrink toward zero under zero gradients
-        assert np.all(np.abs(m2) < np.abs(m1))
+        assert np.all(np.abs(m) < np.abs(m1))
 
     def test_constant_gradient_update_approaches_lr(self):
         p = zero_params(1)
-        grad = np.full_like(p, 0.7)
-        m = v = np.zeros_like(p)
+        m, v = np.zeros_like(p), np.zeros_like(p)
         for t in range(1, 2001):
-            p_next, m, v = adam_step(p, grad, m, v, t, lr=1e-3)
-            delta = float(p_next[-1] - p[-1])
-            p = p_next
-        assert abs(delta) == pytest.approx(1e-3, rel=1e-4)
+            before = float(p[-1])
+            adam_update(p, np.full_like(p, 0.7), m, v, t)
+        assert abs(float(p[-1]) - before) == pytest.approx(1e-3, rel=1e-4)
 
 
 def fit_one(column, cfg, seed):
@@ -388,7 +415,7 @@ def replay_fit(series, cfg, seeds):
     """``fit``'s weights rebuilt one minibatch at a time from the standalone step functions.
 
     Each step runs :func:`_forward_pass` on a fresh workspace, then
-    :func:`backward` and :func:`adam_step`, with each row's draws taken from
+    :func:`backward` and :func:`_adam_update`, with each row's draws taken from
     ``substream(seed, 0)`` in the order ``fit`` documents.
     """
     windows, targets = make_windows(series, cfg.lookback)
@@ -409,11 +436,11 @@ def replay_fit(series, cfg, seeds):
             pick = order[:, batch]
             # the masks follow the minibatch's place in the epoch, not its pairs
             masks = None if kept is None else kept[:, batch] / (1.0 - cfg.dropout_rate)
-            _, cache = _forward_pass(theta, windows[rows, pick], masks)
+            cache = _forward_pass(theta, windows[rows, pick], masks)
             grad = backward(theta, np.take_along_axis(targets, pick, axis=1), cache, cfg.l2_coeff)
             t += 1
-            theta, m, v = adam_step(theta, grad, m, v, t, lr=cfg.learning_rate,
-                                    beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+            _adam_update(theta, grad, m, v, t, np.empty_like(theta), lr=cfg.learning_rate,
+                         beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     return theta
 
 
@@ -627,7 +654,7 @@ class TestPredict:
         positions = np.arange(4, 51)
         preds = predict_series(model, context, positions)
         replay = np.array(
-            [_forward_pass(model.theta, context[None, p - 4 : p], None)[0][0] for p in positions]
+            [_forward_pass(model.theta, context[None, p - 4 : p], None).preds[0] for p in positions]
         )
         assert np.allclose(preds, replay, rtol=0, atol=1e-15)
 
@@ -715,6 +742,29 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_model(tmp_path / "bad.json")
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.pop("config"), "no 'config' object"),
+        (lambda doc: doc.pop("params"), "no 'params' object"),
+        (lambda doc: doc["params"].pop("w_f"), "params has no field 'w_f'"),
+        (lambda doc: doc["config"].update(width=3), "unknown config key 'width'"),
+        (lambda doc: doc["config"].pop("lookback"), "missing config key 'lookback'"),
+    ], ids=["no-config", "no-params", "no-field", "unknown-key", "missing-key"])
+    def test_rejects_malformed_document(self, tmp_path, edit, message):
+        doc = v1_document()
+        edit(doc)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"bad\.json: {message}"):
+            load_model(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "not a JSON object"),
+        ("model weights", "not a JSON document"),
+    ])
+    def test_rejects_non_object_file(self, tmp_path, text, message):
+        (tmp_path / "bad.json").write_text(text)
+        with pytest.raises(ValidationError, match=rf"bad\.json: {message}"):
+            load_model(tmp_path / "bad.json")
+
 
 class TestWindows:
     def test_shapes_and_alignment(self):
@@ -731,5 +781,5 @@ class TestWindows:
 def test_state_bounds_property(seed, x):
     theta = random_params(3, seed=seed % 1000)
     for lookback in (1, 4):
-        _, cache = _forward_pass(theta, np.full((1, lookback), x), None)
+        cache = _forward_pass(theta, np.full((1, lookback), x), None)
         assert_gates_open_and_h_bounded(cache)
