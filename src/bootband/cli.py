@@ -380,10 +380,7 @@ def cmd_band(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) 
     manifest.timings.update(result.timings)
     with timed(manifest.timings, "write"):
         _write_method(out, result, "", opts["dump_replicates"])
-        write_json(out / "report.json", {
-            **result.report(manifest.seed), "alpha": cfg.alpha,
-            "runtime_seconds": manifest.timings.get("pipeline"),
-        })
+        write_json(out / "report.json", {**result.report(manifest.seed), "alpha": cfg.alpha})
 
 
 def cmd_compare(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifest) -> None:
@@ -399,7 +396,6 @@ def cmd_compare(opts: dict, prices: PriceSeries, out: Path, manifest: RunManifes
             "ranking": comparison.report(seed=manifest.seed),
             "best_method": comparison.ranking[0].value,
             "seed": manifest.seed,
-            "runtime_seconds": manifest.timings.get("compare"),
         })
 
 

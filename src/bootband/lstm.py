@@ -38,14 +38,16 @@ most two: the full batch and a shorter last one, whose buffers are leading
 slices of the same memory.  The step holds every view it reads or writes:
 the parameter and gradient views, the gate blocks and the per-timestep
 tuples of the forward and backward loops.  A minibatch then only gathers
-its windows from a view of the series into the step's buffer; the forward
-pass, the backward pass and the Adam update run on the step, and Adam
-updates ``theta`` and its moments in place.  Prediction and the epoch-end
-RMSE run inference steps, which keep no states for a backward pass.
-Called on their own, :func:`_forward_pass` and :func:`loss` run a training
-step's forward pass on a fresh workspace, and :func:`backward` runs the
-backward pass on the step :func:`_forward_pass` returned: the tests check
-:func:`fit` against them one minibatch at a time.
+its windows from a view of the series into the step's buffer; the step's
+loss (forward pass, squared error and penalty), its backward pass and the
+Adam update run on the step, and Adam updates ``theta`` and its moments in
+place.  Prediction and the epoch-end RMSE run inference steps, which keep
+no states for a backward pass.  The module functions :func:`loss` and
+:func:`_forward_pass` build a training step on a fresh workspace and run
+its loss or its forward pass, and :func:`backward` runs the backward pass
+on the step :func:`_forward_pass` returned: they evaluate the objective
+and its gradient at one point, and the tests replay :func:`fit` through
+them one minibatch at a time.
 
 During training an inverted-dropout mask is applied to the final hidden
 state only, and an L2 penalty is applied to the input kernels and dense
@@ -172,14 +174,6 @@ def init_params(hidden_size: int, rng: np.random.Generator) -> np.ndarray:
     return theta
 
 
-def kernel_mask(hidden_size: int) -> np.ndarray:
-    """True on the entries the L2 penalty applies to: W and dense_w."""
-    mask = np.zeros(param_count(hidden_size), dtype=bool)
-    W, _, _, dense_w, _ = param_views(mask)
-    W[:] = dense_w[:] = True
-    return mask
-
-
 class _Workspace:
     """Reusable float64 buffers of a forward, backward and Adam step, one per name.
 
@@ -226,7 +220,10 @@ class _Step:
     Adam's ``scratch``, arrays of ``theta``'s shape, from the workspace; it
     keeps every step's states for :meth:`backward` and also holds ``diff``
     (``preds - targets``), the gradient views and the backward buffers with
-    their per-timestep tuples.  An inference step (``train=False``) keeps
+    their per-timestep tuples.  It owns the training objective: :meth:`loss`
+    runs the forward pass and returns the squared error plus the L2 penalty,
+    and :meth:`backward` returns its gradient; the weights that penalty
+    covers are named once, here.  An inference step (``train=False``) keeps
     the states in two rolling slots and only runs :meth:`forward`.
     """
 
@@ -284,6 +281,7 @@ class _Step:
         self._dU = ws.take("scratch", gU.shape)
         self._dU_rows = self._dU.reshape(self._gU_rows.shape)
         self._Ut, self._dense_w_row = U.swapaxes(-1, -2), dense_w[..., None, :]
+        # the weights the L2 penalty covers, W and dense_w, with their gradients
         self._kernel_views = (W, gW), (dense_w, gdense_w)
         self._h_dropped_T = self.h_dropped.swapaxes(-1, -2)
         # dpred = 2 (preds - targets) / batch, built in diff's buffer
@@ -386,10 +384,19 @@ class _Step:
                 np.multiply(dc, f, out=dc_carry)
 
         if l2_coeff:
-            # the penalty covers W and dense_w: see kernel_mask
             for weights, g in self._kernel_views:
                 g += 2.0 * l2_coeff * weights
         return grad
+
+    def loss(self, targets: np.ndarray, l2_coeff: float) -> np.ndarray:
+        """Run the forward pass and fill ``diff``; returns the batch loss of each row."""
+        diff = np.subtract(self.forward(), targets, out=self.diff)
+        value = np.mean(diff ** 2, axis=-1)
+        if l2_coeff:
+            # W then dense_w in one array, summed in the order of their place in theta
+            kernels = np.concatenate([weights for weights, _ in self._kernel_views], axis=-1)
+            value = value + l2_coeff * np.sum(kernels ** 2, axis=-1)
+        return value
 
 
 def _forward_pass(theta: np.ndarray, windows: np.ndarray, masks: np.ndarray | None) -> _Step:
@@ -419,24 +426,6 @@ def _infer(theta: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return preds.reshape(*theta.shape[:-1], batch)
 
 
-def _loss(
-    theta: np.ndarray,
-    step: _Step,
-    targets: np.ndarray,
-    l2_coeff: float,
-    kernel: np.ndarray,
-) -> np.ndarray:
-    """Run ``step``'s forward pass; returns the batch loss of each row of ``theta``.
-
-    ``kernel`` holds the indices of the penalized entries (see :func:`kernel_mask`).
-    """
-    diff = np.subtract(step.forward(), targets, out=step.diff)
-    value = np.mean(diff ** 2, axis=-1)
-    if l2_coeff:
-        value = value + l2_coeff * np.sum(np.take(theta, kernel, axis=-1) ** 2, axis=-1)
-    return value
-
-
 def loss(
     theta: np.ndarray,
     windows: np.ndarray,
@@ -447,17 +436,15 @@ def loss(
     """Mean squared error plus the kernel L2 penalty: a float, or one per row of an ``(R, P)`` ``theta``."""
     if np.shape(targets)[-1:] == (0,):
         raise ValidationError("empty batch")
-    kernel = np.flatnonzero(kernel_mask(param_views(theta)[3].shape[-1]))
-    step = _Step(theta, np.asarray(windows, dtype=np.float64), masks, _Workspace())
-    value = _loss(theta, step, targets, l2_coeff, kernel)
+    value = _Step(theta, np.asarray(windows, dtype=np.float64), masks, _Workspace()).loss(targets, l2_coeff)
     return float(value) if value.ndim == 0 else value
 
 
-def backward(theta: np.ndarray, targets: np.ndarray, step: _Step, l2_coeff: float) -> np.ndarray:
-    """Exact gradient of :func:`loss` with respect to ``theta``, via BPTT, row by row.
+def backward(targets: np.ndarray, step: _Step, l2_coeff: float) -> np.ndarray:
+    """Exact gradient of :func:`loss` with respect to the step's ``theta``, via BPTT, row by row.
 
-    ``step`` is the training step :func:`_forward_pass` ran on ``theta``;
-    the backward pass runs on it, and a copy of its gradient is returned.
+    ``step`` is the training step :func:`_forward_pass` returned; the backward
+    pass runs on it, and a copy of its gradient is returned.
     """
     np.subtract(step.preds, targets, out=step.diff)
     return step.backward(l2_coeff).copy()
@@ -550,7 +537,6 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     # initial weights, then per epoch one permutation and (with dropout) the masks
     rngs = [substream(seed, 0) for seed in seeds]
     theta = np.stack([init_params(hidden, rng) for rng in rngs])
-    kernel = np.flatnonzero(kernel_mask(hidden))
     # one step per batch width, the full one first, so that the short last
     # batch's buffers are leading slices of the full one's
     ws = _Workspace()
@@ -584,8 +570,7 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
                 step.windows[...] = windows[rows, order[:, batch]]
                 if ep_kept is not None:
                     np.divide(ep_kept[:, batch], 1.0 - cfg.dropout_rate, out=step.masks)
-                batch_loss = _loss(theta, step, ep_targets[:, batch], cfg.l2_coeff, kernel)
-                finite = np.isfinite(batch_loss)
+                finite = np.isfinite(step.loss(ep_targets[:, batch], cfg.l2_coeff))
                 if not finite.all():
                     for row in np.flatnonzero(~finite).tolist():
                         diverged.setdefault(row, f"non-finite loss at epoch {epoch}, batch {b}")
@@ -646,6 +631,11 @@ def save_model(model: LstmModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
+def _json_is(value, kind: str) -> bool:
+    """Whether a JSON value is an integer (``kind`` ``"int"``) or a number (``"float"``); a bool is neither."""
+    return not isinstance(value, bool) and isinstance(value, int if kind == "int" else (int, float))
+
+
 def load_model(path: str | Path) -> LstmModel:
     """Read a model written by :func:`save_model`.
 
@@ -668,14 +658,23 @@ def load_model(path: str | Path) -> LstmModel:
     if odd:
         kind = "unknown" if odd[0] in config else "missing"
         raise ValidationError(f"{path}: {kind} config key {odd[0]!r}")
-    cfg = TrainConfig(**config)
+    for f in fields(TrainConfig):
+        if not _json_is(config[f.name], f.type):
+            kind = "an integer" if f.type == "int" else "a number"
+            raise ValidationError(f"{path}: config key {f.name!r} must be {kind}, got {config[f.name]!r}")
+    try:
+        cfg = TrainConfig(**config)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: config {exc}") from None
     theta = np.zeros(param_count(cfg.hidden_size))
     for name, view in _named_views(theta).items():
         entry = params.get(name)
         if not (isinstance(entry, dict) and {"shape", "data"} <= entry.keys()):
             raise ValidationError(f"{path}: params has no field {name!r} with a shape and data")
-        data = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if data.shape != view.shape:
-            raise ValidationError(f"{path}: field {name} has shape {data.shape}, expected {view.shape}")
-        view[...] = data
+        shape, data = entry["shape"], entry["data"]
+        if not (isinstance(shape, list) and all(_json_is(n, "int") for n in shape) and tuple(shape) == view.shape):
+            raise ValidationError(f"{path}: field {name} has shape {shape!r}, expected {list(view.shape)}")
+        if not (isinstance(data, list) and len(data) == view.size and all(_json_is(x, "float") for x in data)):
+            raise ValidationError(f"{path}: field {name} data is not a list of {view.size} numbers")
+        view[...] = np.array(data, dtype=np.float64).reshape(view.shape)
     return LstmModel(theta=theta, cfg=cfg)

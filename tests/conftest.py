@@ -53,8 +53,8 @@ def gbm_csv(tmp_path):
 def strip_volatile(tree_dir):
     """Canonical bytes of an artifact tree with run-dependent fields removed.
 
-    Manifests lose their execution block (timings, jobs, creation time);
-    reports lose runtime_seconds.  Everything else is compared raw.
+    Manifests lose their execution block (timings, jobs, creation time).
+    Everything else is compared raw.
     """
     out = {}
     for p in sorted(Path(tree_dir).rglob("*")):
@@ -64,10 +64,6 @@ def strip_volatile(tree_dir):
         if p.name == "manifest.json":
             doc = json.loads(p.read_text())
             doc.pop("execution", None)
-            out[rel] = json.dumps(doc, sort_keys=True)
-        elif p.suffix == ".json":
-            doc = json.loads(p.read_text())
-            doc.pop("runtime_seconds", None)
             out[rel] = json.dumps(doc, sort_keys=True)
         else:
             out[rel] = p.read_bytes()

@@ -524,6 +524,72 @@ class TestCompare:
         ]
 
 
+def band_columns(path):
+    """The lower, median and upper columns of a band file as an array."""
+    with open(path) as fh:
+        return np.array([[float(row[k]) for k in ("lower", "median", "upper")]
+                         for row in csv.DictReader(fh)])
+
+
+class TestMetamorphic:
+    """Input changes whose effect on every artifact is known in advance."""
+
+    METHODS = ("mbb", "nbb", "lbb")
+
+    def test_scaling_the_prices_scales_the_bands(self, tmp_path):
+        # a volatile path gives a band wide next to one ulp of its prices: the
+        # endpoints then agree to about 1e-13 of the mean width
+        prices = gbm_prices(120, seed=23, sigma=0.6)
+        runs = {}
+        for factor in (1, 7):
+            csv_path = write_price_csv(tmp_path / f"x{factor}.csv", factor * prices)
+            out = tmp_path / f"out{factor}"
+            assert main(["compare", "--input", str(csv_path), "--jobs", "1",
+                         *fast_flags(out, ["--lmin", "2"])]) == 0
+            runs[factor] = out
+        ranks = {factor: {entry["method"]: entry for entry in read_json(out / "report.json")["ranking"]}
+                 for factor, out in runs.items()}
+        assert {entry["l_opt"] for entry in ranks[1].values()} - {1}
+        for method in self.METHODS:
+            assert ranks[7][method]["l_opt"] == ranks[1][method]["l_opt"]
+            band = band_columns(runs[1] / f"band_{method}.csv")
+            scaled = band_columns(runs[7] / f"band_{method}.csv")
+            width = np.mean(band[:, 2] - band[:, 0])
+            assert width > 0
+            assert np.max(np.abs(scaled - 7 * band)) <= 1e-12 * width
+
+    def test_fewer_replicates_are_a_prefix_of_the_dump(self, csv90, tmp_path):
+        runs = {}
+        for reps in (5, 3):
+            runs[reps] = tmp_path / f"reps{reps}"
+            assert main(["compare", "--input", csv90, "--jobs", "1",
+                         *fast_flags(runs[reps], ["--reps", str(reps), "--dump-replicates"])]) == 0
+        for method in self.METHODS:
+            many = (runs[5] / f"replicates_{method}.csv").read_bytes().splitlines(keepends=True)
+            few = (runs[3] / f"replicates_{method}.csv").read_bytes().splitlines(keepends=True)
+            assert len(many) == 6 and many[:4] == few
+
+    def test_unused_column_and_row_order_change_no_artifact(self, csv90, tmp_path):
+        with open(csv90, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        np.random.default_rng(3).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        with open(shuffled, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*header, "Volume"])
+            writer.writerows([*row, str(k)] for k, row in enumerate(rows))
+        trees = []
+        for name, source in (("plain", csv90), ("shuffled", shuffled)):
+            out = tmp_path / name
+            for command, extra in (("compare", []), ("band", ["--method", "lbb"])):
+                assert main([command, "--input", str(source), "--jobs", "1",
+                             *fast_flags(out / command, [*extra, "--dump-replicates"])]) == 0
+            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"})
+        assert len(trees[0]) == 14
+        assert trees[0] == trees[1]
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("command, prefix", [
         (["band", "--method", "mbb"], ""),

@@ -18,7 +18,6 @@ from bootband.lstm import (
     backward,
     fit,
     init_params,
-    kernel_mask,
     load_model,
     loss,
     make_windows,
@@ -234,7 +233,7 @@ class TestBackward:
         target = np.array([0.5])
         cache = _forward_pass(theta, window, None)
         pred = cache.preds[0]
-        grad = backward(theta, target, cache, 0.0)
+        grad = backward(target, cache, 0.0)
         assert float(param_views(grad)[4]) == pytest.approx(2 * (pred - 0.5), abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -251,18 +250,20 @@ class TestBackward:
         if rng.random() < 0.5:
             masks = (rng.random((batch, hidden)) >= 0.2) / 0.8
         cache = _forward_pass(theta, windows, masks)
-        analytic = backward(theta, targets, cache, l2)
+        analytic = backward(targets, cache, l2)
         numeric = numeric_gradients(theta, windows, targets, l2, masks)
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
     def test_l2_shifts_kernel_gradients_exactly(self):
         theta = random_params(3, seed=4)
-        kernel = kernel_mask(3)
+        kernel = np.zeros(theta.shape, dtype=bool)
+        W, _, _, dense_w, _ = param_views(kernel)
+        W[:] = dense_w[:] = True
         windows = substream(4, 2).random((5, 3))
         targets = substream(4, 3).random(5)
         cache = _forward_pass(theta, windows, None)
-        g0 = backward(theta, targets, cache, 0.0)
-        g1 = backward(theta, targets, cache, 0.01)
+        g0 = backward(targets, cache, 0.0)
+        g1 = backward(targets, cache, 0.01)
         # the kernel is W and dense_w: 4 * 3 + 3 entries
         assert kernel.sum() == 15
         # difference is the penalty derivative, up to one rounding of g + penalty
@@ -437,7 +438,7 @@ def replay_fit(series, cfg, seeds):
             # the masks follow the minibatch's place in the epoch, not its pairs
             masks = None if kept is None else kept[:, batch] / (1.0 - cfg.dropout_rate)
             cache = _forward_pass(theta, windows[rows, pick], masks)
-            grad = backward(theta, np.take_along_axis(targets, pick, axis=1), cache, cfg.l2_coeff)
+            grad = backward(np.take_along_axis(targets, pick, axis=1), cache, cfg.l2_coeff)
             t += 1
             _adam_update(theta, grad, m, v, t, np.empty_like(theta), lr=cfg.learning_rate,
                          beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
@@ -565,12 +566,12 @@ class TestGroupFit:
 
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real_loss(*args, **kwargs)
+        def counting(step, *args, **kwargs):
+            calls.append(step.grad.shape)
+            return real_loss(step, *args, **kwargs)
 
-        real_loss = lstm._loss
-        monkeypatch.setattr(lstm, "_loss", counting)
+        real_loss = lstm._Step.loss
+        monkeypatch.setattr(lstm._Step, "loss", counting)
         series = group_series(60, 3, seed=4) * 1e300
         cfg = TrainConfig(lookback=3, batch_size=8, epochs=3, hidden_size=4)
         model, rmse, diverged = fit(series, cfg, [5, 6, 7], epoch_rmse=True)
@@ -748,7 +749,23 @@ class TestSerialization:
         (lambda doc: doc["params"].pop("w_f"), "params has no field 'w_f'"),
         (lambda doc: doc["config"].update(width=3), "unknown config key 'width'"),
         (lambda doc: doc["config"].pop("lookback"), "missing config key 'lookback'"),
-    ], ids=["no-config", "no-params", "no-field", "unknown-key", "missing-key"])
+        (lambda doc: doc["config"].update(hidden_size="32"), "config key 'hidden_size' must be an integer"),
+        (lambda doc: doc["config"].update(hidden_size=2.5), "config key 'hidden_size' must be an integer"),
+        (lambda doc: doc["config"].update(epochs=None), "config key 'epochs' must be an integer"),
+        (lambda doc: doc["config"].update(lookback=True), "config key 'lookback' must be an integer"),
+        (lambda doc: doc["config"].update(dropout_rate="x"), "config key 'dropout_rate' must be a number"),
+        (lambda doc: doc["config"].update(learning_rate="0.1"), "config key 'learning_rate' must be a number"),
+        (lambda doc: doc["config"].update(l2_coeff=False), "config key 'l2_coeff' must be a number"),
+        (lambda doc: doc["config"].update(hidden_size=0), "config hidden_size must be >= 1"),
+        (lambda doc: doc["params"]["w_f"].update(data=["a", "b"]), "field w_f data is not a list of 2 numbers"),
+        (lambda doc: doc["params"]["w_f"].update(data=[0.1]), "field w_f data is not a list of 2 numbers"),
+        (lambda doc: doc["params"]["w_f"].update(shape="x"), "field w_f has shape 'x', expected"),
+        (lambda doc: doc["params"]["u_f"].update(shape=[2, 2.0]), "field u_f has shape .2, 2.0., expected"),
+        (lambda doc: doc["params"]["u_f"].update(shape=[4]), "field u_f has shape .4., expected .2, 2."),
+    ], ids=["no-config", "no-params", "no-field", "unknown-key", "missing-key", "int-as-string",
+            "int-as-float", "int-as-null", "int-as-bool", "float-as-string", "float-as-numeric-string",
+            "float-as-bool", "out-of-range", "non-numeric-data", "short-data", "string-shape",
+            "float-in-shape", "wrong-shape"])
     def test_rejects_malformed_document(self, tmp_path, edit, message):
         doc = v1_document()
         edit(doc)
