@@ -8,8 +8,9 @@ from datetime import date, timedelta
 
 import numpy as np
 
-# gbm and write_price_csv are the one synthetic-price source: the benchmark
-# harness, the tests and the demo all draw and write prices with them.
+# gbm is the one synthetic-price source: the benchmark harness, the tests and the
+# demo all draw prices with it.  The tests and the demo write them with
+# write_price_csv; the benchmark harness writes its CSVs itself.
 
 
 def gbm(n, seed, p0=100.0, mu=0.05, sigma=0.2, dt=1 / 252):

@@ -201,7 +201,7 @@ def _candidate_distance(x, words, plan: BlockPlan) -> float:
     sq = np.empty(len(words))
     for lo in range(0, len(words), step):
         rows = slice(lo, lo + step)
-        starts = _start_matrix(words[rows], n, plan, first=lo)
+        starts = _start_matrix(words[rows], n, plan, first=lo)[0]
         sq[rows] = _squared_distances(_replicate_block_means(x, table, starts, l), orig)
     return _mean_scaled(sq, l, n)
 

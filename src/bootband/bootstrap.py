@@ -17,9 +17,11 @@ Row ``k`` of a batch is drawn from the sub-stream keyed by
 ``(plan.seed, k)``, so every row is reproducible on its own regardless of
 the batch size.  Every row's starts, for the band and for block-length
 selection alike, are mapped from its raw PCG64 words by the multiply-shift
-rule of ``Generator.integers`` (Lemire 2019, ACM TOMACS 29(1)); a row that
-rule cannot map is redrawn by :func:`draw_starts`, and every row is laid by
-:func:`_laid_values`.  The drawn block starts are returned for audit.
+rule of ``Generator.integers`` (Lemire 2019, ACM TOMACS 29(1)) in one pass:
+an NBB row's top-ups, drawn until its blocks cover ``n``, are mapped with its
+main draw from the words after it.  A row that rule cannot map is redrawn by
+:func:`draw_starts`, and every row is laid by :func:`_laid_values`.  The
+drawn block starts are returned for audit.
 """
 
 from __future__ import annotations
@@ -118,13 +120,13 @@ def _read_words(seed: int, reps: int, n: int, l_min: int) -> np.ndarray:
 
     A word is one half of a raw 64-bit output, the low half first: the order
     in which ``Generator.integers`` reads them for bounds up to ``2**32``.
+    Each row is one little-endian view of its raw outputs, which puts the
+    words in that order on any byte order.
     """
     pairs = (-(-n // l_min) + _TOPUP_WORDS + 1) // 2
     words = np.empty((reps, 2 * pairs), dtype=np.uint32)
     for k, row in enumerate(words):
-        raw = substream(seed, k).bit_generator.random_raw(pairs)
-        row[0::2] = raw & 0xFFFFFFFF
-        row[1::2] = raw >> 32
+        row[:] = substream(seed, k).bit_generator.random_raw(pairs).astype("<u8").view("<u4")
     return words
 
 
@@ -150,15 +152,17 @@ def _lemire_draws(words, bound, out) -> np.ndarray:
     return rejected
 
 
-def _start_matrix(words, n: int, plan: BlockPlan, first: int = 0, sizes=None) -> np.ndarray:
-    """Every row's :func:`draw_starts` starts as one C-contiguous int64 matrix.
+def _start_matrix(words, n: int, plan: BlockPlan, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's :func:`draw_starts` starts as one C-contiguous int64 matrix, and each row's size.
 
     Row ``k`` is mapped from its words ``words[k]``, read from sub-stream
-    ``(plan.seed, first + k)``, by :func:`_lemire_draws`; a row with a
-    rejection, or with more than ``_TOPUP_WORDS`` NBB top-ups, is redrawn by
-    :func:`draw_starts` from a fresh generator of that sub-stream.  NBB rows
-    are padded with zeros after their last start; the int array ``sizes``, if
-    given, receives each row's count of starts, which cover its ``n`` values.
+    ``(plan.seed, first + k)``, by one :func:`_lemire_draws` pass; for NBB
+    with a short grid block the pass runs on past the main draw into the
+    ``_TOPUP_WORDS`` words after it.  A row's size is the number of draws it
+    takes to cover ``n``, as in :func:`draw_starts`, and NBB rows are padded
+    with zeros after their last start.  A row that rejects a word, or that
+    needs more draws than it was mapped, is redrawn by :func:`draw_starts`
+    from a fresh generator of that sub-stream.
     """
     l = plan.block_len
     big_l = -(-n // l)
@@ -168,24 +172,18 @@ def _start_matrix(words, n: int, plan: BlockPlan, first: int = 0, sizes=None) ->
         bound = hi - lo + 1  # a clamped tail window holds one start and reads no word
     else:
         lo, bound = 0, big_l if plan.method is BootstrapMethod.NBB else n - l + 1
-    topups = _TOPUP_WORDS if plan.method is BootstrapMethod.NBB and gap else 0
-    draws = np.zeros((len(words), big_l + topups), dtype=np.uint64)
-    redraw = _lemire_draws(words[:, :big_l], bound, draws[:, :big_l])
-    sizes = np.empty(len(words), dtype=np.intp) if sizes is None else sizes
-    sizes[:] = big_l
-    if topups:
-        # each short grid block in the main draw after the first leaves n
-        # uncovered by gap; top-ups read the words that follow the main draw
-        deficit = gap * (np.count_nonzero(draws[:, :big_l] == big_l - 1, axis=1) - 1)
-        rows = np.flatnonzero((deficit > 0) & ~redraw)
-        top = np.empty((rows.size, topups), dtype=np.uint64)
-        redraw[rows] |= _lemire_draws(words[rows, big_l : big_l + topups], big_l, top)
-        covered = np.where(top == big_l - 1, l - gap, l).cumsum(axis=1)
-        taken = np.count_nonzero(covered < deficit[rows, None], axis=1) + 1
-        redraw[rows[taken > topups]] = True
-        top[np.arange(topups) >= taken[:, None]] = 0
-        draws[rows, big_l:] = top
-        sizes[rows] += taken
+    width = big_l + (_TOPUP_WORDS if plan.method is BootstrapMethod.NBB and gap else 0)
+    draws = np.empty((len(words), width), dtype=np.uint64)
+    redraw = _lemire_draws(words[:, :width], bound, draws)
+    sizes = np.full(len(words), big_l)
+    if width > big_l:
+        # column 0 holds the values the main draw covers, column j those top-up j adds
+        # (l - gap for the short grid block, else l); top-ups are taken until n is covered
+        covered = np.where(draws[:, big_l - 1 :] == big_l - 1, l - gap, l)
+        covered[:, 0] = big_l * l - gap * np.count_nonzero(draws[:, :big_l] == big_l - 1, axis=1)
+        sizes += np.count_nonzero(covered.cumsum(axis=1) < n, axis=1)
+        redraw |= sizes > width
+        draws[np.arange(width) >= sizes[:, None]] = 0
     starts = draws.view(np.int64)
     if plan.method is BootstrapMethod.LBB:
         starts += lo
@@ -197,7 +195,7 @@ def _start_matrix(words, n: int, plan: BlockPlan, first: int = 0, sizes=None) ->
             starts = np.pad(starts, ((0, 0), (0, row.size - starts.shape[1])))
         starts[k, : row.size], starts[k, row.size :] = row, 0
         sizes[k] = row.size
-    return starts
+    return starts, sizes
 
 
 def _laid_values(x, starts, l: int, first, need) -> np.ndarray:
@@ -247,8 +245,7 @@ def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.
         raise ValidationError("cannot resample an empty series")
     if plan.block_len > n:
         raise ValidationError(f"block_len {plan.block_len} exceeds series length {n}")
-    sizes = np.empty(count, dtype=np.intp)
-    matrix = _start_matrix(_read_words(plan.seed, count, n, plan.block_len), n, plan, sizes=sizes)
+    matrix, sizes = _start_matrix(_read_words(plan.seed, count, n, plan.block_len), n, plan)
     values = np.empty((count, n))
     step = max(1, _SLICE_VALUES // n)
     for lo in range(0, count, step):

@@ -666,15 +666,19 @@ def load_model(path: str | Path) -> LstmModel:
         cfg = TrainConfig(**config)
     except ValidationError as exc:
         raise ValidationError(f"{path}: config {exc}") from None
-    theta = np.zeros(param_count(cfg.hidden_size))
-    for name, view in _named_views(theta).items():
+    # every axis of every field has length hidden_size, so the fields are checked
+    # against a hidden-size-1 layout before theta is allocated
+    for name, unit in _named_views(np.zeros(param_count(1))).items():
         entry = params.get(name)
         if not (isinstance(entry, dict) and {"shape", "data"} <= entry.keys()):
             raise ValidationError(f"{path}: params has no field {name!r} with a shape and data")
-        shape, data = entry["shape"], entry["data"]
-        if not (isinstance(shape, list) and all(_json_is(n, "int") for n in shape) and tuple(shape) == view.shape):
-            raise ValidationError(f"{path}: field {name} has shape {shape!r}, expected {list(view.shape)}")
-        if not (isinstance(data, list) and len(data) == view.size and all(_json_is(x, "float") for x in data)):
-            raise ValidationError(f"{path}: field {name} data is not a list of {view.size} numbers")
-        view[...] = np.array(data, dtype=np.float64).reshape(view.shape)
+        shape, data, expected = entry["shape"], entry["data"], [cfg.hidden_size] * unit.ndim
+        if not (isinstance(shape, list) and all(_json_is(n, "int") for n in shape) and shape == expected):
+            raise ValidationError(f"{path}: field {name} has shape {shape!r}, expected {expected}")
+        size = math.prod(expected)
+        if not (isinstance(data, list) and len(data) == size and all(_json_is(x, "float") for x in data)):
+            raise ValidationError(f"{path}: field {name} data is not a list of {size} numbers")
+    theta = np.zeros(param_count(cfg.hidden_size))
+    for name, view in _named_views(theta).items():
+        view[...] = np.array(params[name]["data"], dtype=np.float64).reshape(view.shape)
     return LstmModel(theta=theta, cfg=cfg)

@@ -9,10 +9,13 @@ from make_gbm_csv import gbm as gbm_prices, write_price_csv
 
 # Platforms the pinned float digests are recorded on, as "<numpy release>/<OpenBLAS
 # core>/<numpy's enabled SIMD targets>": numpy 2.4.6 on an AVX-512 x86-64 CPU under
-# its default kernel and under OPENBLAS_CORETYPE=Haswell
+# its default kernel and under OPENBLAS_CORETYPE=Haswell, and under the Haswell kernel
+# with numpy's AVX-512 dispatch off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR"), the targets of an x86-64 CPU without AVX-512
 _AVX512 = "X86_V3+X86_V4+AVX512_ICL+AVX512_SPR"
 SKYLAKEX = f"2.4.6/SkylakeX/{_AVX512}"
 HASWELL = f"2.4.6/Haswell/{_AVX512}"
+HASWELL_X86_V3 = "2.4.6/Haswell/X86_V3"
 
 
 def ar1_series(n, phi, seed, sigma=1.0):

@@ -20,7 +20,7 @@ from bootband.blocklen import (
 from bootband._rng import substream
 from bootband.bootstrap import BlockPlan, batch_resample, draw_starts
 from bootband.errors import ValidationError
-from conftest import HASWELL, SKYLAKEX, ar1_series, digest_id, pinned_digest
+from conftest import HASWELL, HASWELL_X86_V3, SKYLAKEX, ar1_series, digest_id, pinned_digest
 
 
 def naive_block_means(x, l):
@@ -305,9 +305,10 @@ class TestScoringFromStarts:
         words = bootstrap._read_words(seed, 100, n, 1)
         for l in (1, 2, 7, 10, 49, n // 3, n):
             plan = BlockPlan(method=method, block_len=l, locality=0.1, seed=seed)
-            starts = bootstrap._start_matrix(words, n, plan)
+            starts, sizes = bootstrap._start_matrix(words, n, plan)
             assert starts.flags.c_contiguous and starts.dtype == np.int64
             fresh = [draw_starts(substream(seed, k), n, plan) for k in range(100)]
+            assert sizes.tolist() == [expected.size for expected in fresh]
             for row, expected in zip(starts, fresh):
                 assert row[: expected.size].tolist() == expected.tolist()
                 assert not row[expected.size :].any()
@@ -318,7 +319,7 @@ class TestScoringFromStarts:
         monkeypatch.setattr(bootstrap, "_TOPUP_WORDS", 1)
         words = bootstrap._read_words(4, 200, 11, 10)
         plan = BlockPlan(method="nbb", block_len=10, seed=4)
-        starts = bootstrap._start_matrix(words, 11, plan)
+        starts, _ = bootstrap._start_matrix(words, 11, plan)
         fresh = [draw_starts(substream(4, k), 11, plan) for k in range(200)]
         assert starts.shape[1] == max(row.size for row in fresh) > 3
         for row, expected in zip(starts, fresh):
@@ -465,16 +466,20 @@ def test_window_means_equal_means_of_contiguous_copies(seed, n, data):
 PINNED_CURVES = [
     ("nbb", 250, 23, 24, 0.1, {
         SKYLAKEX: "b08801bcc47e6d4f23978701b2d0382bd3bb0f0e6544152b7d2bcd864c5d242f",
-        HASWELL: "9fa64e575a7d3c85131e0b46305016c83f204619e1a30b7ae208f09d7a8305fe"}),
+        HASWELL: "9fa64e575a7d3c85131e0b46305016c83f204619e1a30b7ae208f09d7a8305fe",
+        HASWELL_X86_V3: "9fa64e575a7d3c85131e0b46305016c83f204619e1a30b7ae208f09d7a8305fe"}),
     ("mbb", 250, 5, 24, 0.1, {
         SKYLAKEX: "da27d53b65dd6284698145cc10a13c2ba14f54abd120ce98185141f85447a414",
-        HASWELL: "5460b141f5e67af3956383fbb4ba35853322ff00331e234dad9e5df08047aa36"}),
+        HASWELL: "5460b141f5e67af3956383fbb4ba35853322ff00331e234dad9e5df08047aa36",
+        HASWELL_X86_V3: "5460b141f5e67af3956383fbb4ba35853322ff00331e234dad9e5df08047aa36"}),
     ("lbb", 250, 61, 24, 0.1, {
         SKYLAKEX: "5114da78cf71a7262890a50a89cc3e6dcaa7441bcd75b504e7a586d8b8194e60",
-        HASWELL: "f33d8ec0f5aaaef9460530fce47ab446c6d9a863d910168d2e48c0e1da9ae669"}),
+        HASWELL: "f33d8ec0f5aaaef9460530fce47ab446c6d9a863d910168d2e48c0e1da9ae669",
+        HASWELL_X86_V3: "f33d8ec0f5aaaef9460530fce47ab446c6d9a863d910168d2e48c0e1da9ae669"}),
     ("lbb", 40, 8, 40, 0.05, {
         SKYLAKEX: "9346e8f56ae6a82a80d6874cb5653859cba9cdb5be873f35b4e721f715595547",
-        HASWELL: "c49e1591e76773658ffcec7d3c60bde9448eb9f9e8bab851a88fd347a81c1212"}),
+        HASWELL: "c49e1591e76773658ffcec7d3c60bde9448eb9f9e8bab851a88fd347a81c1212",
+        HASWELL_X86_V3: "c49e1591e76773658ffcec7d3c60bde9448eb9f9e8bab851a88fd347a81c1212"}),
 ]
 
 

@@ -284,8 +284,7 @@ def test_laid_values_equals_a_loop_over_the_start_matrix(n, l, reps, seed, metho
                 return rejected
 
             mp.setattr(bootstrap, "_lemire_draws", rejecting)
-        sizes = np.empty(reps, dtype=np.intp)
-        starts = bootstrap._start_matrix(words, n, plan, sizes=sizes)
+        starts, _ = bootstrap._start_matrix(words, n, plan)
     # the band's case: every row from its first block, n values each
     band = bootstrap._laid_values(x, starts, l, 0, n)
     expected = [laid_reference(x, row, l, 0, n) for row in starts]
@@ -306,9 +305,8 @@ def test_laid_values_lays_topups_and_skips_padding():
     # a short grid block at n = 23, l = 4 forces top-ups in some rows, so
     # the other rows of the start matrix end in zeros
     n, l = 23, 4
-    sizes = np.empty(30, dtype=np.intp)
     plan = BlockPlan(method="nbb", block_len=l, seed=41)
-    starts = bootstrap._start_matrix(bootstrap._read_words(41, 30, n, l), n, plan, sizes=sizes)
+    starts, sizes = bootstrap._start_matrix(bootstrap._read_words(41, 30, n, l), n, plan)
     assert (sizes > -(-n // l)).any() and (sizes < starts.shape[1]).any()
     x = np.arange(float(n))
     laid = bootstrap._laid_values(x, starts, l, 0, n).reshape(-1, n)

@@ -29,7 +29,7 @@ from bootband.lstm import (
     _forward_pass,
     _infer,
 )
-from conftest import HASWELL, SKYLAKEX, digest_id, pinned_digest
+from conftest import HASWELL, HASWELL_X86_V3, SKYLAKEX, digest_id, pinned_digest
 
 
 def zero_params(hidden, dense_b=0.0):
@@ -390,13 +390,16 @@ class TestFit:
 PINNED_FITS = [
     (32, 0.0, 3, 120, 5, 15, 11, {
         SKYLAKEX: "73eb86665f41f8d7df2599052d3f16d3fff07fc0f1f063a3b818eb33fb4507e2",
-        HASWELL: "d83fa52917e8087114dc1892d8d1171f01d5d4ca1bc230d169227bc6d3dc9a27"}),
+        HASWELL: "d83fa52917e8087114dc1892d8d1171f01d5d4ca1bc230d169227bc6d3dc9a27",
+        HASWELL_X86_V3: "d83fa52917e8087114dc1892d8d1171f01d5d4ca1bc230d169227bc6d3dc9a27"}),
     (8, 0.2, 4, 100, 4, 10, 12, {
         SKYLAKEX: "c815a41241dee6e749f29760789044c4c7bcbd4c153a43744b0585a62c55afe7",
-        HASWELL: "eb8f9a95ed5b4187b68558f4bfc413a6e15654c75dbbc984a897e7826541ae55"}),
+        HASWELL: "eb8f9a95ed5b4187b68558f4bfc413a6e15654c75dbbc984a897e7826541ae55",
+        HASWELL_X86_V3: "eb8f9a95ed5b4187b68558f4bfc413a6e15654c75dbbc984a897e7826541ae55"}),
     (8, 0.2, 38, 200, 5, 15, 13, {
         SKYLAKEX: "180326efdd0be86e84ca257e67276aadedb083c7f9e5a1289fdec5cd029fa744",
-        HASWELL: "d980995804c399a85c4b0aefd032b67a6761ec6e634156218fd9a919fc76a40f"}),
+        HASWELL: "d980995804c399a85c4b0aefd032b67a6761ec6e634156218fd9a919fc76a40f",
+        HASWELL_X86_V3: "d980995804c399a85c4b0aefd032b67a6761ec6e634156218fd9a919fc76a40f"}),
 ]
 
 
@@ -691,6 +694,13 @@ def v1_document():
     return {"format": "bootband-lstm", "version": 1, "config": config, "params": params}
 
 
+def huge_shapes(doc):
+    """Edit a v1 document to 10**9 hidden units, every field's shape to match, its data left small."""
+    doc["config"]["hidden_size"] = 10**9
+    for entry in doc["params"].values():
+        entry["shape"] = [10**9] * len(entry["shape"])
+
+
 def scalar_v1_prediction(window):
     """The gate equations in plain floats, with u_g @ h as in the named layout."""
     p = V1_PARAMS
@@ -762,10 +772,13 @@ class TestSerialization:
         (lambda doc: doc["params"]["w_f"].update(shape="x"), "field w_f has shape 'x', expected"),
         (lambda doc: doc["params"]["u_f"].update(shape=[2, 2.0]), "field u_f has shape .2, 2.0., expected"),
         (lambda doc: doc["params"]["u_f"].update(shape=[4]), "field u_f has shape .4., expected .2, 2."),
+        (lambda doc: doc["config"].update(hidden_size=10**9),
+         "field w_f has shape .2., expected .1000000000."),
+        (huge_shapes, "field w_f data is not a list of 1000000000 numbers"),
     ], ids=["no-config", "no-params", "no-field", "unknown-key", "missing-key", "int-as-string",
             "int-as-float", "int-as-null", "int-as-bool", "float-as-string", "float-as-numeric-string",
             "float-as-bool", "out-of-range", "non-numeric-data", "short-data", "string-shape",
-            "float-in-shape", "wrong-shape"])
+            "float-in-shape", "wrong-shape", "huge-hidden-size", "huge-shapes"])
     def test_rejects_malformed_document(self, tmp_path, edit, message):
         doc = v1_document()
         edit(doc)
