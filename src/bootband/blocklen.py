@@ -67,6 +67,8 @@ class SelectorConfig:
         object.__setattr__(self, "method", BootstrapMethod(self.method))
         if self.reps < 1:
             raise ValidationError(f"selector reps must be >= 1, got {self.reps}")
+        if self.seed < 0:
+            raise ValidationError(f"selector seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.t) and self.t > 0):  # NaN fails too
             raise ValidationError(f"penalty exponent t must be finite and > 0, got {self.t}")
         if self.l_min < 1:
@@ -218,6 +220,8 @@ def select_block_length(x, cfg: SelectorConfig) -> tuple[int, SelectorCurve]:
     convexity can be plotted or re-checked.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValidationError(f"x must be one series, got shape {x.shape}")
     n = x.size
     l_max = cfg.resolved_l_max(n)
     lengths = np.arange(cfg.l_min, l_max + 1)

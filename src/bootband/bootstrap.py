@@ -61,6 +61,8 @@ class BlockPlan:
         object.__setattr__(self, "method", BootstrapMethod(self.method))
         if self.block_len < 1:
             raise ValidationError("block_len must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.method is BootstrapMethod.LBB:
             if self.locality is None:
                 raise ValidationError("LBB requires a locality fraction")
@@ -240,6 +242,8 @@ def batch_resample(x, plan: BlockPlan, count: int) -> tuple[np.ndarray, list[np.
     if count < 1:
         raise ValidationError("count must be >= 1")
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValidationError(f"x must be one series, got shape {x.shape}")
     n = x.size
     if n == 0:
         raise ValidationError("cannot resample an empty series")

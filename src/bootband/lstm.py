@@ -123,6 +123,8 @@ class TrainConfig:
                 raise ValidationError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not self.eps > 0:
             raise ValidationError(f"eps must be > 0, got {self.eps}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def param_count(hidden_size: int) -> int:
@@ -531,6 +533,8 @@ def fit(series, cfg: TrainConfig, seeds, *, epoch_rmse: bool = False):
     seeds = tuple(seeds)
     if len(seeds) != len(windows):
         raise ValidationError(f"{len(windows)} series columns need as many seeds, got {len(seeds)}")
+    if min(seeds, default=0) < 0:
+        raise ValidationError(f"seeds must be >= 0, got {min(seeds)}")
     n_rows, n_pairs = targets.shape
     hidden = cfg.hidden_size
     # each row draws from its own stream in a group of one's order: the
@@ -605,7 +609,12 @@ def predict_series(model: LstmModel, context, positions) -> np.ndarray:
     match predicting each in its own call.
     """
     context = np.asarray(context, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.intp)
+    if context.ndim != 1:
+        raise ValidationError(f"context must be one series, got shape {context.shape}")
+    positions = np.asarray(positions)
+    if positions.size and positions.dtype.kind not in "iu":
+        raise ValidationError(f"positions must be integers, got {positions.dtype}")
+    positions = positions.astype(np.intp, copy=False)
     if positions.size == 0:
         return np.empty((*model.theta.shape[:-1], 0))
     lookback = model.cfg.lookback

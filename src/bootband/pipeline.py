@@ -49,15 +49,17 @@ NBB, MBB and LBB first, then trains all ``3 * reps`` rows as one set of
 groups on one pool, so a group may span two methods.  Row ``m`` of every
 method is replicate ``m`` with the seed ``derive_seed(train.seed, m)``, and
 each method keeps the trained rows of its block.  A run keeps one timings
-dict, filled with :func:`bootband.manifest.timed`: each method's stages are
-named ``<method>:<stage>`` when the run has several methods and by the bare
-stage otherwise, and the shared ``train-predict`` stage is timed once.
-Every result of the run, and a comparison, holds that same dict.
+dict.  Each method's stage is one ``_stage`` block, timed as
+``<method>:<stage>`` (the bare stage in a one-method run), whose package
+errors are raised as a :class:`PipelineError` tagged with the stage.  The
+shared ``train-predict`` stage is timed once.  Every result of the run, and
+a comparison, holds that same dict.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -129,8 +131,9 @@ class PipelineConfig:
             raise ValidationError("reps must be >= 2")
         if self.scale_window < 1:
             raise ValidationError("scale_window must be >= 1")
-        if self.allow_failures < 0:
-            raise ValidationError("allow_failures must be >= 0")
+        for name in ("allow_failures", "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
 
     @property
     def method(self) -> BootstrapMethod:
@@ -266,47 +269,37 @@ def _group_task(args):
     return preds, causes
 
 
-@dataclass(frozen=True)
-class _Draw:
-    """One method's block length and curve; its pseudo paths are rows of the replicate matrix."""
+@contextmanager
+def _stage(timings: dict, label: str | None, stage: str):
+    """Time the ``with`` body as ``<label>:<stage>`` (the bare stage without a label).
 
-    cfg: PipelineConfig
-    l_opt: int
-    curve: SelectorCurve
-
-
-def _stage(label: str | None, stage: str) -> str:
-    """A stage's timings key: ``<method>:<stage>`` for a labelled method, else the bare stage."""
-    return stage if label is None else f"{label}:{stage}"
+    A :class:`BootbandError` from the body is raised again as a
+    :class:`PipelineError` tagged with the stage and ``label``.
+    """
+    with timed(timings, stage if label is None else f"{label}:{stage}"):
+        try:
+            yield
+        except BootbandError as exc:
+            raise PipelineError(stage, str(exc), label) from exc
 
 
 def _draw(prices: PriceSeries, cfg: PipelineConfig, label: str | None,
-          paths: np.ndarray, timings: dict) -> _Draw:
+          paths: np.ndarray, timings: dict) -> tuple[int, SelectorCurve]:
     """Log-returns, block-length selection and the replicate draw for ``cfg.method``.
 
     The ``cfg.reps`` pseudo price paths are written into ``paths``, and each
-    stage's seconds into ``timings``.
+    stage's seconds into ``timings``.  Returns the block length and its curve.
     """
-    with timed(timings, _stage(label, "log-returns")):
+    with _stage(timings, label, "log-returns"):
         returns = to_log_returns(prices.values[: cfg.train_len])
-
-    with timed(timings, _stage(label, "block-length-selection")):
-        try:
-            l_opt, curve = select_block_length(returns, cfg.selector)
-        except BootbandError as exc:
-            raise PipelineError("block-length-selection", str(exc), label) from exc
-
-    with timed(timings, _stage(label, "bootstrap")):
-        try:
-            plan = BlockPlan(
-                method=cfg.method, block_len=l_opt, locality=cfg.selector.locality, seed=cfg.seed
-            )
-            # only the values: the drawn starts would add to the peak memory of this step
-            pseudo_returns = batch_resample(returns, plan, cfg.reps)[0]
-            paths[...] = from_log_returns(pseudo_returns, prices.values[0])
-        except BootbandError as exc:
-            raise PipelineError("bootstrap", str(exc), label) from exc
-    return _Draw(cfg=cfg, l_opt=l_opt, curve=curve)
+    with _stage(timings, label, "block-length-selection"):
+        l_opt, curve = select_block_length(returns, cfg.selector)
+    with _stage(timings, label, "bootstrap"):
+        plan = BlockPlan(method=cfg.method, block_len=l_opt, locality=cfg.selector.locality, seed=cfg.seed)
+        # only the values: the drawn starts would add to the peak memory of this step
+        pseudo_returns = batch_resample(returns, plan, cfg.reps)[0]
+        paths[...] = from_log_returns(pseudo_returns, prices.values[0])
+    return l_opt, curve
 
 
 def _group_cap(train: TrainConfig) -> int:
@@ -384,14 +377,16 @@ def _train_predict(prices: PriceSeries, cfg: PipelineConfig, paths: np.ndarray,
     return predictions, causes
 
 
-def _finish(prices: PriceSeries, draw: _Draw, predictions: np.ndarray,
-            causes: list[str | None], label: str | None, timings: dict) -> PipelineResult:
+def _finish(prices: PriceSeries, cfg: PipelineConfig, draw: tuple[int, SelectorCurve],
+            predictions: np.ndarray, causes: list[str | None], label: str | None,
+            timings: dict) -> PipelineResult:
     """Check one method's failures, then take its quantile band over its trained rows.
 
-    With no failure, ``predictions``, the method's rows of the prediction
-    matrix, is kept as is.  The result holds the run's ``timings`` dict itself.
+    ``draw`` is the method's :func:`_draw` result.  With no failure,
+    ``predictions``, the method's rows of the prediction matrix, is kept as
+    is.  The result holds the run's ``timings`` dict itself.
     """
-    cfg = draw.cfg
+    l_opt, curve = draw
     failed = {idx: cause for idx, cause in enumerate(causes) if cause is not None}
     if len(failed) > cfg.allow_failures:
         raise ReplicateFailureError(failed, cfg.allow_failures, label)
@@ -402,24 +397,21 @@ def _finish(prices: PriceSeries, draw: _Draw, predictions: np.ndarray,
         predictions = predictions[trained]
     actual_test = prices.values[cfg.train_len :]
 
-    with timed(timings, _stage(label, "quantile-band")):
-        try:
-            lower, median, upper = percentile_band(predictions, cfg.alpha)
-        except BootbandError as exc:
-            raise PipelineError("percentile-band", str(exc), label) from exc
+    with _stage(timings, label, "quantile-band"):
+        lower, median, upper = percentile_band(predictions, cfg.alpha)
         band = ConfidenceBand(
             timestamps=prices.timestamps[cfg.train_len :],
             lower=lower,
             point=median,
             upper=upper,
             method=cfg.method,
-            block_len=draw.l_opt,
+            block_len=l_opt,
             reps=len(trained),
         )
         coverage = float(np.mean((actual_test >= lower) & (actual_test <= upper)))
     return PipelineResult(
         band=band,
-        curve=draw.curve,
+        curve=curve,
         predictions=predictions,
         replicate_ids=tuple(trained),
         failed_ids=tuple(failed),
@@ -461,8 +453,8 @@ def _run(prices: PriceSeries, cfg: PipelineConfig, methods: tuple[BootstrapMetho
              for method_cfg, label, rows in zip(cfgs, labels, blocks)]
     with timed(timings, "train-predict"):
         predictions, causes = _train_predict(prices, cfg, paths, labels, jobs)
-    return [_finish(prices, draw, predictions[rows], causes[rows], label, timings)
-            for draw, rows, label in zip(draws, blocks, labels)]
+    return [_finish(prices, method_cfg, draw, predictions[rows], causes[rows], label, timings)
+            for method_cfg, draw, rows, label in zip(cfgs, draws, blocks, labels)]
 
 
 def run(prices: PriceSeries, cfg: PipelineConfig, jobs: int = 1) -> PipelineResult:

@@ -168,7 +168,10 @@ class WindowScale:
 
     def denormalize(self, scaled: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Map scaled values at the given original positions back to raw units."""
-        positions = np.asarray(positions, dtype=np.intp)
+        positions = np.asarray(positions)
+        if positions.size and positions.dtype.kind not in "iu":
+            raise ValidationError(f"positions must be integers, got {positions.dtype}")
+        positions = positions.astype(np.intp, copy=False)
         if positions.size and (positions.min() < 0 or positions.max() >= self.n):
             raise ValidationError("positions outside the scaled range")
         seg = positions // self.window_len

@@ -192,6 +192,10 @@ class TestSelect:
         with pytest.raises(ValidationError):
             select_block_length(np.arange(10.0), SelectorConfig(l_max=11))
 
+    def test_matrix_input_rejected(self):
+        with pytest.raises(ValidationError, match="one series"):
+            select_block_length(np.ones((3, 40)), SelectorConfig(reps=5, l_max=4))
+
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_penalty_exponent_must_be_finite_and_positive(self, t):
         with pytest.raises(ValidationError, match="penalty exponent t"):

@@ -75,6 +75,8 @@ class TestNbb:
             batch_resample(np.empty(0), plan, 1)
         with pytest.raises(ValidationError):
             batch_resample(arr(1.0), plan, 1)
+        with pytest.raises(ValidationError, match="one series"):
+            batch_resample(np.ones((3, 40)), plan, 2)
 
 
 class TestMbb:

@@ -487,6 +487,16 @@ class TestBand:
             "error[train]: a worker process died: first group without a result: mbb 2; lbb 0, 1, 2"
         ]
 
+    def test_quantile_stage_error_names_its_stage(self, csv90, tmp_path, monkeypatch, capsys):
+        def failing(*args):
+            raise ValidationError("boom")
+
+        monkeypatch.setattr(pl, "percentile_band", failing)
+        out = tmp_path / "out"
+        code = main(["band", "--input", csv90, "--method", "mbb", *fast_flags(out, ["--jobs", "1"])])
+        assert code == 5
+        assert capsys.readouterr().err == "error[quantile-band]: boom\n"
+
     def test_default_jobs_are_the_usable_cpus(self, csv90, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         out = tmp_path / "out"
@@ -522,6 +532,18 @@ class TestCompare:
             "error[train]: nbb: 3 replicate(s) failed (allowed: 0): "
             + "; ".join(f"replicate {k}: non-finite loss at epoch 0, batch 1" for k in range(3))
         ]
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, csv90, tmp_path):
+        # a new interpreter per run: the hash seed is fixed when Python starts
+        trees = []
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / hash_seed
+            fresh_python(["-m", "bootband", "compare", "--input", csv90, "--jobs", "1",
+                          *fast_flags(out, ["--dump-replicates"])],
+                         tmp_path, PYTHONHASHSEED=hash_seed)
+            trees.append(strip_volatile(out))
+        assert {f"replicates_{m}.csv" for m in ("nbb", "mbb", "lbb")} <= set(trees[0])
+        assert trees[0] == trees[1]
 
 
 def band_columns(path):

@@ -668,6 +668,16 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict_series(model, np.linspace(0, 1, 30), [3])
 
+    @pytest.mark.parametrize("context,positions,message", [
+        (np.linspace(0, 1, 30), [6.7], "positions must be integers"),
+        (np.linspace(0, 1, 30).reshape(2, 15), [6], "context must be one series"),
+    ], ids=["fractional-position", "matrix-context"])
+    def test_rejects_what_it_would_misread(self, context, positions, message):
+        cfg = TrainConfig(lookback=5, epochs=1, hidden_size=2)
+        model, _, _ = fit_one(np.linspace(0, 1, 30), cfg, 0)
+        with pytest.raises(ValidationError, match=message):
+            predict_series(model, context, positions)
+
 
 # A version-1 model.json written by hand: hidden 2, lookback 3.  The u_*
 # matrices are asymmetric so that a transposed recurrent block changes the
@@ -767,6 +777,7 @@ class TestSerialization:
         (lambda doc: doc["config"].update(learning_rate="0.1"), "config key 'learning_rate' must be a number"),
         (lambda doc: doc["config"].update(l2_coeff=False), "config key 'l2_coeff' must be a number"),
         (lambda doc: doc["config"].update(hidden_size=0), "config hidden_size must be >= 1"),
+        (lambda doc: doc["config"].update(seed=-1), "config seed must be >= 0, got -1"),
         (lambda doc: doc["params"]["w_f"].update(data=["a", "b"]), "field w_f data is not a list of 2 numbers"),
         (lambda doc: doc["params"]["w_f"].update(data=[0.1]), "field w_f data is not a list of 2 numbers"),
         (lambda doc: doc["params"]["w_f"].update(shape="x"), "field w_f has shape 'x', expected"),
@@ -777,7 +788,7 @@ class TestSerialization:
         (huge_shapes, "field w_f data is not a list of 1000000000 numbers"),
     ], ids=["no-config", "no-params", "no-field", "unknown-key", "missing-key", "int-as-string",
             "int-as-float", "int-as-null", "int-as-bool", "float-as-string", "float-as-numeric-string",
-            "float-as-bool", "out-of-range", "non-numeric-data", "short-data", "string-shape",
+            "float-as-bool", "out-of-range", "negative-seed", "non-numeric-data", "short-data", "string-shape",
             "float-in-shape", "wrong-shape", "huge-hidden-size", "huge-shapes"])
     def test_rejects_malformed_document(self, tmp_path, edit, message):
         doc = v1_document()

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import bootband.pipeline as pl
 from bootband._rng import derive_seed
 from bootband.blocklen import SelectorConfig, select_block_length
-from bootband.bootstrap import BootstrapMethod
+from bootband.bootstrap import BlockPlan, BootstrapMethod
 from bootband.errors import PipelineError, ReplicateFailureError, ValidationError
-from bootband.lstm import TrainConfig
+from bootband.lstm import TrainConfig, fit
 from bootband.pipeline import (
     ConfidenceBand,
     PipelineConfig,
@@ -417,15 +417,37 @@ class TestRun:
         assert np.all(paths[:, 0] == prices.values[0])
         assert np.all(paths > 0)
 
-    def test_stage_tagged_errors(self, monkeypatch):
-        # a failure inside selection carries the stage name
-        def failing_selection(returns, cfg):
-            raise ValidationError("no candidate length")
+    @pytest.mark.parametrize("name,stage", [
+        ("to_log_returns", "log-returns"),
+        ("select_block_length", "block-length-selection"),
+        ("batch_resample", "bootstrap"),
+        ("percentile_band", "quantile-band"),
+    ], ids=["log-returns", "block-length-selection", "bootstrap", "quantile-band"])
+    @pytest.mark.parametrize("entry", [run, compare_methods], ids=["run", "compare"])
+    def test_stage_tagged_errors(self, monkeypatch, name, stage, entry):
+        # a failure inside a stage is tagged with the stage its time is keyed by
+        def failing(*args):
+            raise ValidationError("boom")
 
-        monkeypatch.setattr(pl, "select_block_length", failing_selection)
+        real_timed, keys = pl.timed, []
+
+        def recording_timed(sink, key):
+            keys.append(key)
+            return real_timed(sink, key)
+
+        monkeypatch.setattr(pl, name, failing)
+        monkeypatch.setattr(pl, "timed", recording_timed)
         with pytest.raises(PipelineError) as err:
-            run(price_series(gbm_prices(60, seed=4)), small_cfg(40))
-        assert err.value.stage == "block-length-selection"
+            entry(price_series(gbm_prices(60, seed=4)), small_cfg(40))
+        assert err.value.stage == stage
+        if entry is run:
+            assert keys[-1] == stage
+            assert err.value.method is None
+        else:
+            # NBB draws and finishes first
+            assert keys[-1] == f"nbb:{stage}"
+            assert err.value.method == "nbb"
+            assert err.value.detail == "nbb: boom"
 
     def test_selector_bounds_beyond_training_fail_before_selection(self, monkeypatch):
         # selector config invalid for the 39 training returns -> a plain ValidationError
@@ -684,6 +706,18 @@ class TestConfigValidation:
     def test_train_len_positive(self):
         with pytest.raises(ValidationError):
             PipelineConfig(train_len=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: PipelineConfig(train_len=10, seed=-1),
+        lambda: SelectorConfig(seed=-1),
+        lambda: TrainConfig(seed=-1),
+        lambda: BlockPlan(method="mbb", block_len=2, seed=-1),
+        lambda: fit(np.zeros((30, 2)), TrainConfig(lookback=3, epochs=1), [0, -1]),
+    ], ids=["pipeline", "selector", "train", "plan", "fit"])
+    def test_negative_seed_is_rejected_up_front(self, make):
+        # numpy would reject it only when the first stream is drawn
+        with pytest.raises(ValidationError, match=r"seeds? must be >= 0"):
+            make()
 
     def test_method_follows_selector(self):
         assert PipelineConfig(train_len=10).method is SelectorConfig().method

@@ -203,6 +203,11 @@ class TestWindowScale:
         with pytest.raises(ValidationError):
             window_minmax_scale([1, 2], 0)
 
+    def test_fractional_position_rejected(self):
+        scaled, scale = window_minmax_scale(np.arange(10.0), 4)
+        with pytest.raises(ValidationError, match="positions must be integers"):
+            scale.denormalize(scaled[:1], [6.9])
+
     @given(
         st.lists(st.floats(-1e8, 1e8, allow_nan=False), min_size=1, max_size=80),
         st.integers(1, 30),
